@@ -139,6 +139,8 @@ def cmd_run(args) -> int:
         counts = sample(circ, shots=args.shots, noise=noise, seed=seed)
     except SimulationError as exc:
         raise CliError("simulation", str(exc), EXIT_SIM) from exc
+    except ValueError as exc:
+        raise CliError("bad-parameters", str(exc), EXIT_SIM) from exc
     out = {"shots": args.shots, "counts": dict(sorted(counts.items()))}
     _write_text(args.out, _dump_json(out))
     return 0

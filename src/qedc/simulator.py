@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,19 +121,6 @@ class SimulationError(Exception):
     pass
 
 
-def _apply_unitary(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply `mat` on `qubits` of an n-qubit state tensor of shape (2,)*n.
-
-    Tensor axis k holds qubit n-1-k; the first listed qubit is the most
-    significant bit of the matrix basis.
-    """
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    tensor = mat.reshape((2,) * (2 * k))
-    psi = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(psi, list(range(k)), axes)
-
-
 def _compact(circ: Circuit) -> tuple[Circuit, dict[int, int]]:
     """Restrict a circuit to the qubits its instructions actually touch."""
     used = sorted({q for inst in circ.instructions for q in inst.qubits})
@@ -143,6 +131,157 @@ def _compact(circ: Circuit) -> tuple[Circuit, dict[int, int]]:
             Instruction(inst.gate, tuple(remap[q] for q in inst.qubits), inst.clbits)
         )
     return out, remap
+
+
+class _Gate(NamedTuple):
+    """A gate on fixed qubits of an n-qubit batch as a sum of terms:
+    out[j] = sum over terms of coef[rows[j]] * psi[perm[j]], where rows[j]
+    is the matrix row of basis state j and perm changes only target bits.
+    A term is one gather and one multiply over whole rows of the batch, so
+    the inner loops run over contiguous memory whichever qubits the gate
+    acts on."""
+
+    rows: np.ndarray  # matrix row of each basis state
+    # (perm, or None for no change; coef per matrix row, or None for all ones)
+    terms: tuple[tuple[np.ndarray | None, np.ndarray | None], ...]
+
+
+def _gate(mat: np.ndarray, qubits: tuple[int, ...], n: int, shared: dict) -> _Gate:
+    """`mat` on `qubits` (the first listed qubit is the most significant bit
+    of the matrix basis) as a _Gate.  Index arrays are taken from and kept
+    in `shared`, so gates on the same qubits hold one copy."""
+    k = len(qubits)
+    local = np.arange(1 << k)
+    # global bit mask of each local (matrix-basis) bit pattern
+    masks = sum(((local >> (k - 1 - a)) & 1) << q for a, q in enumerate(qubits))
+    if qubits not in shared:
+        basis = np.arange(1 << n)
+        shared[qubits] = sum(((basis >> q) & 1) << (k - 1 - a) for a, q in enumerate(qubits))
+    rows = shared[qubits]
+    nonzero = mat != 0
+    if (nonzero.sum(axis=1) == 1).all():
+        # one entry per row (cx, cz, rzz, ...): a single permuted term
+        col = nonzero.argmax(axis=1)
+        parts = [(local ^ col, mat[local, col])]
+    else:
+        parts = [(np.full(1 << k, flips), mat[local, local ^ flips])
+                 for flips in range(1 << k) if np.any(mat[local, local ^ flips])]
+    terms = []
+    for flips, coef in parts:
+        perm = None
+        if flips.any():
+            key = (qubits, flips.tobytes())
+            if key not in shared:
+                shared[key] = np.arange(1 << n) ^ masks[flips][rows]
+            perm = shared[key]
+        terms.append((perm, None if np.all(coef == 1) else coef.astype(complex)))
+    return _Gate(rows, tuple(terms))
+
+
+class _Batch:
+    """A (rows, 2**n) batch of states, one state per row (bit q of a column
+    index is qubit q), with the spare arrays gates run through.  A gate
+    allocates nothing, so the memory of a batch is not handed back to the
+    system and faulted in again between gates."""
+
+    def __init__(self, rows: int, n: int):
+        self.psi, self._out, self._scratch = (
+            np.zeros((rows, 1 << n), dtype=complex) for _ in range(3))
+        self._coef = np.zeros(1 << n, dtype=complex)
+
+    def apply(self, gate: _Gate, active: int) -> None:
+        """Apply the gate to the first `active` rows."""
+        psi, out = self.psi[:active], self._out[:active]
+        for t, (perm, coef) in enumerate(gate.terms):
+            dest = self._scratch[:active] if t else out
+            src = psi
+            if perm is not None:
+                # mode="clip" writes straight into dest; "raise" buffers
+                np.take(psi, perm, axis=1, out=dest, mode="clip")
+                src = dest
+            if coef is not None:
+                np.take(coef, gate.rows, out=self._coef)
+                np.multiply(src, self._coef, out=dest)
+            elif src is psi:
+                np.copyto(dest, psi)
+            if t:
+                out += dest
+        self.psi, self._out = self._out, self.psi
+
+
+class _Op(NamedTuple):
+    """A non-barrier instruction, ready to run on a batch of states."""
+
+    name: str
+    qubits: tuple[int, ...]
+    clbit: int = -1
+    gate: _Gate | None = None  # None for measure and reset
+    error: float = 0.0  # depolarizing probability after the gate
+
+
+def _program(circ: Circuit, noise: NoiseModel | None = None) -> list[_Op]:
+    """The circuit's instructions without barriers, each gate built once."""
+    n = circ.num_qubits
+    ops, shared = [], {}
+    for inst in circ.instructions:
+        name = inst.name
+        if name == "barrier":
+            continue
+        if name in ("measure", "reset"):
+            ops.append(_Op(name, inst.qubits, inst.clbits[0] if inst.clbits else -1))
+            continue
+        error = noise.gate_error(inst) if noise is not None else 0.0
+        gate = _gate(gate_matrix(name, inst.params), inst.qubits, n, shared)
+        ops.append(_Op(name, inst.qubits, gate=gate, error=error))
+    return ops
+
+
+def _terminal_start(ops: list[_Op]) -> int:
+    """Index of the first of the trailing measurements."""
+    tail = len(ops)
+    while tail and ops[tail - 1].name == "measure":
+        tail -= 1
+    return tail
+
+
+def _zero_state(n: int) -> _Batch:
+    """|0...0> as a batch of one."""
+    batch = _Batch(1, n)
+    batch.psi[0, 0] = 1.0
+    return batch
+
+
+def _halves(psi: np.ndarray, q: int) -> np.ndarray:
+    """(B, high bits, 2, low bits) view of a batch; axis 2 is qubit q."""
+    return psi.reshape(psi.shape[0], -1, 2, 1 << q)
+
+
+def _prob_one(psi: np.ndarray, q: int) -> np.ndarray:
+    """Probability per row that qubit q reads 1."""
+    ones = _halves(psi, q)[:, :, 1]
+    return np.einsum("abc,abc->a", ones, ones.conj()).real
+
+
+def _collapse(psi: np.ndarray, q: int, p1: np.ndarray, outcomes: np.ndarray) -> None:
+    """Project qubit q of each row onto its outcome and renormalise, in place."""
+    view = _halves(psi, q)
+    view[outcomes, :, 0] = 0
+    view[~outcomes, :, 1] = 0
+    kept = np.where(outcomes, p1, 1.0 - p1)
+    view /= np.sqrt(np.maximum(kept, 1e-300))[:, None, None, None]
+
+
+def _flip(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
+    """X on qubit q of the selected rows, in place."""
+    if len(rows):
+        view = _halves(psi, q)
+        view[rows] = view[rows, :, ::-1]
+
+
+def _phase(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
+    """Z on qubit q of the selected rows, in place."""
+    if len(rows):
+        _halves(psi, q)[rows, :, 1] *= -1
 
 
 def statevector(circ: Circuit) -> np.ndarray:
@@ -162,11 +301,10 @@ def statevector(circ: Circuit) -> np.ndarray:
     n = circ.num_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
-    psi = np.zeros((2,) * n if n else (1,), dtype=complex)
-    psi.flat[0] = 1.0
+    batch, shared = _zero_state(n), {}
     for inst in body:
-        psi = _apply_unitary(psi, gate_matrix(inst.name, inst.params), inst.qubits, n)
-    return psi.reshape(-1)
+        batch.apply(_gate(gate_matrix(inst.name, inst.params), inst.qubits, n, shared), 1)
+    return batch.psi[0]
 
 
 def probabilities(circ: Circuit) -> np.ndarray:
@@ -195,6 +333,45 @@ def ideal_distribution(circ: Circuit) -> dict[str, float]:
     return dist
 
 
+class _NoiselessRun:
+    """One noiseless state stepped through the ops from |0...0> on demand.
+
+    It stops before the first measurement or reset whose outcome is random
+    (one-outcome probability farther than `tol` from 0 and 1); `index` is the
+    op it stands before and `record` the deterministic outcomes so far, as
+    (clbit, bit) pairs.
+    """
+
+    def __init__(self, ops: list[_Op], n: int, tol: float):
+        self.ops, self.tol = ops, tol
+        self.batch = _zero_state(n)
+        self.index = 0
+        self.record: list[tuple[int, int]] = []
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.batch.psi
+
+    def advance(self, end: int) -> None:
+        """Step to the state before ops[end], or before a random outcome."""
+        while self.index < end:
+            op = self.ops[self.index]
+            if op.gate is not None:
+                self.batch.apply(op.gate, 1)
+            else:
+                q = op.qubits[0]
+                p1 = _prob_one(self.psi, q)
+                if self.tol < p1[0] < 1.0 - self.tol:
+                    return
+                outcome = p1 >= 0.5
+                _collapse(self.psi, q, p1, outcome)
+                if op.name == "measure":
+                    self.record.append((op.clbit, int(outcome[0])))
+                elif outcome[0]:
+                    _flip(self.psi, np.array([0]), q)
+            self.index += 1
+
+
 def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, float]:
     """Exact outcome distribution for circuits whose mid-circuit measurements
     are all deterministic (as in noiseless verification/syndrome cycles).
@@ -207,40 +384,22 @@ def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, fl
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
 
-    insts = compacted.instructions
-    tail = len(insts)
-    while tail > 0 and insts[tail - 1].name in ("measure", "barrier"):
-        tail -= 1
-
-    psi = np.zeros((2,) * n if n else (1,), dtype=complex)
-    psi.flat[0] = 1.0
+    ops = _program(compacted)
+    tail = _terminal_start(ops)
+    run = _NoiselessRun(ops, n, tol)
+    run.advance(tail)
+    if run.index < tail:
+        q = ops[run.index].qubits[0]
+        raise SimulationError(
+            f"mid-circuit measurement on qubit {q} is not deterministic "
+            f"(p1={_prob_one(run.psi, q)[0]:.3g})"
+        )
     clbits = [0] * compacted.num_clbits
-    for inst in insts[:tail]:
-        name = inst.name
-        if name == "barrier":
-            continue
-        if name in ("measure", "reset"):
-            q = inst.qubits[0]
-            axis = n - 1 - q
-            moved = np.moveaxis(psi, axis, 0)
-            p1 = float(np.sum(np.abs(moved[1]) ** 2))
-            if p1 > tol and p1 < 1.0 - tol:
-                raise SimulationError(
-                    f"mid-circuit measurement on qubit {q} is not deterministic (p1={p1:.3g})"
-                )
-            outcome = 1 if p1 >= 0.5 else 0
-            projected = np.zeros_like(moved)
-            projected[outcome] = moved[outcome] / math.sqrt(max(p1 if outcome else 1 - p1, 1e-300))
-            psi = np.moveaxis(projected, 0, axis)
-            if name == "measure":
-                clbits[inst.clbits[0]] = outcome
-            elif outcome:
-                psi = _apply_unitary(psi, gate_matrix("x"), inst.qubits, n)
-            continue
-        psi = _apply_unitary(psi, gate_matrix(name, inst.params), inst.qubits, n)
+    for c, bit in run.record:
+        clbits[c] = bit
 
-    measures = [(i.qubits[0], i.clbits[0]) for i in insts[tail:] if i.name == "measure"]
-    probs = np.abs(psi.reshape(-1)) ** 2
+    measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
+    probs = np.abs(run.psi[0]) ** 2
     dist: dict[str, float] = {}
     for idx, p in enumerate(probs):
         if p < 1e-18:
@@ -253,71 +412,61 @@ def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, fl
     return dist
 
 
-def _measure_qubit(psi: np.ndarray, q: int, n: int, rng) -> tuple[np.ndarray, int]:
-    axis = n - 1 - q
-    moved = np.moveaxis(psi, axis, 0)
-    p1 = float(np.sum(np.abs(moved[1]) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
-    prob = p1 if outcome else 1.0 - p1
-    projected = np.zeros_like(moved)
-    projected[outcome] = moved[outcome] / math.sqrt(max(prob, 1e-300))
-    return np.moveaxis(projected, 0, axis), outcome
+# Amplitudes one batch of trajectories may hold: sample() splits its faulty
+# shots into batches of at most this many amplitudes, so its memory does not
+# grow with the shot count.
+_BATCH_AMPLITUDES = 1 << 14
 
+# a mid-circuit measurement or reset whose one-outcome probability lies
+# farther than this from 0 and 1 is random, and ends the shared prefix
+_RANDOM_TOL = 1e-12
 
-def _shot_rng(seed: int, shot: int):
-    return np.random.default_rng((int(seed), int(shot)))
-
-
-def _inject_noise(psi, inst: Instruction, noise: NoiseModel, rng, n: int):
-    if len(inst.qubits) == 1 and inst.name in noise.gates1:
-        if noise.p1 > 0 and rng.random() < noise.p1:
-            k = int(rng.integers(3))
-            psi = _apply_unitary(psi, gate_matrix(_PAULI_1Q[k]), inst.qubits, n)
-    elif len(inst.qubits) == 2 and inst.name in noise.gates2:
-        if noise.p2 > 0 and rng.random() < noise.p2:
-            a, b = _PAULI_2Q[int(rng.integers(15))]
-            if a != "i":
-                psi = _apply_unitary(psi, gate_matrix(a), (inst.qubits[0],), n)
-            if b != "i":
-                psi = _apply_unitary(psi, gate_matrix(b), (inst.qubits[1],), n)
-    return psi
+# fault Pauli -> (x, z) bits of each factor, indexed by the code sample()
+# draws: _PAULI_1Q order for one-qubit gates, _PAULI_2Q order for two-qubit
+_XZ_BITS = {"i": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
+_FAULT_XZ = {
+    1: np.array([[_XZ_BITS[a]] for a in _PAULI_1Q], dtype=bool),
+    2: np.array([[_XZ_BITS[a], _XZ_BITS[b]] for a, b in _PAULI_2Q], dtype=bool),
+}
 
 
 def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
            seed: int = 0) -> dict[str, int]:
-    """Monte-Carlo shot sampling; deterministic for a fixed seed.
+    """Monte-Carlo shot sampling under depolarizing noise.
 
-    Each shot draws from an independent RNG stream derived from
-    (seed, shot_index), so results do not depend on execution order.
+    Every random draw comes from one ``np.random.default_rng(seed)``, so the
+    same (circuit, noise, shots, seed) gives byte-identical counts.
+    Circuits that are not Clifford run fault-first: all shots' faults are
+    drawn up front, fault-free shots read the shared noiseless state, and
+    only the faulty ones are simulated, together, from their first fault.
     """
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative, got {shots}")
+    if shots == 0:
+        return {}
     if noise is None:
         noise = NoiseModel()
     compacted, _ = _compact(circ)
     n = compacted.num_qubits
-    has_midcircuit = _has_midcircuit(compacted)
-    noisy = not noise.is_noiseless and any(
-        (len(i.qubits) == 1 and i.name in noise.gates1 and noise.p1 > 0)
-        or (len(i.qubits) == 2 and i.name in noise.gates2 and noise.p2 > 0)
-        for i in compacted.instructions
-    )
+    noisy = any(noise.gate_error(i) > 0 for i in compacted.instructions)
+    rng = np.random.default_rng(seed)
 
     # stabilizer-frame sampling is exact for Clifford circuits and much
-    # cheaper than per-shot statevector trajectories
+    # cheaper than statevector trajectories
     if (
         n <= MAX_STABILIZER_QUBITS
         and (noisy or n > MAX_STATEVECTOR_QUBITS)
         and _is_clifford_circuit(compacted)
     ):
         counts: dict[str, int] = {}
-        if has_midcircuit:
-            for shot in range(shots):
-                rng = _shot_rng(seed, shot)
+        if _has_midcircuit(compacted):
+            for _ in range(shots):
                 key = _run_stabilizer_trajectory(compacted, noise, rng, n)
                 counts[key] = counts.get(key, 0) + 1
         else:
             sampler = _CliffordSampler(compacted, noise, n)
-            for shot in range(shots):
-                key = sampler.run_shot(_shot_rng(seed, shot))
+            for _ in range(shots):
+                key = sampler.run_shot(rng)
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -325,30 +474,12 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
         raise SimulationError(
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
-
-    counts: dict[str, int] = {}
-    if not noisy and not has_midcircuit:
-        # single deterministic evolution; only the readout is sampled per shot
-        measures = [(inst.qubits[0], inst.clbits[0]) for inst in compacted.instructions
-                    if inst.name == "measure"]
-        probs = np.abs(statevector(compacted)) ** 2
-        cumulative = np.cumsum(probs)
-        nc = compacted.num_clbits
-        for shot in range(shots):
-            rng = _shot_rng(seed, shot)
-            idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            idx = min(idx, len(probs) - 1)
-            clbits = [0] * nc
-            for q, c in measures:
-                clbits[c] = (idx >> q) & 1
-            key = counts_key(clbits, compacted.cregs)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    for shot in range(shots):
-        rng = _shot_rng(seed, shot)
-        key = _run_trajectory(compacted, noise, rng, n)
-        counts[key] = counts.get(key, 0) + 1
+    records = _sample_records(compacted, noise, shots, rng)
+    counts = {}
+    rows, freq = np.unique(records, axis=0, return_counts=True)
+    for row, c in zip(rows.tolist(), freq.tolist()):
+        key = counts_key(row, compacted.cregs)
+        counts[key] = counts.get(key, 0) + c
     return counts
 
 
@@ -362,26 +493,124 @@ def _has_midcircuit(circ: Circuit) -> bool:
     return False
 
 
-def _run_trajectory(circ: Circuit, noise: NoiseModel, rng, n: int) -> str:
-    psi = np.zeros((2,) * n if n else (1,), dtype=complex)
-    psi.flat[0] = 1.0
-    clbits = [0] * circ.num_clbits
-    for inst in circ.instructions:
-        name = inst.name
-        if name == "barrier":
+def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng) -> np.ndarray:
+    """Classical records, one row of clbits per shot, of fault-first
+    statevector trajectories (exact: depolarizing faults do not depend on
+    the state, so they can be drawn before anything is simulated)."""
+    n = circ.num_qubits
+    ops = _program(circ, noise)
+    tail = _terminal_start(ops)
+
+    # 1. every shot's faults: per noisy op a binomial count, then the shots
+    # hit, then a Pauli code for each
+    found = []
+    for i, op in enumerate(ops):
+        if op.error > 0:
+            hits = int(rng.binomial(shots, op.error))
+            if hits:
+                hit = rng.choice(shots, hits, replace=False)
+                code = rng.integers(len(_FAULT_XZ[len(op.qubits)]), size=hits)
+                found.append((np.full(hits, i), hit, code))
+    if found:
+        fault_op, fault_shot, fault_code = (np.concatenate(p) for p in zip(*found))
+    else:
+        fault_op = fault_shot = fault_code = np.zeros(0, dtype=np.int64)
+    first = np.full(shots, tail)
+    np.minimum.at(first, fault_shot, fault_op)
+
+    # 2. the shared noiseless prefix ends before the first random outcome;
+    # a shot needs simulating from its first fault or that point on
+    prefix = _NoiselessRun(ops, n, _RANDOM_TOL)
+    prefix.advance(tail)
+    start = np.minimum(first, prefix.index)
+    records = np.zeros((shots, circ.num_clbits), dtype=np.uint8)
+    for c, bit in prefix.record:
+        records[:, c] = bit
+    measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
+
+    # 3. shots with no fault and no random mid-circuit outcome read the
+    # final noiseless state in one draw
+    free = np.nonzero(start == tail)[0]
+    if len(free):
+        cum = np.cumsum(np.abs(prefix.psi[0]) ** 2)
+        idx = np.searchsorted(cum, rng.random(len(free)) * cum[-1], side="right")
+        _read_out(records, free, np.minimum(idx, len(cum) - 1), measures)
+
+    # 4. the others run in batches sorted by start; a second noiseless run,
+    # stepped forward as they join, hands each its starting state
+    states = _NoiselessRun(ops, n, _RANDOM_TOL)
+    batch = np.nonzero(start < tail)[0]
+    batch = batch[np.argsort(start[batch], kind="stable")]
+    position = np.full(shots, -1)
+    position[batch] = np.arange(len(batch))
+    fault_row = position[fault_shot]
+    size = max(1, _BATCH_AMPLITUDES >> n)
+    work = _Batch(min(size, len(batch)), n)
+    for lo in range(0, len(batch), size):
+        rows = batch[lo:lo + size]
+        mine = (fault_row >= lo) & (fault_row < lo + len(rows))
+        faults = (fault_op[mine], fault_row[mine] - lo, fault_code[mine])
+        idx = _run_batch(ops, tail, start[rows], states, work, faults, records, rows, rng)
+        _read_out(records, rows, idx, measures)
+    return records
+
+
+def _read_out(records: np.ndarray, rows: np.ndarray, idx: np.ndarray, measures) -> None:
+    """Write the trailing measurements' bits of basis states `idx` into the
+    given rows of the records."""
+    for q, c in measures:
+        records[rows, c] = (idx >> q) & 1
+
+
+def _run_batch(ops, tail, starts, states, work, faults, records, rows, rng) -> np.ndarray:
+    """Run the shots `rows` (sorted by start op) from their starts through
+    ops[:tail] in the leading rows of the _Batch `work`, writing mid-circuit
+    outcomes into `records`.
+
+    `faults` holds (op index, batch row, Pauli code) arrays sorted by op.  A
+    shot joins the batch at its start with the noiseless state before that
+    op, taken from `states`, which only ever steps forward.
+    Returns one basis-state index per shot drawn from its final state.
+    """
+    fault_op, fault_row, fault_code = faults
+    fault_edges = np.searchsorted(fault_op, np.arange(tail + 1))
+    joined_by = np.searchsorted(starts, np.arange(tail), side="right")
+    active = 0
+    for i in range(int(starts[0]), tail):
+        joined = joined_by[i]
+        if joined > active:
+            states.advance(i)
+            work.psi[active:joined] = states.psi
+            active = joined
+        op = ops[i]
+        if op.gate is not None:
+            work.apply(op.gate, active)
+            live = work.psi[:active]
+            a, b = fault_edges[i], fault_edges[i + 1]
+            if a < b:
+                hit = fault_row[a:b]
+                xz = _FAULT_XZ[len(op.qubits)][fault_code[a:b]]
+                # a Y fault is X times Z up to a global phase, which no
+                # outcome can see
+                for k, q in enumerate(op.qubits):
+                    _phase(live, hit[xz[:, k, 1]], q)
+                    _flip(live, hit[xz[:, k, 0]], q)
             continue
-        if name == "measure":
-            psi, outcome = _measure_qubit(psi, inst.qubits[0], n, rng)
-            clbits[inst.clbits[0]] = outcome
-            continue
-        if name == "reset":
-            psi, outcome = _measure_qubit(psi, inst.qubits[0], n, rng)
-            if outcome:
-                psi = _apply_unitary(psi, gate_matrix("x"), inst.qubits, n)
-            continue
-        psi = _apply_unitary(psi, gate_matrix(name, inst.params), inst.qubits, n)
-        psi = _inject_noise(psi, inst, noise, rng, n)
-    return counts_key(clbits, circ.cregs)
+        live = work.psi[:active]
+        q = op.qubits[0]
+        p1 = _prob_one(live, q)
+        outcomes = rng.random(active) < p1
+        _collapse(live, q, p1, outcomes)
+        if op.name == "measure":
+            records[rows[:active], op.clbit] = outcomes
+        else:
+            _flip(live, np.nonzero(outcomes)[0], q)
+
+    cum = np.abs(work.psi[:active])
+    cum *= cum
+    np.cumsum(cum, axis=1, out=cum)
+    u = rng.random(len(rows)) * cum[:, -1]
+    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[1] - 1)
 
 
 MAX_STABILIZER_QUBITS = 64

@@ -4,6 +4,7 @@ Everything here is built from first principles with numpy kron products so
 the package's own Pauli/Clifford/statevector code is never trusted to verify
 itself.
 """
+import itertools
 import math
 
 import numpy as np
@@ -103,3 +104,70 @@ def circuit_unitary(instructions, n: int) -> np.ndarray:
 def same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     norm = np.linalg.norm(a) * np.linalg.norm(b)
     return abs(abs(np.vdot(a.reshape(-1), b.reshape(-1))) - norm) < tol * max(norm, 1.0)
+
+
+def _depolarizing_paulis(qubits, n: int) -> list[np.ndarray]:
+    """Dense matrices of the non-identity Paulis on `qubits` (3 or 15)."""
+    factors = [PAULI_MATS[ch] for ch in "IXYZ"]
+    mats = []
+    for combo in itertools.product(range(4), repeat=len(qubits)):
+        if any(combo):
+            local = np.eye(1, dtype=complex)
+            for c in combo:  # first listed qubit = leftmost kron factor
+                local = np.kron(local, factors[c])
+            mats.append(embed(local, qubits, n))
+    return mats
+
+
+def noisy_distribution(circ, noise) -> dict[str, float]:
+    """Exact outcome distribution of `circ` under depolarizing `noise`.
+
+    One unnormalised density matrix per classical record (its trace is the
+    record's probability).  A noisy gate is followed by the depolarizing
+    channel written out as its Pauli mixture; measurement and reset are
+    projectors onto |0> and |1>.
+    """
+    from qedc.circuit import counts_key
+
+    n, nc = circ.num_qubits, circ.num_clbits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    branches = {(0,) * nc: rho}
+    for inst in circ.instructions:
+        name, qubits = inst.name, inst.qubits
+        if name == "barrier":
+            continue
+        if name in ("measure", "reset"):
+            flip = embed(PAULI_MATS["X"], qubits, n)
+            out = {}
+            for bits, r in branches.items():
+                for bit in (0, 1):
+                    proj = embed(np.diag([1 - bit, bit]).astype(complex), qubits, n)
+                    part = proj @ r @ proj
+                    key = bits
+                    if name == "measure":
+                        key = bits[:inst.clbits[0]] + (bit,) + bits[inst.clbits[0] + 1:]
+                    elif bit:
+                        part = flip @ part @ flip
+                    out[key] = out.get(key, 0) + part
+            branches = out
+            continue
+        u = embed(gate_mat(name, inst.params), qubits, n)
+        branches = {bits: u @ r @ u.conj().T for bits, r in branches.items()}
+        if len(qubits) == 1 and name in noise.gates1:
+            p = noise.p1
+        elif len(qubits) == 2 and name in noise.gates2:
+            p = noise.p2
+        else:
+            p = 0.0
+        if p:
+            paulis = _depolarizing_paulis(qubits, n)
+            branches = {
+                bits: (1 - p) * r + p / len(paulis) * sum(P @ r @ P for P in paulis)
+                for bits, r in branches.items()
+            }
+    dist: dict[str, float] = {}
+    for bits, r in branches.items():
+        key = counts_key(list(bits), circ.cregs)
+        dist[key] = dist.get(key, 0.0) + float(np.trace(r).real)
+    return dist

@@ -457,5 +457,4 @@ def test_criterion_10_cli_determinism(criterion, tmp_path):
                       "counts.json", "report.json", "fit.json")])
     ok = runs[0] == runs[1]
     criterion(10, ok, "all five CLI stages byte-identical across re-runs with "
-                      "fixed seeds (shots use order-independent per-shot "
-                      "RNG streams)")
+                      "fixed seeds (one seeded generator per sample call)")

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qedc.cli import EXIT_COMPILE, EXIT_IO, EXIT_PARSE, main
+from qedc.cli import EXIT_COMPILE, EXIT_IO, EXIT_PARSE, EXIT_SIM, main
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -163,6 +163,16 @@ def test_compile_failure_exits_compile(tmp_path, capsys):
                "--out", str(tmp_path / "c.qasm"), "--meta-out", str(tmp_path / "m.json")])
     assert rc == EXIT_COMPILE
     assert json.loads(capsys.readouterr().err)["error"] == "odd-qubit-count"
+
+
+def test_negative_shots_exit_sim(rot, tmp_path, capsys):
+    out = tmp_path / "counts.json"
+    rc = main(["run", str(rot), "--shots", "-5", "--out", str(out)])
+    assert rc == EXIT_SIM
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-parameters"
+    assert "-5" in err["message"]
+    assert not out.exists()
 
 
 def test_bad_series_exits_parse(tmp_path, capsys):

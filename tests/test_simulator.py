@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import qedc.simulator as simulator
 from qedc.circuit import Circuit
 from qedc.simulator import (
     MAX_STATEVECTOR_QUBITS,
@@ -15,8 +16,7 @@ from qedc.simulator import (
     statevector,
 )
 from qedc.stabilizer import stabilizer_run
-
-from oracles import circuit_unitary
+from oracles import circuit_unitary, noisy_distribution
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -47,6 +47,7 @@ def test_statevector_matches_matrix_oracle():
     rng = random.Random(2)
     gates1 = ["h", "s", "t", "x", "rz", "rx", "ry"]
     gates2 = ["cx", "cz", "swap", "rzz", "rxx", "ryy"]
+    circuits = []
     for _ in range(15):
         n = rng.randrange(2, 7)
         c = Circuit()
@@ -61,6 +62,24 @@ def test_statevector_matches_matrix_oracle():
                 p = (rng.uniform(-3, 3),) if g.startswith("r") else ()
                 a, b = rng.sample(range(n), 2)
                 c.append(g, (a, b), p)
+        circuits.append(c)
+    # every gate, on the lowest and highest qubit and on pairs in both
+    # orders, and rotations by 0 (the identity)
+    c = Circuit()
+    c.add_qreg("q", 4)
+    for q in range(4):
+        c.append("h", (q,))
+    for g in gates1 + ["y", "z", "sdg", "tdg"]:
+        for q in (0, 3):
+            c.append(g, (q,), (0.7,) if g.startswith("r") else ())
+    c.append("rx", (1,), (0.0,))
+    for g in gates2:
+        for pair in ((0, 3), (3, 1), (2, 1)):
+            c.append(g, pair, (0.7,) if g.startswith("r") else ())
+    c.append("rzz", (2, 0), (0.0,))
+    circuits.append(c)
+    for c in circuits:
+        n = c.num_qubits
         got = statevector(c)
         want = circuit_unitary(c.instructions, n)[:, 0]
         overlap = abs(np.vdot(got, want))
@@ -198,6 +217,14 @@ def test_deterministic_distribution_handles_midcircuit():
     c.append("measure", (1,), clbits=(1,))
     dist = deterministic_distribution(c)
     assert dist == pytest.approx({"01": 0.5, "11": 0.5})
+    d = Circuit()
+    d.add_qreg("q", 2)
+    d.add_creg("c", 2)
+    d.append("h", (0,))
+    d.append("measure", (0,), clbits=(0,))
+    d.append("h", (1,))
+    with pytest.raises(SimulationError, match="not deterministic"):
+        deterministic_distribution(d)
 
 
 def test_large_clifford_uses_stabilizer_path():
@@ -220,3 +247,120 @@ def test_noise_model_validation_and_roundtrip():
         NoiseModel(p1=1.5)
     nm = NoiseModel(p1=3e-5, p2=0.002)
     assert NoiseModel.from_dict(nm.to_dict()) == nm
+
+
+# -- fault-first statevector sampling ------------------------------------------
+
+def _measure_all(c, n):
+    for q in range(n):
+        c.append("measure", (q,), clbits=(q,))
+    return c
+
+
+def _terminal_circuit():
+    """4 qubits, non-Clifford, measured only at the end."""
+    c = Circuit()
+    c.add_qreg("q", 4)
+    c.add_creg("c", 4)
+    c.append("ry", (0,), (0.7,))
+    c.append("h", (1,))
+    c.append("t", (1,))
+    c.append("cx", (0, 2))
+    c.append("rzz", (1, 2), (0.9,))
+    c.append("cx", (2, 3))
+    c.append("rx", (3,), (1.3,))
+    c.append("ryy", (0, 3), (0.4,))
+    c.append("cz", (1, 3))
+    c.append("swap", (0, 1))
+    c.append("h", (0,))  # Z faults show in the readout of qubits 0 and 2
+    c.append("h", (2,))
+    return _measure_all(c, 4)
+
+
+def _midcircuit_circuit():
+    """A random mid-circuit measurement, then a random reset, then noisy
+    gates: the shared noiseless prefix stops at the measurement."""
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.add_creg("m", 1)
+    c.add_creg("c", 3)
+    c.append("h", (0,))
+    c.append("t", (0,))
+    c.append("h", (0,))
+    c.append("ry", (1,), (1.1,))
+    c.append("measure", (0,), clbits=(0,))
+    c.append("reset", (1,))
+    c.append("cx", (0, 1))
+    c.append("rx", (1,), (0.8,))
+    c.append("cx", (1, 2))
+    c.append("ry", (2,), (0.5,))
+    c.append("h", (1,))
+    for q in range(3):
+        c.append("measure", (q,), clbits=(1 + q,))
+    return c
+
+
+def _first_last_circuit():
+    """Only the first instruction (rx) and the last noisy gate (cz) are
+    noisy; the h after cz shows its Z faults in the readout."""
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.add_creg("c", 3)
+    c.append("rx", (0,), (0.9,))
+    c.append("h", (1,))
+    c.append("t", (1,))
+    c.append("cx", (0, 1))
+    c.append("ry", (2,), (0.3,))
+    c.append("cx", (1, 2))
+    c.append("cz", (0, 2))
+    c.append("h", (2,))
+    return _measure_all(c, 3)
+
+
+def _assert_matches(counts, dist, shots):
+    assert sum(counts.values()) == shots
+    for key in set(counts) | set(dist):
+        p = dist.get(key, 0.0)
+        sigma = math.sqrt(shots * p * (1 - p))
+        assert abs(counts.get(key, 0) - shots * p) < 5 * sigma + 1, key
+
+
+@pytest.mark.parametrize("circ, noise", [
+    (_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
+    (_midcircuit_circuit(), NoiseModel(p1=0.02, p2=0.05)),
+    (_first_last_circuit(), NoiseModel(p1=0.5, p2=0.5, gates1=("rx",), gates2=("cz",))),
+], ids=["terminal", "midcircuit", "first-last"])
+def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
+    shots = 100000
+    _assert_matches(sample(circ, noise=noise, shots=shots, seed=11),
+                    noisy_distribution(circ, noise), shots)
+
+
+def test_fault_first_determinism():
+    circ, noise = _terminal_circuit(), NoiseModel(p1=0.01, p2=0.05)
+    a = sample(circ, noise=noise, shots=3000, seed=42)
+    assert a == sample(circ, noise=noise, shots=3000, seed=42)
+    assert a != sample(circ, noise=noise, shots=3000, seed=43)
+
+
+def test_counts_sum_to_shots_across_batches(monkeypatch):
+    # 4 rows of 16 amplitudes per batch: hundreds of batches
+    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 64)
+    noise = NoiseModel(p1=0.02, p2=0.05)
+    for circ in (_terminal_circuit(), _midcircuit_circuit()):
+        counts = sample(circ, noise=noise, shots=3000, seed=5)
+        assert sum(counts.values()) == 3000
+    _assert_matches(counts, noisy_distribution(circ, noise), 3000)
+
+
+def test_counts_sum_to_shots_without_faults():
+    counts = sample(_terminal_circuit(), noise=NoiseModel(p1=1e-15, p2=1e-15),
+                    shots=5000, seed=2)
+    assert sum(counts.values()) == 5000
+
+
+def test_shot_count_validation():
+    with pytest.raises(ValueError):
+        sample(bell(), shots=-5)
+    assert sample(bell(), shots=0) == {}
+    assert sample(_terminal_circuit(), noise=NoiseModel(p2=0.01), shots=0) == {}
