@@ -51,6 +51,9 @@ def main() -> None:
           f"{fit.rate:.3f}**m")
     print(f"extrapolated <Z_0> at m -> inf: {fit.value:+.4f} "
           f"(residual {fit.residual:.2e})")
+    if fit.degenerate:
+        print("degenerate fit: the rate is at or past the edge of the scanned "
+              "range [0.05, 0.95], so the series does not pin down the m -> inf value")
 
 
 if __name__ == "__main__":

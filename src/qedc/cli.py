@@ -204,6 +204,7 @@ def cmd_extrapolate(args) -> int:
             "rate": result.rate,
         },
         "residual": result.residual,
+        "degenerate": result.degenerate,
     }
     _write_text(args.out, _dump_json(out))
     return 0

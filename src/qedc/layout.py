@@ -69,10 +69,6 @@ class CouplingGraph:
             self._dist = dist
         return self._dist
 
-    @classmethod
-    def all_to_all(cls, num_nodes: int) -> "CouplingGraph":
-        return cls(num_nodes, [(a, b) for a in range(num_nodes) for b in range(a + 1, num_nodes)])
-
     def to_dict(self) -> dict:
         return {"num_qubits": self.num_nodes, "edges": [list(e) for e in self.edges]}
 

@@ -77,9 +77,6 @@ class PauliString:
 
     # -- algebra --------------------------------------------------------------
 
-    def mul(self, other: "PauliString") -> "PauliString":
-        return pauli_mul(self, other)
-
     def __mul__(self, other):
         return pauli_mul(self, other)
 

@@ -16,7 +16,7 @@ from .analysis import (
 from .circuit import Circuit
 from .iceberg import IcebergError, IcebergMeta, build_iceberg_circuit
 from .layout import CouplingGraph, Layout, LayoutError, fallback_layout, route, schedule, vf2_layouts
-from .pcs import PcsMeta, insert_pcs, synthesize_checks
+from .pcs import PcsError, PcsMeta, insert_pcs, synthesize_checks
 
 
 class CompileError(Exception):
@@ -90,8 +90,11 @@ def compile_circuit(
         if checks < 1:
             raise CompileError("pcs needs at least one check", "bad-parameters")
         payload = circ.instructions[region.start:region.end]
-        pairs = synthesize_checks(payload, region.qubits, checks)
-        compiled, code_meta = insert_pcs(circ, region, pairs)
+        try:
+            pairs = synthesize_checks(payload, region.qubits, checks)
+            compiled, code_meta = insert_pcs(circ, region, pairs)
+        except PcsError as exc:
+            raise CompileError(str(exc), "bad-parameters") from exc
         meta = CompilationMeta("pcs", code_meta, None, 0, 0)
     elif code == "iceberg":
         if checks < 0:

@@ -4,14 +4,16 @@ the error-mitigated estimate to the infinite-check limit."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit, Register, key_group_index
-from .errorprop import propagate_flips
+from .clifford import CliffordTableau, conjugate, tableau_from_circuit
+from .errorprop import depolarizing_signatures, detector_sweep, fault_signatures
 from .iceberg import IcebergMeta, decode_readout
-from .pauli import PauliString, single_qubit_pauli
+from .pauli import single_qubit_pauli
 from .pcs import PcsMeta
 from .simulator import NoiseModel
 
@@ -118,88 +120,54 @@ class OverheadEstimate:
         }
 
 
-def _detection_clbits_iceberg(circ: Circuit, meta: IcebergMeta) -> tuple[set[int], set[int]]:
-    """(hard clbits that must read 0, readout clbits entering the parity)."""
-    hard: set[int] = set()
-    parity: set[int] = set()
+def _iceberg_detectors(circ: Circuit, meta: IcebergMeta) -> list[tuple[int, ...]]:
+    """One detector per verification and syndrome clbit (each must read 0),
+    then the readout clbits, whose parity must be even."""
+    hard, parity = [], ()
     for reg in circ.cregs:
+        bits = tuple(range(reg.start, reg.start + reg.size))
         if reg.name in (meta.verify_register, meta.cycle_register):
-            hard.update(range(reg.start, reg.start + reg.size))
+            hard += [(cb,) for cb in bits]
         elif reg.name == meta.readout_register:
-            parity.update(range(reg.start, reg.start + reg.size))
-    return hard, parity
+            parity = bits
+    return hard + [parity]
 
 
-def _single_fault_paulis(n: int, qubits: tuple[int, ...]) -> list[PauliString]:
-    """The depolarizing fault set on the given qubits: all non-identity
-    Paulis supported there (3 for one qubit, 15 for two)."""
-    out = []
-    kinds = []
-    for q in qubits:
-        kinds.append([PauliString(n, 0, 0, 0)] + [single_qubit_pauli(n, q, k) for k in "XYZ"])
-    if len(qubits) == 1:
-        return kinds[0][1:]
-    for pa in kinds[0]:
-        for pb in kinds[1]:
-            if pa.is_identity and pb.is_identity:
-                continue
-            out.append(PauliString(n, pa.x | pb.x, pa.z | pb.z, 0))
-    return out
-
-
-def _iceberg_fault_signatures(
-    circ: Circuit, meta: IcebergMeta, idx: int, qubits: tuple[int, ...]
-) -> list[int]:
-    """Detection signature of each depolarizing Pauli after instruction `idx`:
-    one bit per hard detection clbit flipped, plus a readout-parity bit."""
-    hard, parity = _detection_clbits_iceberg(circ, meta)
-    hard_index = {cb: i for i, cb in enumerate(sorted(hard))}
-    n = circ.num_qubits
-    sigs = []
-    for p in _single_fault_paulis(n, qubits):
-        flips = propagate_flips(circ.instructions, idx + 1, p)
-        sig = 0
-        for cb in flips & hard:
-            sig |= 1 << hard_index[cb]
-        if len(flips & parity) % 2 == 1:
-            sig |= 1 << len(hard_index)
-        sigs.append(sig)
-    return sigs
-
-
-def _pcs_fault_signatures(
-    meta: PcsMeta, qubits: tuple[int, ...], suffix_tab
-) -> list[int]:
+def _pcs_fault_signatures(meta: PcsMeta, qubits: tuple[int, ...], suffix_tab) -> list[int]:
     """Detection signature of each depolarizing Pauli after a payload
     instruction: one bit per right check whose ancilla it flips."""
-    from .clifford import conjugate
-
     local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
     k = len(meta.payload_qubits)
-    faults = _single_fault_paulis(k, tuple(local_of[q] for q in qubits))
     rights = [c.right for c in meta.check_pairs]
-    sigs = []
-    for p in faults:
-        prop = conjugate(suffix_tab, p)
-        sig = 0
-        for i, r in enumerate(rights):
-            if not prop.commutes_with(r):
-                sig |= 1 << i
-        sigs.append(sig)
-    return sigs
+    xz = []
+    for q in qubits:
+        prop = [conjugate(suffix_tab, single_qubit_pauli(k, local_of[q], kind)) for kind in "XZ"]
+        xz.append(tuple(sum(1 << i for i, r in enumerate(rights) if not p.commutes_with(r))
+                        for p in prop))
+    return depolarizing_signatures(xz)
 
 
-def _convolve_signature(dist: dict[int, float], p: float, sigs: list[int]) -> dict[int, float]:
-    """Fold one gate's error channel into the syndrome distribution.
+def _no_flips(detectors: int) -> np.ndarray:
+    """The signature distribution before any fault: all mass on 0.  It holds
+    2**detectors floats, so the detector count is capped."""
+    if detectors > 22:
+        raise PostprocessError(f"{detectors} detectors: a signature distribution holds at most 22")
+    return np.eye(1, 1 << detectors)[0]
 
-    Flip sets of simultaneous Pauli faults compose by XOR, so the joint
-    detection state is a distribution over signature bitmasks."""
-    out = {s: q * (1.0 - p) for s, q in dist.items()}
+
+def _convolve_signature(dist: np.ndarray, p: float, sigs: list[int]) -> np.ndarray:
+    """Fold one gate's error channel into the signature distribution.
+
+    dist[s] is the probability that the faults so far flip exactly the
+    detectors in bitmask s.  Flip sets of simultaneous faults compose by XOR,
+    so a fault with signature t moves mass from s to s ^ t; each distinct
+    signature is folded in once, weighted by how many Paulis share it."""
+    mult = Counter(sigs)
     w = p / len(sigs)
-    for s, q in dist.items():
-        for sig in sigs:
-            key = s ^ sig
-            out[key] = out.get(key, 0.0) + q * w
+    out = dist * (1.0 - p + w * mult.pop(0, 0))
+    index = np.arange(dist.size)
+    for sig, m in mult.items():
+        out += (w * m) * dist[index ^ sig]
     return out
 
 
@@ -208,28 +176,32 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
 
     Fault flip sets compose by XOR, so the joint detection outcome is tracked
     exactly (to all orders, including cancellations between faults) as a
-    distribution over syndrome signatures; the keep rate is the probability of
-    the all-clear signature.  Iceberg signatures cover the full detection
-    chain.  PCS signatures are computed only for gates inside the sandwiched
-    payload, where check conjugation is well defined; noise on gates outside
-    the sandwich counts as undetectable, so the estimate is an upper bound on
-    the keep rate there.
+    distribution over signature bitmasks, one bit per detector; the keep rate
+    is the probability of the all-clear signature.  Iceberg detectors are each
+    verification and syndrome bit plus the readout parity.  One backward sweep
+    of their observables gives every gate's fault signatures, and the gate is
+    folded in as the sweep passes it: linear in circuit length, times the
+    2**detectors entries of the distribution.  PCS signatures are computed
+    only for gates inside the sandwiched payload, where check conjugation is
+    well defined; noise on gates outside the sandwich counts as undetectable,
+    so the estimate is an upper bound on the keep rate there.
     """
     meta = getattr(meta, "code_meta", meta)
-    dist: dict[int, float] = {0: 1.0}
-    fractions: list[float] = []
+    fractions = [0.0] * len(circ.instructions)
     if isinstance(meta, IcebergMeta):
-        for idx, inst in enumerate(circ.instructions):
+        detectors = _iceberg_detectors(circ, meta)
+        dist = _no_flips(len(detectors))
+        for idx, obs in detector_sweep(circ.instructions, circ.num_qubits, detectors):
+            if idx < 0:
+                break
+            inst = circ.instructions[idx]
             p = noise.gate_error(inst)
             if p == 0.0:
-                fractions.append(0.0)
                 continue
-            sigs = _iceberg_fault_signatures(circ, meta, idx, inst.qubits)
-            fractions.append(sum(1 for s in sigs if s) / len(sigs))
+            sigs = fault_signatures(obs, inst.qubits)
+            fractions[idx] = sum(1 for s in sigs if s) / len(sigs)
             dist = _convolve_signature(dist, p, sigs)
     elif isinstance(meta, PcsMeta):
-        from .clifford import CliffordTableau, tableau_from_circuit
-
         start, end = meta.payload_span
         k = len(meta.payload_qubits)
         local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
@@ -241,17 +213,17 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
             )
             suffix.append(tableau_from_circuit([local], k).compose(suffix[-1]))
         suffix.reverse()
-        for idx, inst in enumerate(circ.instructions):
+        dist = _no_flips(len(meta.check_pairs))
+        for idx, inst in enumerate(circ.instructions[start:end], start):
             p = noise.gate_error(inst)
-            if p == 0.0 or not (start <= idx < end):
-                fractions.append(0.0)
+            if p == 0.0:
                 continue
             sigs = _pcs_fault_signatures(meta, inst.qubits, suffix[idx - start + 1])
-            fractions.append(sum(1 for s in sigs if s) / len(sigs))
+            fractions[idx] = sum(1 for s in sigs if s) / len(sigs)
             dist = _convolve_signature(dist, p, sigs)
     else:
         raise PostprocessError(f"unsupported metadata type {type(meta).__name__}")
-    keep = dist.get(0, 0.0)
+    keep = float(dist[0])
     return OverheadEstimate(keep, 1.0 / keep if keep > 0 else math.inf, fractions)
 
 
@@ -292,6 +264,9 @@ class ExtrapolationResult:
     rate: float
     residual: float
     points: list[tuple[int, float]]
+    # the rate ended at or past the edge of the scanned rates, where amplitude
+    # and rate trade off and the series does not pin the value down
+    degenerate: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -300,6 +275,7 @@ class ExtrapolationResult:
             "rate": self.rate,
             "residual": self.residual,
             "points": [[int(m), float(v)] for m, v in self.points],
+            "degenerate": self.degenerate,
         }
 
 
@@ -308,9 +284,10 @@ def extrapolate_checks(series) -> ExtrapolationResult:
     m -> infinity limit.
 
     Each point is (m, value) or (m, value, stderr); stderrs weight the fit by
-    1/stderr**2.  The rate is scanned over a grid in (0, 1]; for each
+    1/stderr**2.  The rate is scanned over a grid in [0.05, 0.95]; for each
     candidate the linear parameters solve in closed form, then Gauss-Newton
-    refines the best seed.  A constant series returns (value, 0, 1) exactly.
+    refines the best seed.  A fit whose rate ends at or past the grid's edge
+    is flagged `degenerate`.  A constant series returns (value, 0, 1) exactly.
     """
     series = [tuple(pt) for pt in series]
     if len(series) < 3 or len({pt[0] for pt in series}) < 3:
@@ -330,8 +307,9 @@ def extrapolate_checks(series) -> ExtrapolationResult:
 
     # r = 1 makes the basis collinear with the constant column, so the scan
     # and the refinement stay strictly inside (0, 1)
+    grid = np.arange(0.05, 0.95 + 1e-12, 0.05)
     best = None
-    for r in np.arange(0.05, 0.95 + 1e-12, 0.05):
+    for r in grid:
         coef, resid = linfit(float(r))
         if best is None or resid < best[2]:
             best = (float(r), coef, resid)
@@ -360,7 +338,9 @@ def extrapolate_checks(series) -> ExtrapolationResult:
     final = float(np.sum((w * (e_inf + amp * r ** ms - vs)) ** 2))
     if final > resid:  # keep the grid seed if refinement diverged
         e_inf, amp, r, final = float(best[1][0]), float(best[1][1]), best[0], resid
-    return ExtrapolationResult(e_inf, amp, r, final, [(int(m), float(v)) for m, v in zip(ms, vs)])
+    degenerate = not grid[0] < r < grid[-1]
+    return ExtrapolationResult(e_inf, amp, r, final, [(int(m), float(v)) for m, v in zip(ms, vs)],
+                               degenerate)
 
 
 def expectation_z(counts: dict[str, int], bit: int = 0) -> float:

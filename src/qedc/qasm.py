@@ -361,22 +361,3 @@ def emit_qasm(circ: Circuit) -> str:
             lines.append(f"{name} {args};")
     return "\n".join(lines) + "\n"
 
-
-def circuit_to_json_dict(circ: Circuit) -> dict:
-    """Debugging dump mirroring the IR field-for-field."""
-    return {
-        "num_qubits": circ.num_qubits,
-        "registers": {
-            "quantum": [[r.name, r.size] for r in circ.qregs],
-            "classical": [[r.name, r.size] for r in circ.cregs],
-        },
-        "instructions": [
-            {
-                "name": inst.name,
-                "params": list(inst.params),
-                "qubits": list(inst.qubits),
-                "clbits": list(inst.clbits),
-            }
-            for inst in circ.instructions
-        ],
-    }

@@ -171,3 +171,84 @@ def noisy_distribution(circ, noise) -> dict[str, float]:
         key = counts_key(list(bits), circ.cregs)
         dist[key] = dist.get(key, 0.0) + float(np.trace(r).real)
     return dist
+
+
+_ROTATION_LIKE = frozenset(("rz", "rx", "ry", "rzz", "rxx", "ryy", "t", "tdg"))
+
+
+def forward_propagate_flips(instructions, start, error) -> set[int]:
+    """Clbits flipped by `error` striking just before instruction `start`,
+    by pushing the error forward through the rest of the circuit.
+
+    Reference for the backward detector sweep in `qedc.errorprop`.  It reuses
+    the package's single-gate conjugation, which criterion 8 checks against
+    dense matrices; the walk direction and the flip bookkeeping are its own.
+    """
+    from qedc.clifford import _conj_named, clifford_gate_sequence, is_clifford
+    from qedc.pauli import PauliString
+
+    p = error
+    flips: set[int] = set()
+    for inst in instructions[start:]:
+        name = inst.name
+        if name == "barrier":
+            continue
+        if name == "measure":
+            if (p.x >> inst.qubits[0]) & 1:
+                flips.symmetric_difference_update(inst.clbits)
+            continue
+        if name == "reset":
+            mask = ~(1 << inst.qubits[0])
+            p = PauliString(p.n, p.x & mask, p.z & mask, p.phase)
+            continue
+        if is_clifford(inst):
+            for gname, qubits in clifford_gate_sequence(inst):
+                p = _conj_named(p, gname, qubits)
+            continue
+        if name in _ROTATION_LIKE:
+            continue
+        raise ValueError(f"cannot propagate an error through gate {name!r}")
+    return flips
+
+
+def forward_iceberg_estimate(circ, meta, noise) -> tuple[float, list[float]]:
+    """(keep rate, detectable fraction per instruction) of an Iceberg circuit:
+    each of a noisy gate's 3 or 15 Paulis is walked forward with
+    `forward_propagate_flips`, and the signatures are convolved into a
+    dictionary distribution one gate at a time, in circuit order."""
+    from qedc.pauli import PauliString
+
+    hard, parity = set(), set()
+    for reg in circ.cregs:
+        bits = set(range(reg.start, reg.start + reg.size))
+        if reg.name in (meta.verify_register, meta.cycle_register):
+            hard |= bits
+        elif reg.name == meta.readout_register:
+            parity |= bits
+    hard_index = {cb: i for i, cb in enumerate(sorted(hard))}
+    n = circ.num_qubits
+    dist = {0: 1.0}
+    fractions = []
+    for idx, inst in enumerate(circ.instructions):
+        p = noise.gate_error(inst)
+        if p == 0.0:
+            fractions.append(0.0)
+            continue
+        sigs = []
+        for combo in itertools.product(range(4), repeat=len(inst.qubits)):
+            if not any(combo):
+                continue
+            x = z = 0
+            for q, c in zip(inst.qubits, combo):  # c: 1=X, 2=Y, 3=Z
+                x |= (c in (1, 2)) << q
+                z |= (c in (2, 3)) << q
+            flips = forward_propagate_flips(circ.instructions, idx + 1, PauliString(n, x, z))
+            sig = sum(1 << hard_index[cb] for cb in flips & hard)
+            sigs.append(sig | (len(flips & parity) % 2) << len(hard_index))
+        fractions.append(sum(1 for s in sigs if s) / len(sigs))
+        out = {s: q * (1.0 - p) for s, q in dist.items()}
+        for s, q in dist.items():
+            for sig in sigs:
+                out[s ^ sig] = out.get(s ^ sig, 0.0) + q * p / len(sigs)
+        dist = out
+    return dist.get(0, 0.0), fractions

@@ -111,6 +111,17 @@ def test_extrapolate_roundtrip(tmp_path):
     assert data["model"] == "exponential"
     assert math.isclose(data["estimate"], 0.4, abs_tol=1e-6)
     assert math.isclose(data["fitted_params"]["rate"], 0.5, abs_tol=1e-6)
+    assert data["degenerate"] is False
+
+
+def test_extrapolate_reports_degenerate_fit(tmp_path):
+    series = tmp_path / "s.json"
+    series.write_text(json.dumps(
+        [{"m": m, "value": v, "stderr": e} for m, v, e in
+         [(1, -0.9874, 7e-4), (2, -0.9796, 8e-4), (3, -0.9775, 9e-4), (4, -0.9823, 8e-4)]]))
+    out = tmp_path / "e.json"
+    assert main(["extrapolate", "--series", str(series), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["degenerate"] is True
 
 
 def test_byte_identical_determinism(bell, tmp_path):
@@ -163,6 +174,17 @@ def test_compile_failure_exits_compile(tmp_path, capsys):
                "--out", str(tmp_path / "c.qasm"), "--meta-out", str(tmp_path / "m.json")])
     assert rc == EXIT_COMPILE
     assert json.loads(capsys.readouterr().err)["error"] == "odd-qubit-count"
+
+
+def test_too_many_checks_exits_compile(bell, tmp_path, capsys):
+    out = tmp_path / "c.qasm"
+    rc = main(["compile", str(bell), "--code", "pcs", "--checks", "1000",
+               "--out", str(out), "--meta-out", str(tmp_path / "m.json")])
+    assert rc == EXIT_COMPILE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-parameters"
+    assert "1000" in err["message"]
+    assert not out.exists()
 
 
 def test_negative_shots_exit_sim(rot, tmp_path, capsys):

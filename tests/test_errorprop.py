@@ -1,0 +1,73 @@
+import math
+import random
+
+import pytest
+
+from oracles import forward_iceberg_estimate, forward_propagate_flips
+from qedc.circuit import Circuit
+from qedc.errorprop import propagate_flips
+from qedc.layout import CouplingGraph
+from qedc.pauli import PauliString
+from qedc.pipeline import compile_circuit
+from qedc.postprocess import estimate_overhead
+from qedc.simulator import NoiseModel
+from test_iceberg import logical_circuit
+
+_ONE_QUBIT = ["h", "s", "sdg", "x", "y", "z", "t", "tdg", "rz", "rx", "ry"]
+_TWO_QUBIT = ["cx", "cz", "swap", "rzz", "rxx", "ryy"]
+
+
+def _random_circuit(rng: random.Random, n: int, length: int) -> Circuit:
+    """Every gate kind the sweep handles, rotations at Clifford and generic
+    angles, and mid-circuit measurements (several into one clbit) and resets."""
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", 3)
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.12:
+            c.append("measure", (rng.randrange(n),), clbits=(rng.randrange(3),))
+        elif roll < 0.18:
+            c.append("reset", (rng.randrange(n),))
+        elif roll < 0.22:
+            c.append("barrier", tuple(range(n)))
+        else:
+            name = rng.choice(_ONE_QUBIT + _TWO_QUBIT)
+            qubits = tuple(rng.sample(range(n), 2 if name in _TWO_QUBIT else 1))
+            params = ()
+            if name[0] == "r":
+                angle = rng.choice([1, 2, 3, 0.37]) * math.pi / 2
+                params = (angle,)
+            c.append(name, qubits, params)
+    return c
+
+
+def test_propagate_flips_matches_forward_walk_on_random_circuits():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        circ = _random_circuit(rng, n, rng.randrange(5, 30))
+        for start in range(len(circ.instructions) + 1):
+            err = PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n))
+            want = forward_propagate_flips(circ.instructions, start, err)
+            assert propagate_flips(circ.instructions, start, err) == want
+
+
+@pytest.mark.parametrize("cycles", [0, 1, 2, 3])
+@pytest.mark.parametrize("routed", [False, True])
+def test_estimate_matches_forward_walk_oracle(cycles, routed):
+    noise = NoiseModel(p1=0.01, p2=0.05)
+    for seed in range(2):
+        rng = random.Random(100 * cycles + seed)
+        k = 2 if cycles > 1 else rng.choice([2, 4])
+        logical = logical_circuit(rng, k, rng.randrange(2, 6))
+        coupling = None
+        if routed:
+            coupling = CouplingGraph(k + 4, [(i, i + 1) for i in range(k + 3)])
+        enc, meta = compile_circuit(logical, code="iceberg", checks=cycles,
+                                    coupling=coupling)
+        assert routed == (meta.swap_count > 0)
+        est = estimate_overhead(enc, meta, noise)
+        keep, fractions = forward_iceberg_estimate(enc, meta.code_meta, noise)
+        assert abs(est.keep_rate - keep) < 1e-12
+        assert est.detectable_fraction_by_gate == fractions

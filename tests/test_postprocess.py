@@ -184,13 +184,35 @@ def test_iceberg_prediction_matches_simulation():
 
 def test_extrapolate_constant_series():
     r = extrapolate_checks([(1, 0.8), (2, 0.8), (3, 0.8)])
-    assert (r.value, r.amplitude, r.rate) == (0.8, 0.0, 1.0)
+    assert (r.value, r.amplitude, r.rate, r.degenerate) == (0.8, 0.0, 1.0, False)
 
 
 def test_extrapolate_exact_exponential():
     series = [(m, 0.5 + 0.3 * 0.5 ** m) for m in range(1, 5)]
     r = extrapolate_checks(series)
     assert abs(r.value - 0.5) < 1e-6
+    assert not r.degenerate
+
+
+def test_extrapolate_flags_degenerate_fit():
+    # <Z_0> not monotone in m: the best rate runs off the scanned grid
+    series = [(1, -0.9874, 7e-4), (2, -0.9796, 8e-4), (3, -0.9775, 9e-4), (4, -0.9823, 8e-4)]
+    r = extrapolate_checks(series)
+    assert r.degenerate
+    assert r.to_dict()["degenerate"] is True
+
+
+def test_extrapolate_criterion_9_series_not_degenerate():
+    rng_vals = random.Random(99)
+    for _ in range(20):
+        e_inf = rng_vals.uniform(0.2, 0.8)
+        a = rng_vals.uniform(0.05, 0.4)
+        r = rng_vals.uniform(0.2, 0.9)
+        assert not extrapolate_checks([(m, e_inf + a * r ** m) for m in range(1, 6)]).degenerate
+    rng = np.random.default_rng(909)
+    for _ in range(100):
+        series = [(m, 0.6 + 0.25 * 0.55 ** m + rng.normal(0, 0.01)) for m in range(1, 7)]
+        assert not extrapolate_checks(series).degenerate
 
 
 def test_extrapolate_needs_three_points():
