@@ -49,7 +49,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return bin(self.x | self.z).count("1")
+        return (self.x | self.z).bit_count()
 
     @property
     def is_identity(self) -> bool:
@@ -69,7 +69,7 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return bin(self.x & other.z).count("1") % 2 == bin(self.z & other.x).count("1") % 2
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def bare(self) -> "PauliString":
         """Same operator content with phase reset to +1."""

@@ -32,8 +32,12 @@ class StabilizerState:
         self.stab = [PauliString(n, 0, 1 << q, 0) for q in range(n)]
 
     def apply_named(self, name: str, qubits: tuple[int, ...]) -> None:
-        self.destab = [_conj_named(p, name, qubits) for p in self.destab]
-        self.stab = [_conj_named(p, name, qubits) for p in self.stab]
+        # a generator with no support on the gate's qubits is left as it is
+        mask = sum(1 << q for q in qubits)
+        self.destab = [_conj_named(p, name, qubits) if (p.x | p.z) & mask else p
+                       for p in self.destab]
+        self.stab = [_conj_named(p, name, qubits) if (p.x | p.z) & mask else p
+                     for p in self.stab]
 
     def apply_instruction(self, inst: Instruction) -> None:
         if not is_clifford(inst):
@@ -52,7 +56,7 @@ class StabilizerState:
             for row in self.stab
         ]
 
-    def measure_z(self, q: int, rng=None, forced: int | None = None) -> tuple[int, bool]:
+    def measure_z(self, q: int, rng=None) -> tuple[int, bool]:
         """Measure Z on qubit q; returns (outcome, deterministic)."""
         zq = single_qubit_pauli(self.n, q, "Z")
         anti = [i for i in range(self.n) if not self.stab[i].commutes_with(zq)]
@@ -66,12 +70,7 @@ class StabilizerState:
                 for row in self.destab
             ]
             self.destab[p] = pivot
-            if forced is not None:
-                outcome = forced
-            elif rng is not None:
-                outcome = int(rng.integers(2))
-            else:
-                outcome = 0
+            outcome = int(rng.integers(2)) if rng is not None else 0
             self.stab[p] = PauliString(self.n, 0, 1 << q, 0 if outcome == 0 else 2)
             return outcome, False
         sign = self.expectation(zq)

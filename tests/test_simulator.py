@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 import random
 
@@ -317,6 +319,53 @@ def _first_last_circuit():
     return _measure_all(c, 3)
 
 
+def _clifford_terminal_circuit():
+    """4 qubits, Clifford (named gates and Clifford-angle rotations),
+    measured only at the end.  Qubits 0 and 2 read a random, equal bit;
+    qubits 1 and 3 read fixed bits (0 and 1), so faults that flip them
+    show: Z and Y faults on qubit 1 through the swap and the h on qubit 3,
+    and Z faults on the target of the last cx through its control."""
+    c = Circuit()
+    c.add_qreg("q", 4)
+    c.add_creg("c", 4)
+    c.append("h", (0,))
+    c.append("cx", (0, 2))
+    c.append("y", (1,))
+    c.append("rx", (1,), (math.pi / 2,))
+    c.append("sdg", (1,))
+    c.append("swap", (1, 3))
+    c.append("h", (3,))
+    c.append("cz", (0, 1))
+    c.append("rzz", (2, 3), (math.pi,))
+    c.append("ryy", (1, 3), (3 * math.pi / 2,))
+    c.append("cx", (3, 1))
+    c.append("sdg", (3,))
+    c.append("h", (3,))
+    return _measure_all(c, 4)
+
+
+def _clifford_midcircuit_circuit():
+    """A random mid-circuit measurement whose qubit is rotated by h and
+    measured again, and a reset of a qubit in |+> that then controls a cx."""
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.add_creg("m", 2)
+    c.add_creg("c", 3)
+    c.append("h", (0,))
+    c.append("measure", (0,), clbits=(0,))
+    c.append("h", (0,))
+    c.append("measure", (0,), clbits=(1,))
+    c.append("h", (1,))
+    c.append("reset", (1,))
+    c.append("cx", (1, 2))
+    c.append("cx", (0, 2))
+    c.append("s", (2,))
+    c.append("h", (2,))
+    for q in range(3):
+        c.append("measure", (q,), clbits=(2 + q,))
+    return c
+
+
 def _assert_matches(counts, dist, shots):
     assert sum(counts.values()) == shots
     for key in set(counts) | set(dist):
@@ -329,7 +378,9 @@ def _assert_matches(counts, dist, shots):
     (_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
     (_midcircuit_circuit(), NoiseModel(p1=0.02, p2=0.05)),
     (_first_last_circuit(), NoiseModel(p1=0.5, p2=0.5, gates1=("rx",), gates2=("cz",))),
-], ids=["terminal", "midcircuit", "first-last"])
+    (_clifford_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
+    (_clifford_midcircuit_circuit(), NoiseModel(p1=0.05, p2=0.05)),
+], ids=["terminal", "midcircuit", "first-last", "clifford-terminal", "clifford-midcircuit"])
 def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
     shots = 100000
     _assert_matches(sample(circ, noise=noise, shots=shots, seed=11),
@@ -364,3 +415,68 @@ def test_shot_count_validation():
         sample(bell(), shots=-5)
     assert sample(bell(), shots=0) == {}
     assert sample(_terminal_circuit(), noise=NoiseModel(p2=0.01), shots=0) == {}
+
+
+# -- Pauli-frame sampling of Clifford circuits ---------------------------------
+
+def test_pauli_frame_determinism_and_shot_sum():
+    circ, noise = _clifford_midcircuit_circuit(), NoiseModel(p1=0.01, p2=0.05)
+    a = sample(circ, noise=noise, shots=3000, seed=42)
+    assert sum(a.values()) == 3000
+    assert a == sample(circ, noise=noise, shots=3000, seed=42)
+    assert a != sample(circ, noise=noise, shots=3000, seed=43)
+
+
+def test_pauli_frame_blocks_match_the_oracle(monkeypatch):
+    # many blocks of shots, the last one short, all on one reference run
+    monkeypatch.setattr(simulator, "_FRAME_SHOTS", 997)
+    for circ in (_clifford_terminal_circuit(), _clifford_midcircuit_circuit()):
+        noise, shots = NoiseModel(p1=0.05, p2=0.05), 30000
+        _assert_matches(sample(circ, noise=noise, shots=shots, seed=5),
+                        noisy_distribution(circ, noise), shots)
+
+
+def _logged_sample(caplog, circ, noise, shots):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qedc.simulator"):
+        counts = sample(circ, noise=noise, shots=shots, seed=7)
+    (record,) = [r for r in caplog.records if r.name == "qedc.simulator"]
+    return counts, json.loads(record.getMessage())
+
+
+@pytest.mark.parametrize("circ, noise, backend, noisy", [
+    (_clifford_terminal_circuit(), NoiseModel(p1=1.0, gates1=("h",)), "pauli-frame", 3),
+    (_terminal_circuit(), NoiseModel(p1=1.0, gates1=("t",)), "statevector", 1),
+    (_terminal_circuit(), None, "noiseless", 0),
+], ids=["clifford", "statevector", "noiseless"])
+def test_sample_logs_one_debug_record(caplog, circ, noise, backend, noisy):
+    shots = 2000
+    quiet = sample(circ, noise=noise, shots=shots, seed=7)
+    assert not [r for r in caplog.records if r.name == "qedc.simulator"]
+    counts, stats = _logged_sample(caplog, circ, noise, shots)
+    assert counts == quiet
+    # every listed gate fails with probability 1, so every shot is faulty
+    assert stats == {"backend": backend, "shots": shots,
+                     "faulty_shots": shots if noisy else 0, "noisy_instructions": noisy}
+
+
+def test_sample_logs_faulty_shot_count(caplog):
+    circ, noise = _clifford_terminal_circuit(), NoiseModel(p2=0.05, gates2=("swap",))
+    shots = 20000
+    _, stats = _logged_sample(caplog, circ, noise, shots)
+    assert stats["backend"] == "pauli-frame" and stats["noisy_instructions"] == 1
+    sigma = math.sqrt(shots * 0.05 * 0.95)
+    assert abs(stats["faulty_shots"] - shots * 0.05) < 5 * sigma
+
+
+@pytest.mark.parametrize("width", [1, 13, 64, 65, 70])
+def test_counts_match_a_row_by_row_tally(width):
+    from collections import Counter
+
+    from qedc.circuit import Register, counts_key
+
+    rng = np.random.default_rng(width)
+    records = (rng.random((3000, width)) < 0.02).astype(np.uint8)
+    cregs = [Register("a", width // 2, 0), Register("b", width - width // 2, width // 2)]
+    want = Counter(counts_key(row, cregs) for row in records.tolist())
+    assert simulator._counts(records, cregs) == dict(want)
