@@ -10,7 +10,7 @@ import sys
 from .analysis import find_clifford_regions, interaction_graph, select_code
 from .circuit import Register
 from .iceberg import IcebergMeta
-from .layout import CouplingGraph, load_coupling
+from .layout import CouplingGraph
 from .pcs import PcsMeta
 from .pipeline import CompilationMeta, CompileError, compile_circuit
 from .postprocess import (
@@ -130,8 +130,11 @@ def cmd_run(args) -> int:
     circ = _parse_circuit(args.input)
     noise = NoiseModel()
     if args.noise:
+        data = _read_json(args.noise)
+        if not isinstance(data, dict):
+            raise CliError("parse", "noise file must hold a noise model object", EXIT_PARSE)
         try:
-            noise = NoiseModel.from_dict(_read_json(args.noise))
+            noise = NoiseModel.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError("parse", f"bad noise file: {exc}", EXIT_PARSE) from exc
     seed = args.seed if args.seed is not None else _default_seed()
@@ -165,6 +168,10 @@ def cmd_postselect(args) -> int:
     counts = data.get("counts", data) if isinstance(data, dict) else None
     if not isinstance(counts, dict):
         raise CliError("parse", "counts file must hold a counts object", EXIT_PARSE)
+    for key, cnt in counts.items():
+        if type(cnt) is not int or cnt < 0:
+            raise CliError("parse", f"count of {key!r} is {cnt!r}, not a non-negative integer",
+                           EXIT_PARSE)
     try:
         meta = CompilationMeta.from_dict(_read_json(args.meta))
     except (KeyError, TypeError, ValueError) as exc:

@@ -4,15 +4,17 @@ stabilizer circuit simulator" (arXiv:2103.02202).
 
 A detector is a set of clbits; a fault flips it iff the fault anticommutes
 with the detector's observable at the fault's position.  The observable is
-walked from the end of the circuit to the start: measuring qubit q into one of
-its clbits multiplies in Z_q, a reset of q clears q, and a Clifford gate
-conjugates it (every named gate's symplectic map is an involution, so g and g†
-move the x/z bits alike).  Pauli rotations at generic angles and t/tdg pass
-through, which is exact whenever the generator cannot itself flip a detector:
-Iceberg logical generators commute with both stabilizers and touch syndrome
-ancillas an even number of times.  One sweep gives every fault's signature at
-every instruction, linear in circuit length times detector count, where
-walking each fault forward is quadratic.
+walked from the end of the circuit to the start, starting from the identity
+or from a Pauli check measured after the circuit (a PCS right check):
+measuring qubit q into one of its clbits multiplies in Z_q, a reset of q
+clears q, and a Clifford gate conjugates it (every named gate's symplectic
+map is an involution, so g and g† move the x/z bits alike).  Pauli
+rotations at generic angles and t/tdg pass through, which is exact whenever
+the generator cannot itself flip a detector: Iceberg logical generators
+commute with both stabilizers and touch syndrome ancillas an even number of
+times.  One sweep gives every fault's signature at every instruction, linear
+in circuit length times detector count, where walking each fault forward is
+quadratic.
 """
 from __future__ import annotations
 
@@ -28,17 +30,20 @@ from .pauli import PauliString
 _ROTATION_LIKE = frozenset(("rz", "rx", "ry", "rzz", "rxx", "ryy", "t", "tdg"))
 
 
-def detector_sweep(instructions: Sequence[Instruction], num_qubits: int,
+def detector_sweep(instructions: Sequence[Instruction], observables: Sequence[PauliString],
                    detectors: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[PauliString]]]:
     """Walk the detectors' observables from the last instruction to the first.
 
-    `detectors` are disjoint sets of clbits.  Yields (i, observables) for
-    i = len(instructions) - 1 down to -1, where observables[d] is detector d's
-    observable just after instruction i (i = -1: before the first
-    instruction).  The same list is updated in place between yields.
+    `observables[d]` is detector d's observable after the last instruction:
+    the identity for a detector of clbits measured inside `instructions`, a
+    check for one measured after them.  `detectors` are disjoint sets of
+    clbits.  Yields (i, observables) for i = len(instructions) - 1 down to -1,
+    where observables[d] is detector d's observable just after instruction i
+    (i = -1: before the first instruction).  The same list is updated in
+    place between yields.
     """
     of_clbit = {cb: d for d, clbits in enumerate(detectors) for cb in clbits}
-    obs = [PauliString(num_qubits) for _ in detectors]
+    obs = list(observables)
     for i in range(len(instructions) - 1, -1, -1):
         yield i, obs
         inst = instructions[i]
@@ -65,9 +70,10 @@ def detector_sweep(instructions: Sequence[Instruction], num_qubits: int,
 
 
 def depolarizing_signatures(xz: Sequence[tuple[int, int]]) -> list[int]:
-    """Signatures of the 3 or 15 depolarizing Paulis on one or two qubits
-    (IXYZ x IXYZ, identity left out), from each qubit's (signature of X_q,
-    signature of Z_q): signatures add under XOR."""
+    """Signatures of the 3 or 15 depolarizing Paulis on one or two qubits,
+    from each qubit's (signature of X_q, signature of Z_q): signatures add
+    under XOR.  This fixes the order of the depolarizing Paulis everywhere:
+    I, X, Y, Z per qubit, the first qubit slowest, identity left out."""
     per_qubit = [(0, sx, sx ^ sz, sz) for sx, sz in xz]
     return [reduce(xor, combo) for combo in product(*per_qubit)][1:]
 
@@ -87,6 +93,7 @@ def propagate_flips(instructions: list[Instruction], start: int, error: PauliStr
     instruction index `start`."""
     tail = instructions[start:]
     clbits = sorted({cb for inst in tail if inst.name == "measure" for cb in inst.clbits})
-    for _, obs in detector_sweep(tail, error.n, [(cb,) for cb in clbits]):
+    for _, obs in detector_sweep(tail, [PauliString(error.n)] * len(clbits),
+                                 [(cb,) for cb in clbits]):
         pass
     return {cb for cb, o in zip(clbits, obs) if not o.commutes_with(error)}

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import TranspileError, transpile_to_gateset
-from .circuit import Circuit, Gate, Instruction, Register
+from .analysis import transpile_to_gateset
+from .circuit import Circuit, Gate, Instruction
 
 
 class IcebergError(Exception):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction, Register
 

@@ -7,13 +7,14 @@ ancilla measures the expected bit (0 for +1, 1 for -1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import Region
-from .circuit import Circuit, Instruction, Register
-from .clifford import CliffordTableau, conjugate, is_clifford, tableau_from_circuit
+from .circuit import Circuit, Gate, Instruction
+from .clifford import conjugate, is_clifford, tableau_from_circuit
+from .errorprop import detector_sweep
 from .pauli import PauliString, single_qubit_pauli
 
 ANCILLA_QREG = "anc_q"
@@ -131,8 +132,13 @@ def synthesize_checks(
 
     greedy-coverage scores a candidate left by how many (fault location,
     single-qubit Pauli) pairs inside the payload propagate to an error that
-    anticommutes with the corresponding right check; pairs are chosen by
-    marginal coverage with lexicographic tie-breaks on the left's label.
+    anticommutes with the corresponding right check.  One backward sweep of
+    every candidate's right check through the payload (`detector_sweep`)
+    gives its observable after each instruction f; X_q after f is covered iff
+    that observable has Z at q, Z_q iff it has X at q, Y_q iff exactly one.
+    A candidate's coverage is a bitmask over (f, fault kind, q), and pairs are
+    chosen by marginal coverage with lexicographic tie-breaks on the left's
+    label.
     """
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)
@@ -172,45 +178,24 @@ def synthesize_checks(
     if num_checks > len(candidates):
         raise PcsError(f"num_checks={num_checks} exceeds {len(candidates)} candidates")
 
-    # suffix tableau after each fault location f (error after instruction f)
-    g = len(local)
-    suffix_tabs: list[CliffordTableau] = [CliffordTableau.identity(k)]
-    for inst in reversed(local):
-        prev = tableau_from_circuit([inst], k)
-        suffix_tabs.append(prev.compose(suffix_tabs[-1]))
-    suffix_tabs.reverse()  # suffix_tabs[f] = tableau of instructions f+1..g for f in 0..g-1
+    rights = [_split_sign(conjugate(tab, left)) for left in candidates]
+    coverage = [0] * len(candidates)
+    for f, obs in detector_sweep(local, [r for r, _ in rights], [()] * len(rights)):
+        if f < 0:
+            break
+        for c, o in enumerate(obs):
+            coverage[c] |= (o.z | (o.x ^ o.z) << k | o.x << 2 * k) << 3 * k * f
 
-    faults: list[tuple[int, PauliString]] = []
-    for f in range(g):
-        for q in range(k):
-            for kind in "XYZ":
-                faults.append((f, conjugate(suffix_tabs[f + 1], single_qubit_pauli(k, q, kind))))
-
-    scored = []
-    for left in candidates:
-        right, sign = _split_sign(conjugate(tab, left))
-        covered = frozenset(
-            i for i, (_, propagated) in enumerate(faults)
-            if not propagated.commutes_with(right)
-        )
-        scored.append((left, right, sign, covered))
-
+    # candidates are sorted by label, so max() breaks ties as the label does
     chosen = []
-    used_lefts: set[tuple[int, int]] = set()
-    covered_total: set[int] = set()
+    remaining = list(range(len(candidates)))
+    covered = 0
     for _ in range(num_checks):
-        best = None
-        for left, right, sign, covered in scored:
-            if (left.x, left.z) in used_lefts:
-                continue
-            marginal = len(covered - covered_total)
-            key = (-marginal, left.to_label())
-            if best is None or key < best[0]:
-                best = (key, left, right, sign, covered)
-        _, left, right, sign, covered = best
-        used_lefts.add((left.x, left.z))
-        covered_total |= covered
-        chosen.append(CheckPair(left, right, sign))
+        best = max(remaining, key=lambda c: (coverage[c] & ~covered).bit_count())
+        remaining.remove(best)
+        covered |= coverage[best]
+        right, sign = rights[best]
+        chosen.append(CheckPair(candidates[best], right, sign))
     return chosen
 
 
@@ -261,21 +246,21 @@ def insert_pcs(circ: Circuit, region: Region, checks: list[CheckPair]) -> tuple[
     body = out.instructions
     body.extend(circ.instructions[: region.start])
     for i in range(m):
-        body.append(Instruction(_gate("h"), (ancillas[i],)))
+        body.append(Instruction(Gate("h"), (ancillas[i],)))
     for i in range(m - 1, -1, -1):  # nesting order L_m .. L_1
         for name, qubits in _controlled_pauli(ancillas[i], placed[i].left, payload_qubits):
-            body.append(Instruction(_gate(name), qubits))
+            body.append(Instruction(Gate(name), qubits))
     payload_start = len(body)
     body.extend(circ.instructions[region.start:region.end])
     payload_end = len(body)
     for i in range(m):  # R_1 .. R_m
         for name, qubits in _controlled_pauli(ancillas[i], placed[i].right, payload_qubits):
-            body.append(Instruction(_gate(name), qubits))
+            body.append(Instruction(Gate(name), qubits))
     for i in range(m):
-        body.append(Instruction(_gate("h"), (ancillas[i],)))
+        body.append(Instruction(Gate("h"), (ancillas[i],)))
     body.extend(circ.instructions[region.end:])
     for i in range(m):
-        body.append(Instruction(_gate("measure"), (ancillas[i],), (anc_creg.start + i,)))
+        body.append(Instruction(Gate("measure"), (ancillas[i],), (anc_creg.start + i,)))
 
     expected = "".join(str(placed[i].expected_bit) for i in range(m - 1, -1, -1))
     meta = PcsMeta(
@@ -288,8 +273,3 @@ def insert_pcs(circ: Circuit, region: Region, checks: list[CheckPair]) -> tuple[
     )
     return out, meta
 
-
-def _gate(name: str):
-    from .circuit import Gate
-
-    return Gate(name)

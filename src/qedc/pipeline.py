@@ -11,7 +11,6 @@ from .analysis import (
     largest_clifford_region,
     interaction_graph,
     select_code,
-    transpile_to_gateset,
 )
 from .circuit import Circuit
 from .iceberg import IcebergError, IcebergMeta, build_iceberg_circuit

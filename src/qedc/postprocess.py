@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Register, key_group_index
-from .clifford import CliffordTableau, conjugate, tableau_from_circuit
-from .errorprop import depolarizing_signatures, detector_sweep, fault_signatures
+from .errorprop import detector_sweep, fault_signatures
 from .iceberg import IcebergMeta, decode_readout
-from .pauli import single_qubit_pauli
+from .pauli import PauliString
 from .pcs import PcsMeta
 from .simulator import NoiseModel
 
@@ -133,18 +132,9 @@ def _iceberg_detectors(circ: Circuit, meta: IcebergMeta) -> list[tuple[int, ...]
     return hard + [parity]
 
 
-def _pcs_fault_signatures(meta: PcsMeta, qubits: tuple[int, ...], suffix_tab) -> list[int]:
-    """Detection signature of each depolarizing Pauli after a payload
-    instruction: one bit per right check whose ancilla it flips."""
-    local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
-    k = len(meta.payload_qubits)
-    rights = [c.right for c in meta.check_pairs]
-    xz = []
-    for q in qubits:
-        prop = [conjugate(suffix_tab, single_qubit_pauli(k, local_of[q], kind)) for kind in "XZ"]
-        xz.append(tuple(sum(1 << i for i, r in enumerate(rights) if not p.commutes_with(r))
-                        for p in prop))
-    return depolarizing_signatures(xz)
+def _spread(bits: int, qubits: tuple[int, ...]) -> int:
+    """Move bit i of a payload-local mask to bit qubits[i]."""
+    return sum(1 << g for i, g in enumerate(qubits) if bits >> i & 1)
 
 
 def _no_flips(detectors: int) -> np.ndarray:
@@ -177,52 +167,53 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
     Fault flip sets compose by XOR, so the joint detection outcome is tracked
     exactly (to all orders, including cancellations between faults) as a
     distribution over signature bitmasks, one bit per detector; the keep rate
-    is the probability of the all-clear signature.  Iceberg detectors are each
-    verification and syndrome bit plus the readout parity.  One backward sweep
-    of their observables gives every gate's fault signatures, and the gate is
-    folded in as the sweep passes it: linear in circuit length, times the
-    2**detectors entries of the distribution.  PCS signatures are computed
-    only for gates inside the sandwiched payload, where check conjugation is
-    well defined; noise on gates outside the sandwich counts as undetectable,
-    so the estimate is an upper bound on the keep rate there.
+    is the probability of the all-clear signature.  One backward sweep of the
+    detectors' observables (`detector_sweep`) gives every gate's fault
+    signatures, and the gate is folded in as the sweep passes it: linear in
+    circuit length, times the 2**detectors entries of the distribution.
+    Iceberg detectors are each verification and syndrome bit plus the
+    readout parity, swept over the whole circuit.  PCS detectors are the
+    check ancillas, swept from their right checks over the sandwiched
+    payload only, where check conjugation is well defined; noise on gates
+    outside the sandwich counts as undetectable, so the estimate is an upper
+    bound on the keep rate there.  PCS metadata whose payload span acts on
+    qubits outside its payload qubits (for example, taken from before
+    routing) raises PostprocessError.
     """
     meta = getattr(meta, "code_meta", meta)
-    fractions = [0.0] * len(circ.instructions)
+    n = circ.num_qubits
     if isinstance(meta, IcebergMeta):
+        offset, instructions = 0, circ.instructions
         detectors = _iceberg_detectors(circ, meta)
-        dist = _no_flips(len(detectors))
-        for idx, obs in detector_sweep(circ.instructions, circ.num_qubits, detectors):
-            if idx < 0:
-                break
-            inst = circ.instructions[idx]
-            p = noise.gate_error(inst)
-            if p == 0.0:
-                continue
-            sigs = fault_signatures(obs, inst.qubits)
-            fractions[idx] = sum(1 for s in sigs if s) / len(sigs)
-            dist = _convolve_signature(dist, p, sigs)
+        observables = [PauliString(n)] * len(detectors)
     elif isinstance(meta, PcsMeta):
-        start, end = meta.payload_span
-        k = len(meta.payload_qubits)
-        local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
-        # suffix tableau of the remaining payload after each position
-        suffix = [CliffordTableau.identity(k)]
-        for inst in reversed(circ.instructions[start:end]):
-            local = inst.__class__(
-                inst.gate, tuple(local_of[q] for q in inst.qubits), inst.clbits
-            )
-            suffix.append(tableau_from_circuit([local], k).compose(suffix[-1]))
-        suffix.reverse()
-        dist = _no_flips(len(meta.check_pairs))
-        for idx, inst in enumerate(circ.instructions[start:end], start):
-            p = noise.gate_error(inst)
-            if p == 0.0:
-                continue
-            sigs = _pcs_fault_signatures(meta, inst.qubits, suffix[idx - start + 1])
-            fractions[idx] = sum(1 for s in sigs if s) / len(sigs)
-            dist = _convolve_signature(dist, p, sigs)
+        offset, end = meta.payload_span
+        instructions = circ.instructions[offset:end]
+        qubits = meta.payload_qubits
+        stray = sorted({q for inst in instructions for q in inst.qubits}.difference(qubits))
+        if stray:
+            raise PostprocessError(
+                f"payload span {offset}..{end} acts on qubits {stray} outside the payload "
+                f"qubits {list(qubits)}: the PCS metadata does not describe this circuit")
+        if any(c.right.n != len(qubits) for c in meta.check_pairs):
+            raise PostprocessError(f"a right check does not span the {len(qubits)} payload qubits")
+        observables = [PauliString(n, _spread(c.right.x, qubits), _spread(c.right.z, qubits))
+                       for c in meta.check_pairs]
+        detectors = [()] * len(observables)
     else:
         raise PostprocessError(f"unsupported metadata type {type(meta).__name__}")
+    fractions = [0.0] * len(circ.instructions)
+    dist = _no_flips(len(detectors))
+    for idx, obs in detector_sweep(instructions, observables, detectors):
+        if idx < 0:
+            break
+        inst = instructions[idx]
+        p = noise.gate_error(inst)
+        if p == 0.0:
+            continue
+        sigs = fault_signatures(obs, inst.qubits)
+        fractions[offset + idx] = sum(1 for s in sigs if s) / len(sigs)
+        dist = _convolve_signature(dist, p, sigs)
     keep = float(dist[0])
     return OverheadEstimate(keep, 1.0 / keep if keep > 0 else math.inf, fractions)
 

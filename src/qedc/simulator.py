@@ -15,19 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Instruction, Register, counts_key
+from .clifford import clifford_gate_sequence, is_clifford
+from .errorprop import depolarizing_signatures
+from .stabilizer import stabilizer_run
 
 MAX_STATEVECTOR_QUBITS = 14
 
 _SQ2 = 1 / math.sqrt(2)
-
-_PAULI_1Q = ("x", "y", "z")
-# fixed enumeration of the 15 non-identity two-qubit Paulis: (first, second)
-_PAULI_2Q = [
-    (a, b)
-    for a in ("i", "x", "y", "z")
-    for b in ("i", "x", "y", "z")
-    if (a, b) != ("i", "i")
-]
 
 DEFAULT_GATES_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rz", "rx", "ry")
 DEFAULT_GATES_2Q = ("cx", "cz", "swap", "rzz", "rxx", "ryy")
@@ -424,11 +418,13 @@ _BATCH_AMPLITUDES = 1 << 14
 _RANDOM_TOL = 1e-12
 
 # fault Pauli -> (x, z) bits of each factor, indexed by the code _draw_faults
-# draws: _PAULI_1Q order for one-qubit gates, _PAULI_2Q order for two-qubit
-_XZ_BITS = {"i": (0, 0), "x": (1, 0), "y": (1, 1), "z": (0, 1)}
+# draws, in the order of depolarizing_signatures: there, the signature of X_q
+# is bit 2q and that of Z_q bit 2q + 1, so a Pauli's signature is its bits
 _FAULT_XZ = {
-    1: np.array([[_XZ_BITS[a]] for a in _PAULI_1Q], dtype=bool),
-    2: np.array([[_XZ_BITS[a], _XZ_BITS[b]] for a, b in _PAULI_2Q], dtype=bool),
+    k: np.array([[(s >> 2 * q & 1, s >> 2 * q + 1 & 1) for q in range(k)]
+                 for s in depolarizing_signatures([(1 << 2 * q, 2 << 2 * q) for q in range(k)])],
+                dtype=bool)
+    for k in (1, 2)
 }
 
 MAX_STABILIZER_QUBITS = 64
@@ -646,8 +642,6 @@ def _run_batch(ops, tail, starts, states, work, faults, records, rows, rng) -> n
 
 
 def _is_clifford_circuit(circ: Circuit) -> bool:
-    from .clifford import is_clifford
-
     return all(
         inst.name in ("measure", "reset", "barrier") or is_clifford(inst)
         for inst in circ.instructions
@@ -668,8 +662,6 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     reset: such a Z stabilizes the reference state there, so it changes no
     deterministic outcome, and it makes a random outcome come out random.
     """
-    from .stabilizer import stabilizer_run
-
     reference = [r.outcome for r in stabilizer_run(circ)[0]]
     insts = [i for i in circ.instructions if i.name != "barrier"]
     faults = _draw_faults(
@@ -688,8 +680,6 @@ def _step_frames(insts, n, reference, faults, bits, rng) -> None:
     """Step one frame per column of `bits` through the instructions, writing
     each measurement's outcomes into its row of `bits`.  `faults` holds
     (op index, column, Pauli code) arrays sorted by op."""
-    from .clifford import clifford_gate_sequence
-
     fault_op, fault_col, fault_code = faults
     edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
     outcomes = iter(reference)

@@ -252,3 +252,95 @@ def forward_iceberg_estimate(circ, meta, noise) -> tuple[float, list[float]]:
                 out[s ^ sig] = out.get(s ^ sig, 0.0) + q * p / len(sigs)
         dist = out
     return dist.get(0, 0.0), fractions
+
+
+def _suffix_tableaux(instructions, k: int) -> list:
+    """suffix[f] is the tableau of instructions[f:], built by composing one
+    instruction's tableau at a time from the end."""
+    from qedc.clifford import CliffordTableau, tableau_from_circuit
+
+    suffix = [CliffordTableau.identity(k)]
+    for inst in reversed(instructions):
+        suffix.append(tableau_from_circuit([inst], k).compose(suffix[-1]))
+    return suffix[::-1]
+
+
+def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
+    """The greedy-coverage `CheckPair`s of a Clifford payload, scored with a
+    suffix tableau per fault location.
+
+    Reference for the detector-sweep scoring in `qedc.pcs.synthesize_checks`:
+    every single-qubit Pauli after every payload instruction is conjugated
+    through the tableau of the rest of the payload, and a candidate covers
+    it when the result anticommutes with the candidate's right check.  The
+    candidates and the tableau conjugation are the package's; criterion 8
+    checks that conjugation against dense matrices.
+    """
+    from qedc.clifford import conjugate, tableau_from_circuit
+    from qedc.pauli import single_qubit_pauli
+    from qedc.pcs import CheckPair, _candidate_lefts, _localize
+
+    payload_qubits = tuple(sorted(payload_qubits))
+    k = len(payload_qubits)
+    local = _localize(list(payload), payload_qubits)
+    tab = tableau_from_circuit(local, k)
+    suffix = _suffix_tableaux(local, k)
+    faults = [conjugate(suffix[f + 1], single_qubit_pauli(k, q, kind))
+              for f in range(len(local)) for q in range(k) for kind in "XYZ"]
+    scored = []
+    for left in _candidate_lefts(k):
+        right = conjugate(tab, left)
+        covered = frozenset(i for i, p in enumerate(faults) if not p.commutes_with(right))
+        scored.append((left.to_label(), left, right, covered))
+    chosen, used, covered_total = [], set(), set()
+    for _ in range(num_checks):
+        label, left, right, covered = min(
+            (s for s in scored if s[0] not in used),
+            key=lambda s: (-len(s[3] - covered_total), s[0]))
+        used.add(label)
+        covered_total |= covered
+        chosen.append(CheckPair(left, right.bare(), right.sign))
+    return chosen
+
+
+def tableau_pcs_estimate(circ, meta, noise) -> tuple[float, list[float]]:
+    """(keep rate, detectable fraction per instruction) of a PCS circuit:
+    each noisy payload gate's 3 or 15 Paulis are conjugated through the
+    tableau of the rest of the payload and tested against every right check,
+    and the signatures are convolved into a dictionary distribution one gate
+    at a time, in circuit order.  Gates outside the payload span count as
+    undetectable.  Reference for the PCS branch of
+    `qedc.postprocess.estimate_overhead`."""
+    from qedc.clifford import conjugate
+    from qedc.pauli import PauliString
+
+    start, end = meta.payload_span
+    k = len(meta.payload_qubits)
+    local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
+    payload = [inst.__class__(inst.gate, tuple(local_of[q] for q in inst.qubits), inst.clbits)
+               for inst in circ.instructions[start:end]]
+    suffix = _suffix_tableaux(payload, k)
+    rights = [c.right for c in meta.check_pairs]
+    dist = {0: 1.0}
+    fractions = [0.0] * len(circ.instructions)
+    for i, inst in enumerate(payload):
+        p = noise.gate_error(circ.instructions[start + i])
+        if p == 0.0:
+            continue
+        sigs = []
+        for combo in itertools.product(range(4), repeat=len(inst.qubits)):
+            if not any(combo):
+                continue
+            x = z = 0
+            for q, c in zip(inst.qubits, combo):  # c: 1=X, 2=Y, 3=Z
+                x |= (c in (1, 2)) << q
+                z |= (c in (2, 3)) << q
+            fault = conjugate(suffix[i + 1], PauliString(k, x, z))
+            sigs.append(sum(1 << d for d, r in enumerate(rights) if not fault.commutes_with(r)))
+        fractions[start + i] = sum(1 for s in sigs if s) / len(sigs)
+        out = {s: q * (1.0 - p) for s, q in dist.items()}
+        for s, q in dist.items():
+            for sig in sigs:
+                out[s ^ sig] = out.get(s ^ sig, 0.0) + q * p / len(sigs)
+        dist = out
+    return dist.get(0, 0.0), fractions

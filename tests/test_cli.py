@@ -209,3 +209,32 @@ def test_stdout_when_no_out(bell, capsys):
     assert main(["analyze", str(bell)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["num_qubits"] == 2
+
+
+def test_non_object_noise_exits_parse(bell, tmp_path, capsys):
+    noise = tmp_path / "noise.json"
+    noise.write_text("[1, 2]")
+    out = tmp_path / "counts.json"
+    rc = main(["run", str(bell), "--noise", str(noise), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "noise" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ['"7"', "-2", "1.5", "true"],
+                         ids=["string", "negative", "fraction", "bool"])
+def test_bad_count_values_exit_parse(bell, tmp_path, capsys, bad):
+    meta = tmp_path / "m.json"
+    assert main(["compile", str(bell), "--code", "pcs", "--checks", "1",
+                 "--out", str(tmp_path / "c.qasm"), "--meta-out", str(meta)]) == 0
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"counts": {"0 00": 3, "0 11": %s}}' % bad)
+    out = tmp_path / "r.json"
+    rc = main(["postselect", "--counts", str(counts), "--meta", str(meta), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "0 11" in err["message"]
+    assert not out.exists()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import forward_iceberg_estimate, forward_propagate_flips
+from oracles import forward_iceberg_estimate, forward_propagate_flips, tableau_pcs_estimate
 from qedc.circuit import Circuit
 from qedc.errorprop import propagate_flips
 from qedc.layout import CouplingGraph
@@ -69,5 +69,35 @@ def test_estimate_matches_forward_walk_oracle(cycles, routed):
         assert routed == (meta.swap_count > 0)
         est = estimate_overhead(enc, meta, noise)
         keep, fractions = forward_iceberg_estimate(enc, meta.code_meta, noise)
+        assert abs(est.keep_rate - keep) < 1e-12
+        assert est.detectable_fraction_by_gate == fractions
+
+
+def _pcs_input(rng: random.Random, n: int) -> Circuit:
+    """A Clifford stretch between non-Clifford gates, then measurements, so
+    the payload sits inside the circuit and noisy gates lie outside it."""
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", n)
+    c.append("rx", (rng.randrange(n),), (0.37,))
+    for _ in range(rng.randrange(3, 14)):
+        name = rng.choice(["h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap", "rzz", "ry"])
+        two = name in ("cx", "cz", "swap", "rzz")
+        params = (rng.choice([1, 2, 3]) * math.pi / 2,) if name[0] == "r" else ()
+        c.append(name, tuple(rng.sample(range(n), 2 if two else 1)), params)
+    c.append("t", (rng.randrange(n),))
+    for q in range(n):
+        c.append("measure", (q,), clbits=(q,))
+    return c
+
+
+def test_pcs_estimate_matches_suffix_tableau_oracle():
+    noise = NoiseModel(p1=0.01, p2=0.05)
+    rng = random.Random(4099)
+    for _ in range(40):
+        circ = _pcs_input(rng, rng.randrange(2, 6))
+        sand, meta = compile_circuit(circ, code="pcs", checks=rng.randrange(1, 4))
+        est = estimate_overhead(sand, meta, noise)
+        keep, fractions = tableau_pcs_estimate(sand, meta.code_meta, noise)
         assert abs(est.keep_rate - keep) < 1e-12
         assert est.detectable_fraction_by_gate == fractions

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -11,7 +12,7 @@ from qedc.postprocess import normalize_counts, postselect_counts, tvd
 from qedc.simulator import deterministic_distribution, ideal_distribution, sample
 from qedc.stabilizer import stabilizer_run
 
-from oracles import circuit_unitary, pauli_matrix
+from oracles import circuit_unitary, pauli_matrix, tableau_check_choice
 
 PHASES = [1, 1j, -1, -1j]
 
@@ -150,6 +151,32 @@ def test_detection_flags_exactly_the_anticommuting_faults():
                         p = _conj_named(p, nm, qs)
                 predicted = any(not p.commutes_with(c.right) for c in meta.check_pairs)
                 assert flagged == predicted
+
+
+_NAMED_1Q = ["h", "s", "sdg", "x", "y", "z"]
+_NAMED_2Q = ["cx", "cz", "swap"]
+_ROTATIONS_1Q = ["rz", "rx", "ry"]
+_ROTATIONS_2Q = ["rzz", "rxx", "ryy"]
+
+
+def test_greedy_checks_match_the_suffix_tableau_reference():
+    # every named gate and half-pi rotation, on payload qubits spread over a
+    # wider register so that the payload is localized
+    rng = random.Random(2718)
+    for _ in range(240):
+        k = rng.randrange(1, 7)
+        c = Circuit()
+        c.add_qreg("q", k + rng.randrange(3))
+        qubits = sorted(rng.sample(range(c.num_qubits), k))
+        pool = _NAMED_1Q + _ROTATIONS_1Q + (_NAMED_2Q + _ROTATIONS_2Q if k > 1 else [])
+        for _ in range(rng.randrange(25)):
+            g = rng.choice(pool)
+            two = g in _NAMED_2Q + _ROTATIONS_2Q
+            params = (rng.choice([-1, 1, 2, 3]) * math.pi / 2,) if g[0] == "r" else ()
+            c.append(g, tuple(rng.sample(qubits, 2 if two else 1)), params)
+        m = rng.randrange(1, 5 if k > 1 else 4)
+        got = synthesize_checks(c.instructions, qubits, m)
+        assert got == tableau_check_choice(c.instructions, qubits, m)
 
 
 def test_synthesis_errors():

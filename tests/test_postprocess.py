@@ -9,7 +9,8 @@ from qedc.circuit import Circuit, Register
 from qedc.iceberg import build_iceberg_circuit
 from qedc.pcs import CheckPair, PcsMeta, insert_pcs
 from qedc.pauli import PauliString
-from qedc.pipeline import CompilationMeta
+from qedc.layout import heavy_hex_127
+from qedc.pipeline import CompilationMeta, compile_circuit
 from qedc.postprocess import (
     PostprocessError,
     counts_tvd,
@@ -23,6 +24,7 @@ from qedc.postprocess import (
     tvd,
 )
 from qedc.simulator import NoiseModel, sample
+from test_acceptance import _case_study_circuit_4q
 
 
 def simple_meta(expected="00"):
@@ -157,6 +159,27 @@ def test_overhead_accepts_compilation_meta():
     noise = NoiseModel(p1=1e-4, p2=0.002)
     assert estimate_overhead(enc, wrapped, noise).keep_rate == \
         estimate_overhead(enc, imeta, noise).keep_rate
+
+
+def test_overhead_rejects_routed_pcs_metadata():
+    # the payload span and qubits are still those before routing
+    sand, meta = compile_circuit(_case_study_circuit_4q(), code="pcs", checks=2,
+                                 coupling=heavy_hex_127())
+    with pytest.raises(PostprocessError, match=r"qubits \[14, 15, 16, 17, 29\] outside"):
+        estimate_overhead(sand, meta, NoiseModel(p1=3e-5, p2=0.002))
+
+
+def test_overhead_rejects_hand_edited_pcs_metadata():
+    sand, meta = compile_circuit(_case_study_circuit_4q(), code="pcs", checks=2)
+    noise = NoiseModel(p1=3e-5, p2=0.002)
+    assert 0 < estimate_overhead(sand, meta, noise).keep_rate < 1
+    edited = PcsMeta.from_dict({**meta.code_meta.to_dict(), "payload_qubits": [0, 1, 2]})
+    with pytest.raises(PostprocessError, match=r"qubits \[3\] outside"):
+        estimate_overhead(sand, edited, noise)
+    edited = meta.code_meta.to_dict()
+    edited["checks"][0]["right"] = "XZ"
+    with pytest.raises(PostprocessError, match="does not span the 4 payload qubits"):
+        estimate_overhead(sand, PcsMeta.from_dict(edited), noise)
 
 
 def test_iceberg_prediction_matches_simulation():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -385,6 +386,32 @@ def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
     shots = 100000
     _assert_matches(sample(circ, noise=noise, shots=shots, seed=11),
                     noisy_distribution(circ, noise), shots)
+
+
+# sha256 of the sorted counts of sample(circ, noise, shots=2000, seed=2024):
+# counts are byte-identical per (circuit, noise, shots, seed), so a change to
+# the order of the depolarizing Paulis or of the random draws fails here
+_PINNED_COUNTS = {
+    "terminal": "9748722df32ad01cd1d82fef0a74d5d064b2a19c502c84ba8a87e141246b2c78",
+    "midcircuit": "f721ea2cc0a8918ef77992287699116b824a011f63d67e118f8f1098f47fae58",
+    "first-last": "f44bf06b266d3740e5d3b3fa2384a9040ede733dc9d9a980bc931dbf07f6b354",
+    "clifford-terminal": "b46e1ac1505a7e7d7f57d944e8a2a21910aa9c641bf4245d3b10ff46e8a280b6",
+    "clifford-midcircuit": "b62999f33e1cdbd9e4e383204e77e1a17ff317e7b313acacc564a40da5852436",
+}
+
+
+@pytest.mark.parametrize("name, circ, noise", [
+    ("terminal", _terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
+    ("midcircuit", _midcircuit_circuit(), NoiseModel(p1=0.02, p2=0.05)),
+    ("first-last", _first_last_circuit(),
+     NoiseModel(p1=0.5, p2=0.5, gates1=("rx",), gates2=("cz",))),
+    ("clifford-terminal", _clifford_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
+    ("clifford-midcircuit", _clifford_midcircuit_circuit(), NoiseModel(p1=0.05, p2=0.05)),
+], ids=list(_PINNED_COUNTS))
+def test_counts_are_pinned(name, circ, noise):
+    counts = sample(circ, noise=noise, shots=2000, seed=2024)
+    digest = hashlib.sha256(json.dumps(sorted(counts.items())).encode()).hexdigest()
+    assert digest == _PINNED_COUNTS[name]
 
 
 def test_fault_first_determinism():
