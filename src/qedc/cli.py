@@ -37,10 +37,12 @@ class CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc}", EXIT_IO) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError("parse", f"{path} is not UTF-8 text: {exc}", EXIT_PARSE) from exc
 
 
 def _read_json(path: str):

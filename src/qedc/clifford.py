@@ -1,4 +1,6 @@
-"""Clifford gate recognition and a symplectic tableau for U P U† conjugation.
+"""Clifford gate recognition, `step_xz` (the one table of named-gate
+symplectic maps, which moves Pauli X/Z rows for the frame sampler, the
+detector sweep and check scoring), and a symplectic tableau for U P U†.
 
 The tableau stores the signed images of the X_q and Z_q generators under a
 Clifford unitary built gate-by-gate from a circuit slice.  Rotation gates at
@@ -82,8 +84,39 @@ def clifford_gate_sequence(inst: Instruction) -> list[tuple[str, tuple[int, ...]
     return [("sdg", q), ("h", q)] + core + [("h", q), ("s", q)]
 
 
+def step_xz(x: list, z: list, name: str, qubits: tuple[int, ...]) -> None:
+    """Apply a named Clifford gate's symplectic map, signs ignored, to the
+    per-qubit rows x[q] and z[q] in place: bit (or column) j of x[q] is the X
+    bit at q of the j-th Pauli.  A row is a Python int, one bit per Pauli, or
+    a numpy bool array, one column per Pauli; `x[t] ^= x[c]` and the row
+    swaps store back correctly for both, as long as x and z are lists of
+    rows (a 2-D array copies on row assignment, which breaks the swaps).
+    Every map here is an involution, so g and g† move the bits alike and a
+    backward sweep runs the same kernel over the gates in reverse order."""
+    if name == "h":
+        (q,) = qubits
+        x[q], z[q] = z[q], x[q]
+    elif name in ("s", "sdg"):
+        (q,) = qubits
+        z[q] ^= x[q]
+    elif name == "cx":
+        c, t = qubits
+        x[t] ^= x[c]
+        z[c] ^= z[t]
+    elif name == "cz":
+        a, b = qubits
+        z[a] ^= x[b]
+        z[b] ^= x[a]
+    elif name == "swap":
+        a, b = qubits
+        x[a], x[b] = x[b], x[a]
+        z[a], z[b] = z[b], z[a]
+    elif name not in ("x", "y", "z"):  # Paulis change only signs
+        raise ValueError(f"unknown Clifford gate {name!r}")
+
+
 def _conj_named(p: PauliString, name: str, qubits: tuple[int, ...]) -> PauliString:
-    """g p g† for a named Clifford gate g."""
+    """g p g† for a named Clifford gate g, with its sign."""
     x, z, phase = p.x, p.z, p.phase
     if name == "h":
         (q,) = qubits
@@ -182,14 +215,6 @@ class CliffordTableau:
                 out = pauli_mul(out, pauli_mul(self.x_images[q], self.z_images[q]))
                 out = PauliString(out.n, out.x, out.z, (out.phase + 1) % 4)
         return out
-
-    def compose(self, later: "CliffordTableau") -> "CliffordTableau":
-        """Tableau of (this circuit followed by `later`)."""
-        return CliffordTableau(
-            self.n,
-            [later.conjugate(row) for row in self.x_images],
-            [later.conjugate(row) for row in self.z_images],
-        )
 
     def is_symplectic(self) -> bool:
         for q in range(self.n):

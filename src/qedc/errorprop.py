@@ -3,18 +3,20 @@ observables: the detector-error-model construction of Gidney, "Stim: a fast
 stabilizer circuit simulator" (arXiv:2103.02202).
 
 A detector is a set of clbits; a fault flips it iff the fault anticommutes
-with the detector's observable at the fault's position.  The observable is
-walked from the end of the circuit to the start, starting from the identity
-or from a Pauli check measured after the circuit (a PCS right check):
-measuring qubit q into one of its clbits multiplies in Z_q, a reset of q
-clears q, and a Clifford gate conjugates it (every named gate's symplectic
-map is an involution, so g and g† move the x/z bits alike).  Pauli
-rotations at generic angles and t/tdg pass through, which is exact whenever
-the generator cannot itself flip a detector: Iceberg logical generators
-commute with both stabilizers and touch syndrome ancillas an even number of
-times.  One sweep gives every fault's signature at every instruction, linear
-in circuit length times detector count, where walking each fault forward is
-quadratic.
+with the detector's observable at the fault's position.  The observables are
+held as per-qubit int rows, one bit per detector: bit d of x[q] (z[q]) is
+set iff detector d's observable has X (Z) at qubit q.  They are walked from
+the end of the circuit to the start, starting from the identity or from a
+Pauli check measured after the circuit (a PCS right check): measuring qubit
+q into one of detector d's clbits XORs Z_q into d, a reset of q clears both
+of q's rows, and a Clifford gate steps the rows with `clifford.step_xz`
+over its named gates in reverse (every named gate's symplectic map is an
+involution, so g and g† move the x/z bits alike).  Pauli rotations at
+generic angles and t/tdg pass through, which is exact whenever the
+generator cannot itself flip a detector: Iceberg logical generators commute
+with both stabilizers and touch syndrome ancillas an even number of times.
+One sweep gives every fault's signature at every instruction, a few integer
+XORs per gate, where walking each fault forward is quadratic.
 """
 from __future__ import annotations
 
@@ -24,49 +26,43 @@ from operator import xor
 from typing import Iterator, Sequence
 
 from .circuit import Instruction
-from .clifford import _conj_named, clifford_gate_sequence, is_clifford
+from .clifford import clifford_gate_sequence, is_clifford, step_xz
 from .pauli import PauliString
 
 _ROTATION_LIKE = frozenset(("rz", "rx", "ry", "rzz", "rxx", "ryy", "t", "tdg"))
 
 
-def detector_sweep(instructions: Sequence[Instruction], observables: Sequence[PauliString],
-                   detectors: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[PauliString]]]:
+def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Sequence[int],
+                   detectors: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[int], list[int]]]:
     """Walk the detectors' observables from the last instruction to the first.
 
-    `observables[d]` is detector d's observable after the last instruction:
-    the identity for a detector of clbits measured inside `instructions`, a
-    check for one measured after them.  `detectors` are disjoint sets of
-    clbits.  Yields (i, observables) for i = len(instructions) - 1 down to -1,
-    where observables[d] is detector d's observable just after instruction i
-    (i = -1: before the first instruction).  The same list is updated in
-    place between yields.
+    `x` and `z` are the observables' rows (see the module docstring) after
+    the last instruction: zero in detector d's bit for a detector of clbits
+    measured inside `instructions`, a check's bits for one measured after
+    them; both need a row for every qubit the instructions use.  `detectors`
+    are disjoint sets of clbits.  Yields (i, x, z) for
+    i = len(instructions) - 1 down to -1, where the rows hold the
+    observables just after instruction i (i = -1: before the first
+    instruction).  The same two lists are updated in place between yields.
     """
     of_clbit = {cb: d for d, clbits in enumerate(detectors) for cb in clbits}
-    obs = list(observables)
+    x, z = list(x), list(z)
     for i in range(len(instructions) - 1, -1, -1):
-        yield i, obs
+        yield i, x, z
         inst = instructions[i]
         name = inst.name
         if name == "measure":
             d = of_clbit.get(inst.clbits[0])
             if d is not None:
-                o = obs[d]
-                obs[d] = PauliString(o.n, o.x, o.z ^ (1 << inst.qubits[0]))
+                z[inst.qubits[0]] ^= 1 << d
         elif name == "reset":
-            keep = ~(1 << inst.qubits[0])
-            obs[:] = [PauliString(o.n, o.x & keep, o.z & keep) for o in obs]
+            x[inst.qubits[0]] = z[inst.qubits[0]] = 0
         elif is_clifford(inst):
-            support = sum(1 << q for q in inst.qubits)
-            gates = clifford_gate_sequence(inst)[::-1]
-            for d, o in enumerate(obs):
-                if (o.x | o.z) & support:
-                    for gname, qubits in gates:
-                        o = _conj_named(o, gname, qubits)
-                    obs[d] = o
+            for gname, qubits in reversed(clifford_gate_sequence(inst)):
+                step_xz(x, z, gname, qubits)
         elif name not in _ROTATION_LIKE and name != "barrier":
             raise ValueError(f"cannot propagate an error through gate {name!r}")
-    yield -1, obs
+    yield -1, x, z
 
 
 def depolarizing_signatures(xz: Sequence[tuple[int, int]]) -> list[int]:
@@ -78,14 +74,12 @@ def depolarizing_signatures(xz: Sequence[tuple[int, int]]) -> list[int]:
     return [reduce(xor, combo) for combo in product(*per_qubit)][1:]
 
 
-def fault_signatures(observables: Sequence[PauliString], qubits: tuple[int, ...]) -> list[int]:
+def fault_signatures(x: Sequence[int], z: Sequence[int], qubits: tuple[int, ...]) -> list[int]:
     """Signature of each depolarizing Pauli on `qubits`, given the detector
-    observables at the fault: bit d is set iff the fault flips detector d."""
-    return depolarizing_signatures([
-        (sum(1 << d for d, o in enumerate(observables) if o.z >> q & 1),
-         sum(1 << d for d, o in enumerate(observables) if o.x >> q & 1))
-        for q in qubits
-    ])
+    observables' rows at the fault: bit d is set iff the fault flips detector
+    d.  X_q flips the detectors whose observable has Z at q, so its
+    signature is z[q], and that of Z_q is x[q]."""
+    return depolarizing_signatures([(z[q], x[q]) for q in qubits])
 
 
 def propagate_flips(instructions: list[Instruction], start: int, error: PauliString) -> set[int]:
@@ -93,7 +87,12 @@ def propagate_flips(instructions: list[Instruction], start: int, error: PauliStr
     instruction index `start`."""
     tail = instructions[start:]
     clbits = sorted({cb for inst in tail if inst.name == "measure" for cb in inst.clbits})
-    for _, obs in detector_sweep(tail, [PauliString(error.n)] * len(clbits),
-                                 [(cb,) for cb in clbits]):
+    for _, x, z in detector_sweep(tail, [0] * error.n, [0] * error.n, [(cb,) for cb in clbits]):
         pass
-    return {cb for cb, o in zip(clbits, obs) if not o.commutes_with(error)}
+    flips = 0
+    for q in range(error.n):
+        if error.x >> q & 1:
+            flips ^= z[q]
+        if error.z >> q & 1:
+            flips ^= x[q]
+    return {cb for d, cb in enumerate(clbits) if flips >> d & 1}

@@ -13,8 +13,7 @@ import numpy as np
 
 from .analysis import Region
 from .circuit import Circuit, Gate, Instruction
-from .clifford import conjugate, is_clifford, tableau_from_circuit
-from .errorprop import detector_sweep
+from .clifford import clifford_gate_sequence, conjugate, is_clifford, step_xz, tableau_from_circuit
 from .pauli import PauliString, single_qubit_pauli
 
 ANCILLA_QREG = "anc_q"
@@ -117,28 +116,29 @@ def _candidate_lefts(k: int) -> list[PauliString]:
     return sorted(cands, key=lambda p: p.to_label())
 
 
-def _split_sign(r: PauliString) -> tuple[PauliString, int]:
-    return r.bare(), r.sign
+def _bit_rows(masks: list[int], k: int) -> list[np.ndarray]:
+    """Row q holds bit q of each mask, as one bool per mask."""
+    width = -(-k // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    rows = np.unpackbits(raw.reshape(len(masks), width).T, axis=0, count=k, bitorder="little")
+    return list(rows.view(bool))
 
 
-def synthesize_checks(
-    payload: list[Instruction],
-    payload_qubits,
-    num_checks: int,
-    strategy: str = "greedy-coverage",
-    seed: int = 0,
-) -> list[CheckPair]:
-    """Pick `num_checks` check pairs for a Clifford payload.
+def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: int) -> list[CheckPair]:
+    """Pick `num_checks` check pairs for a Clifford payload by greedy coverage.
 
-    greedy-coverage scores a candidate left by how many (fault location,
-    single-qubit Pauli) pairs inside the payload propagate to an error that
-    anticommutes with the corresponding right check.  One backward sweep of
-    every candidate's right check through the payload (`detector_sweep`)
-    gives its observable after each instruction f; X_q after f is covered iff
-    that observable has Z at q, Z_q iff it has X at q, Y_q iff exactly one.
-    A candidate's coverage is a bitmask over (f, fault kind, q), and pairs are
-    chosen by marginal coverage with lexicographic tie-breaks on the left's
-    label.
+    A candidate left L scores by how many (fault location, single-qubit
+    Pauli) pairs inside the payload propagate to an error that anticommutes
+    with its right check R = U L U†.  Swept backward to just after
+    instruction f, R equals L swept forward through instructions 0..f, so
+    one forward pass of every candidate (`step_xz` on bool rows, one column
+    per candidate) gives them all: X_q after f is covered iff that
+    observable has Z at q, Z_q iff it has X at q, Y_q iff exactly one.
+    Coverage is a (3k·F, C) bool matrix over (f, fault kind, q) and
+    candidates, for k payload qubits, F instructions and C candidates.
+    Pairs are chosen by marginal coverage with lexicographic tie-breaks on
+    the left's label, and only the chosen lefts are conjugated through the
+    payload's tableau for their signed right checks.
     """
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)
@@ -152,50 +152,35 @@ def synthesize_checks(
             raise PcsError("payload may not contain measurements or resets")
         if not is_clifford(inst):
             raise PcsError(f"payload instruction {inst.name!r} is not Clifford")
-    tab = tableau_from_circuit(local, k)
-
-    if strategy == "random-z":
-        rng = np.random.default_rng(seed)
-        chosen: list[CheckPair] = []
-        seen: set[int] = set()
-        limit = (1 << k) - 1
-        if num_checks > limit:
-            raise PcsError(f"num_checks={num_checks} exceeds {limit} distinct Z-type checks")
-        while len(chosen) < num_checks:
-            z = int(rng.integers(1, 1 << k))
-            if z in seen:
-                continue
-            seen.add(z)
-            left = PauliString(k, 0, z, 0)
-            right, sign = _split_sign(conjugate(tab, left))
-            chosen.append(CheckPair(left, right, sign))
-        return chosen
-
-    if strategy != "greedy-coverage":
-        raise PcsError(f"unknown synthesis strategy {strategy!r}")
 
     candidates = _candidate_lefts(k)
     if num_checks > len(candidates):
         raise PcsError(f"num_checks={num_checks} exceeds {len(candidates)} candidates")
 
-    rights = [_split_sign(conjugate(tab, left)) for left in candidates]
-    coverage = [0] * len(candidates)
-    for f, obs in detector_sweep(local, [r for r, _ in rights], [()] * len(rights)):
-        if f < 0:
-            break
-        for c, o in enumerate(obs):
-            coverage[c] |= (o.z | (o.x ^ o.z) << k | o.x << 2 * k) << 3 * k * f
+    x = _bit_rows([c.x for c in candidates], k)
+    z = _bit_rows([c.z for c in candidates], k)
+    coverage = np.empty((len(local), 3, k, len(candidates)), dtype=bool)
+    for f, inst in enumerate(local):
+        for name, qubits in clifford_gate_sequence(inst):
+            step_xz(x, z, name, qubits)
+        coverage[f, 0] = z
+        coverage[f, 2] = x
+        np.not_equal(coverage[f, 0], coverage[f, 2], out=coverage[f, 1])
+    coverage = coverage.reshape(-1, len(candidates))
 
-    # candidates are sorted by label, so max() breaks ties as the label does
+    # candidates are sorted by label, so argmax breaks ties as the label does
+    gain = np.count_nonzero(coverage, axis=0)
+    covered = np.zeros(len(coverage), dtype=bool)
+    tab = tableau_from_circuit(local, k)
     chosen = []
-    remaining = list(range(len(candidates)))
-    covered = 0
     for _ in range(num_checks):
-        best = max(remaining, key=lambda c: (coverage[c] & ~covered).bit_count())
-        remaining.remove(best)
-        covered |= coverage[best]
-        right, sign = rights[best]
-        chosen.append(CheckPair(candidates[best], right, sign))
+        best = int(np.argmax(gain))
+        newly = coverage[:, best] & ~covered
+        covered |= newly
+        gain -= np.count_nonzero(coverage[newly], axis=0)
+        gain[best] = -1  # below every unchosen candidate, even one with no gain left
+        right = conjugate(tab, candidates[best])
+        chosen.append(CheckPair(candidates[best], right.bare(), right.sign))
     return chosen
 
 

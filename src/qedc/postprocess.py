@@ -12,7 +12,6 @@ import numpy as np
 from .circuit import Circuit, Register, key_group_index
 from .errorprop import detector_sweep, fault_signatures
 from .iceberg import IcebergMeta, decode_readout
-from .pauli import PauliString
 from .pcs import PcsMeta
 from .simulator import NoiseModel
 
@@ -132,11 +131,6 @@ def _iceberg_detectors(circ: Circuit, meta: IcebergMeta) -> list[tuple[int, ...]
     return hard + [parity]
 
 
-def _spread(bits: int, qubits: tuple[int, ...]) -> int:
-    """Move bit i of a payload-local mask to bit qubits[i]."""
-    return sum(1 << g for i, g in enumerate(qubits) if bits >> i & 1)
-
-
 def _no_flips(detectors: int) -> np.ndarray:
     """The signature distribution before any fault: all mass on 0.  It holds
     2**detectors floats, so the detector count is capped."""
@@ -182,10 +176,10 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
     """
     meta = getattr(meta, "code_meta", meta)
     n = circ.num_qubits
+    x, z = [0] * n, [0] * n
     if isinstance(meta, IcebergMeta):
         offset, instructions = 0, circ.instructions
         detectors = _iceberg_detectors(circ, meta)
-        observables = [PauliString(n)] * len(detectors)
     elif isinstance(meta, PcsMeta):
         offset, end = meta.payload_span
         instructions = circ.instructions[offset:end]
@@ -197,21 +191,23 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
                 f"qubits {list(qubits)}: the PCS metadata does not describe this circuit")
         if any(c.right.n != len(qubits) for c in meta.check_pairs):
             raise PostprocessError(f"a right check does not span the {len(qubits)} payload qubits")
-        observables = [PauliString(n, _spread(c.right.x, qubits), _spread(c.right.z, qubits))
-                       for c in meta.check_pairs]
-        detectors = [()] * len(observables)
+        for d, c in enumerate(meta.check_pairs):
+            for i, q in enumerate(qubits):
+                x[q] |= (c.right.x >> i & 1) << d
+                z[q] |= (c.right.z >> i & 1) << d
+        detectors = [()] * len(meta.check_pairs)
     else:
         raise PostprocessError(f"unsupported metadata type {type(meta).__name__}")
     fractions = [0.0] * len(circ.instructions)
     dist = _no_flips(len(detectors))
-    for idx, obs in detector_sweep(instructions, observables, detectors):
+    for idx, x, z in detector_sweep(instructions, x, z, detectors):
         if idx < 0:
             break
         inst = instructions[idx]
         p = noise.gate_error(inst)
         if p == 0.0:
             continue
-        sigs = fault_signatures(obs, inst.qubits)
+        sigs = fault_signatures(x, z, inst.qubits)
         fractions[offset + idx] = sum(1 for s in sigs if s) / len(sigs)
         dist = _convolve_signature(dist, p, sigs)
     keep = float(dist[0])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Instruction, Register, counts_key
-from .clifford import clifford_gate_sequence, is_clifford
+from .clifford import clifford_gate_sequence, is_clifford, step_xz
 from .errorprop import depolarizing_signatures
 from .stabilizer import stabilizer_run
 
@@ -493,6 +493,8 @@ def _counts(records: np.ndarray, cregs: list[Register]) -> dict[str, int]:
     about ten times faster than raw bytes (on pcs_heavyhex raw-byte keys
     cost 12% of shots_per_s)."""
     shots, nc = records.shape
+    if nc == 0:
+        return {counts_key([], cregs): shots}
     width = -(-nc // 64) * 8
     packed = np.zeros((shots, width), dtype=np.uint8)
     packed[:, :-(-nc // 8)] = np.packbits(records, axis=1, bitorder="little")
@@ -678,8 +680,10 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
 
 def _step_frames(insts, n, reference, faults, bits, rng) -> None:
     """Step one frame per column of `bits` through the instructions, writing
-    each measurement's outcomes into its row of `bits`.  `faults` holds
-    (op index, column, Pauli code) arrays sorted by op."""
+    each measurement's outcomes into its row of `bits`.  The frame is the
+    per-qubit bool rows x[q] and z[q], stepped through each gate by
+    `clifford.step_xz`.  `faults` holds (op index, column, Pauli code)
+    arrays sorted by op."""
     fault_op, fault_col, fault_code = faults
     edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
     outcomes = iter(reference)
@@ -697,25 +701,7 @@ def _step_frames(insts, n, reference, faults, bits, rng) -> None:
             z[q] = rng.integers(2, size=shots, dtype=bool)
             continue
         for name, qs in clifford_gate_sequence(inst):
-            if name == "h":
-                (q,) = qs
-                x[q], z[q] = z[q], x[q]
-            elif name in ("s", "sdg"):
-                (q,) = qs
-                z[q] ^= x[q]
-            elif name == "cx":
-                c, t = qs
-                x[t] ^= x[c]
-                z[c] ^= z[t]
-            elif name == "cz":
-                a, b = qs
-                z[a] ^= x[b]
-                z[b] ^= x[a]
-            elif name == "swap":
-                a, b = qs
-                x[a], x[b] = x[b], x[a]
-                z[a], z[b] = z[b], z[a]
-            # x, y and z commute with every frame up to sign
+            step_xz(x, z, name, qs)
         a, b = edges[i], edges[i + 1]
         if a < b:
             hit = fault_col[a:b]

@@ -254,6 +254,17 @@ def forward_iceberg_estimate(circ, meta, noise) -> tuple[float, list[float]]:
     return dist.get(0, 0.0), fractions
 
 
+def compose_tableaux(first, later):
+    """Tableau of (the circuit of `first` followed by that of `later`)."""
+    from qedc.clifford import CliffordTableau
+
+    return CliffordTableau(
+        first.n,
+        [later.conjugate(row) for row in first.x_images],
+        [later.conjugate(row) for row in first.z_images],
+    )
+
+
 def _suffix_tableaux(instructions, k: int) -> list:
     """suffix[f] is the tableau of instructions[f:], built by composing one
     instruction's tableau at a time from the end."""
@@ -261,7 +272,7 @@ def _suffix_tableaux(instructions, k: int) -> list:
 
     suffix = [CliffordTableau.identity(k)]
     for inst in reversed(instructions):
-        suffix.append(tableau_from_circuit([inst], k).compose(suffix[-1]))
+        suffix.append(compose_tableaux(tableau_from_circuit([inst], k), suffix[-1]))
     return suffix[::-1]
 
 
@@ -269,7 +280,7 @@ def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
     """The greedy-coverage `CheckPair`s of a Clifford payload, scored with a
     suffix tableau per fault location.
 
-    Reference for the detector-sweep scoring in `qedc.pcs.synthesize_checks`:
+    Reference for the row-pass scoring in `qedc.pcs.synthesize_checks`:
     every single-qubit Pauli after every payload instruction is conjugated
     through the tableau of the rest of the payload, and a candidate covers
     it when the result anticommutes with the candidate's right check.  The

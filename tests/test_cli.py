@@ -238,3 +238,22 @@ def test_bad_count_values_exit_parse(bell, tmp_path, capsys, bad):
     assert err["error"] == "parse"
     assert "0 11" in err["message"]
     assert not out.exists()
+
+
+def test_run_without_clbits_counts_the_empty_key(tmp_path):
+    src = tmp_path / "noclbits.qasm"
+    src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n')
+    out = tmp_path / "counts.json"
+    assert main(["run", str(src), "--shots", "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["counts"] == {"": 10}
+
+
+@pytest.mark.parametrize("which", ["qasm", "noise"])
+def test_non_utf8_input_exits_parse(bell, tmp_path, capsys, which):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfeOPENQASM 2.0;")
+    argv = ["analyze", str(bad)] if which == "qasm" else ["run", str(bell), "--noise", str(bad)]
+    assert main(argv) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert str(bad) in err["message"]

@@ -7,14 +7,16 @@ import pytest
 from qedc.circuit import Circuit
 from qedc.clifford import (
     CliffordTableau,
+    _conj_named,
     clifford_gate_sequence,
     conjugate,
     is_clifford,
+    step_xz,
     tableau_from_circuit,
 )
 from qedc.pauli import PauliString
 
-from oracles import circuit_unitary, pauli_matrix
+from oracles import circuit_unitary, compose_tableaux, pauli_matrix
 
 PHASES = [1, 1j, -1, -1j]
 
@@ -82,6 +84,40 @@ def test_named_gate_rules():
         assert got.to_label() == want, (name, label, got.to_label())
 
 
+def _int_rows(paulis, n):
+    """Bit j of x[q] (z[q]) is the X (Z) bit at q of Pauli j."""
+    return ([sum((p.x >> q & 1) << j for j, p in enumerate(paulis)) for q in range(n)],
+            [sum((p.z >> q & 1) << j for j, p in enumerate(paulis)) for q in range(n)])
+
+
+def _bool_to_int(rows):
+    return [sum(int(b) << j for j, b in enumerate(row)) for row in rows]
+
+
+def test_step_xz_matches_signed_conjugation_on_int_and_bool_rows():
+    rng = random.Random(17)
+    for n in range(1, 6):
+        paulis = [PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(40)]
+        start = _int_rows(paulis, n)
+        gates = [(g, (q,)) for g in CLIFFORD_1Q for q in range(n)]
+        gates += [(g, (a, b)) for g in CLIFFORD_2Q for a in range(n) for b in range(n) if a != b]
+        for name, qubits in gates:
+            want = _int_rows([_conj_named(p, name, qubits) for p in paulis], n)
+            x, z = list(start[0]), list(start[1])
+            # bool rows: column j is Pauli j
+            bx, bz = ([np.array([r >> j & 1 for j in range(len(paulis))], dtype=bool) for r in rows]
+                      for rows in start)
+            step_xz(x, z, name, qubits)
+            step_xz(bx, bz, name, qubits)
+            assert (x, z) == want
+            assert (_bool_to_int(bx), _bool_to_int(bz)) == want
+            # every map is an involution, which the backward detector sweep uses
+            step_xz(x, z, name, qubits)
+            step_xz(bx, bz, name, qubits)
+            assert (x, z) == start
+            assert (_bool_to_int(bx), _bool_to_int(bz)) == start
+
+
 def test_cx_rules():
     c = Circuit()
     c.add_qreg("q", 2)
@@ -105,7 +141,7 @@ def test_compose_matches_sequential():
         combined.add_qreg("q", n)
         combined.instructions = c1.instructions + c2.instructions
         t12 = tableau_from_circuit(combined.instructions, n)
-        composed = t1.compose(t2)
+        composed = compose_tableaux(t1, t2)
         for p in [PauliString(n, x, z, 0) for x in range(1 << n) for z in range(1 << n)]:
             assert conjugate(composed, p) == conjugate(t12, p)
 

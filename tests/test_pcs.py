@@ -192,16 +192,6 @@ def test_synthesis_errors():
         synthesize_checks(ok.instructions, (0, 1), 0)
 
 
-def test_random_z_strategy_distinct_z_checks():
-    payload = Circuit()
-    payload.add_qreg("q", 3)
-    payload.append("cx", (0, 1))
-    payload.append("cz", (1, 2))
-    checks = synthesize_checks(payload.instructions, (0, 1, 2), 4, strategy="random-z", seed=5)
-    assert len({(c.left.x, c.left.z) for c in checks}) == 4
-    assert all(c.left.x == 0 for c in checks)
-
-
 def test_meta_roundtrip():
     payload = Circuit()
     payload.add_qreg("q", 2)

@@ -444,6 +444,20 @@ def test_shot_count_validation():
     assert sample(_terminal_circuit(), noise=NoiseModel(p2=0.01), shots=0) == {}
 
 
+def test_circuit_without_clbits_counts_the_empty_key():
+    bell_only = Circuit()
+    bell_only.add_qreg("q", 2)
+    bell_only.append("h", (0,))
+    bell_only.append("cx", (0, 1))
+    rotated = bell_only.copy()
+    rotated.append("rx", (1,), (0.3,))
+    noise = NoiseModel(p1=0.1, p2=0.1)
+    assert ideal_distribution(bell_only) == {"": pytest.approx(1.0)}
+    # noiseless statevector, noisy statevector, Pauli frames
+    for circ, nm in [(bell_only, None), (rotated, noise), (bell_only, noise)]:
+        assert sample(circ, noise=nm, shots=10, seed=1) == {"": 10}
+
+
 # -- Pauli-frame sampling of Clifford circuits ---------------------------------
 
 def test_pauli_frame_determinism_and_shot_sum():
