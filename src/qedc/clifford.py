@@ -1,6 +1,8 @@
 """Clifford gate recognition, `step_xz` (the one table of named-gate
 symplectic maps, which moves Pauli X/Z rows for the frame sampler, the
-detector sweep and check scoring), and a symplectic tableau for U P U†.
+detector sweep and check scoring), `step_signed` (the same step plus a sign
+row, for the CHP state and the signed right checks), and a symplectic
+tableau for U P U†.
 
 The tableau stores the signed images of the X_q and Z_q generators under a
 Clifford unitary built gate-by-gate from a circuit slice.  Rotation gates at
@@ -113,6 +115,35 @@ def step_xz(x: list, z: list, name: str, qubits: tuple[int, ...]) -> None:
         z[a], z[b] = z[b], z[a]
     elif name not in ("x", "y", "z"):  # Paulis change only signs
         raise ValueError(f"unknown Clifford gate {name!r}")
+
+
+def step_signed(x: list, z: list, r, name: str, qubits: tuple[int, ...]):
+    """`step_xz` with signs: move the rows as `step_xz` does and return the
+    sign row `r` (bit or column j set iff Pauli j has sign -1) with the sign
+    of g P g† folded in.  The flips follow Aaronson and Gottesman's rules
+    (quant-ph/0406196), read from the rows before the step; a Y is +Y when
+    its sign bit is clear, as in `PauliString`."""
+    if name in ("h", "s"):
+        (q,) = qubits
+        r = r ^ (x[q] & z[q])
+    elif name == "sdg":
+        (q,) = qubits
+        r = r ^ (x[q] & ~z[q])
+    elif name == "x":
+        r = r ^ z[qubits[0]]
+    elif name == "y":
+        (q,) = qubits
+        r = r ^ x[q] ^ z[q]
+    elif name == "z":
+        r = r ^ x[qubits[0]]
+    elif name == "cx":
+        c, t = qubits
+        r = r ^ (x[c] & z[t] & ~(x[t] ^ z[c]))
+    elif name == "cz":
+        a, b = qubits
+        r = r ^ (x[a] & x[b] & (z[a] ^ z[b]))
+    step_xz(x, z, name, qubits)
+    return r
 
 
 def _conj_named(p: PauliString, name: str, qubits: tuple[int, ...]) -> PauliString:

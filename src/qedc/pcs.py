@@ -13,8 +13,8 @@ import numpy as np
 
 from .analysis import Region
 from .circuit import Circuit, Gate, Instruction
-from .clifford import clifford_gate_sequence, conjugate, is_clifford, step_xz, tableau_from_circuit
-from .pauli import PauliString, single_qubit_pauli
+from .clifford import clifford_gate_sequence, is_clifford, step_signed
+from .pauli import PauliString
 
 ANCILLA_QREG = "anc_q"
 ANCILLA_CREG = "anc"
@@ -100,28 +100,25 @@ def _localize(instructions: list[Instruction], payload_qubits: tuple[int, ...]):
     ]
 
 
-def _candidate_lefts(k: int) -> list[PauliString]:
-    """All weight-1 and weight-2 Paulis over k qubits, lexicographic by label."""
-    cands = []
-    for q in range(k):
-        for kind in "XYZ":
-            cands.append(single_qubit_pauli(k, q, kind))
-    for a in range(k):
-        for b in range(a + 1, k):
-            for ka in "XYZ":
-                for kb in "XYZ":
-                    pa = single_qubit_pauli(k, a, ka)
-                    pb = single_qubit_pauli(k, b, kb)
-                    cands.append(PauliString(k, pa.x | pb.x, pa.z | pb.z, 0))
-    return sorted(cands, key=lambda p: p.to_label())
+def _candidate_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z bits of every weight-1 and weight-2 Pauli over k qubits, as
+    (k, C) bool arrays with column j for candidate j, in label order."""
+    a, b = np.triu_indices(k, 1)
+    rank = np.zeros((3 * k + 9 * len(a), k), dtype=np.uint8)  # per qubit I, X, Y, Z = 0..3
+    one = np.arange(3 * k)
+    rank[one, one // 3] = one % 3 + 1
+    two = np.arange(9 * len(a))
+    rank[3 * k + two, a[two // 9]] = two // 3 % 3 + 1
+    rank[3 * k + two, b[two // 9]] = two % 3 + 1
+    # a label starts at the highest qubit, and np.lexsort's last key is its
+    # primary one
+    rank = rank[np.lexsort(rank.T)].T
+    return (rank == 1) | (rank == 2), rank >= 2
 
 
-def _bit_rows(masks: list[int], k: int) -> list[np.ndarray]:
-    """Row q holds bit q of each mask, as one bool per mask."""
-    width = -(-k // 8)
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    rows = np.unpackbits(raw.reshape(len(masks), width).T, axis=0, count=k, bitorder="little")
-    return list(rows.view(bool))
+def _column(rows, j: int) -> int:
+    """Bit q set iff row q holds True in column j."""
+    return sum(1 << q for q, row in enumerate(rows) if row[j])
 
 
 def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: int) -> list[CheckPair]:
@@ -131,14 +128,15 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
     Pauli) pairs inside the payload propagate to an error that anticommutes
     with its right check R = U L U†.  Swept backward to just after
     instruction f, R equals L swept forward through instructions 0..f, so
-    one forward pass of every candidate (`step_xz` on bool rows, one column
-    per candidate) gives them all: X_q after f is covered iff that
+    one forward pass of every candidate (`step_signed` on bool rows, one
+    column per candidate) gives them all: X_q after f is covered iff that
     observable has Z at q, Z_q iff it has X at q, Y_q iff exactly one.
     Coverage is a (3k·F, C) bool matrix over (f, fault kind, q) and
     candidates, for k payload qubits, F instructions and C candidates.
     Pairs are chosen by marginal coverage with lexicographic tie-breaks on
-    the left's label, and only the chosen lefts are conjugated through the
-    payload's tableau for their signed right checks.
+    the left's label.  The same pass steps a sign row with `step_signed`,
+    so after the last instruction each column is a candidate's right check
+    R = U L U† with its sign.
     """
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)
@@ -153,25 +151,25 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
         if not is_clifford(inst):
             raise PcsError(f"payload instruction {inst.name!r} is not Clifford")
 
-    candidates = _candidate_lefts(k)
-    if num_checks > len(candidates):
-        raise PcsError(f"num_checks={num_checks} exceeds {len(candidates)} candidates")
+    lefts = _candidate_rows(k)
+    count = lefts[0].shape[1]
+    if num_checks > count:
+        raise PcsError(f"num_checks={num_checks} exceeds {count} candidates")
 
-    x = _bit_rows([c.x for c in candidates], k)
-    z = _bit_rows([c.z for c in candidates], k)
-    coverage = np.empty((len(local), 3, k, len(candidates)), dtype=bool)
+    x, z = list(lefts[0].copy()), list(lefts[1].copy())
+    sign = np.zeros(count, dtype=bool)
+    coverage = np.empty((len(local), 3, k, count), dtype=bool)
     for f, inst in enumerate(local):
         for name, qubits in clifford_gate_sequence(inst):
-            step_xz(x, z, name, qubits)
+            sign = step_signed(x, z, sign, name, qubits)
         coverage[f, 0] = z
         coverage[f, 2] = x
         np.not_equal(coverage[f, 0], coverage[f, 2], out=coverage[f, 1])
-    coverage = coverage.reshape(-1, len(candidates))
+    coverage = coverage.reshape(-1, count)
 
-    # candidates are sorted by label, so argmax breaks ties as the label does
+    # candidates are in label order, so argmax breaks ties as the label does
     gain = np.count_nonzero(coverage, axis=0)
     covered = np.zeros(len(coverage), dtype=bool)
-    tab = tableau_from_circuit(local, k)
     chosen = []
     for _ in range(num_checks):
         best = int(np.argmax(gain))
@@ -179,8 +177,9 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
         covered |= newly
         gain -= np.count_nonzero(coverage[newly], axis=0)
         gain[best] = -1  # below every unchosen candidate, even one with no gain left
-        right = conjugate(tab, candidates[best])
-        chosen.append(CheckPair(candidates[best], right.bare(), right.sign))
+        left = PauliString(k, _column(lefts[0], best), _column(lefts[1], best))
+        right = PauliString(k, _column(x, best), _column(z, best))
+        chosen.append(CheckPair(left, right, -1 if sign[best] else 1))
     return chosen
 
 

@@ -427,6 +427,7 @@ _FAULT_XZ = {
     for k in (1, 2)
 }
 
+# the widest Clifford circuit sample() runs as Pauli frames
 MAX_STABILIZER_QUBITS = 64
 
 # shots whose Pauli frames step together, so the X and Z rows of a Clifford
@@ -465,11 +466,11 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
 
     # Pauli-frame sampling is exact for Clifford circuits and much cheaper
     # than statevector trajectories
-    frames = (
-        n <= MAX_STABILIZER_QUBITS
-        and (noisy or n > MAX_STATEVECTOR_QUBITS)
-        and _is_clifford_circuit(compacted)
-    )
+    frames = (noisy or n > MAX_STATEVECTOR_QUBITS) and _is_clifford_circuit(compacted)
+    if frames and n > MAX_STABILIZER_QUBITS:
+        raise SimulationError(
+            f"{n} active qubits exceeds the Pauli-frame limit of {MAX_STABILIZER_QUBITS}"
+        )
     if not frames and n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"

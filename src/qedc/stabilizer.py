@@ -1,9 +1,14 @@
-"""Stabilizer (CHP-style) simulator for Clifford circuits.
+"""Stabilizer (CHP) simulator for Clifford circuits (Aaronson and Gottesman,
+"Improved simulation of stabilizer circuits", quant-ph/0406196).
 
-Tracks n stabilizer and n destabilizer generators as signed Pauli strings.
-Used as the verification backend for error-detection properties: it reports
-whether each measurement outcome is deterministic and can evaluate the
-expectation of an arbitrary Pauli without collapsing it.
+The state is n destabilizer and n stabilizer generators held as per-qubit
+int rows, the layout of `clifford.step_xz`: bit g of x[q] (z[q]) is the X
+(Z) bit at qubit q of generator g, destabilizers g < n first, then
+stabilizers n + i, and bit g of the sign row r is set iff generator g has
+sign -1.  A gate is a few int operations (`clifford.step_signed`), and a
+measurement works on whole rows at once.  It gives the Pauli-frame sampler
+its reference outcomes, reports whether each outcome is deterministic, and
+can evaluate the expectation of an arbitrary Pauli without collapsing it.
 """
 from __future__ import annotations
 
@@ -12,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Instruction
-from .clifford import _conj_named, clifford_gate_sequence, is_clifford
-from .pauli import PauliString, pauli_mul, single_qubit_pauli
+from .clifford import clifford_gate_sequence, is_clifford, step_signed
+from .pauli import PauliString
 
 
 @dataclass
@@ -28,16 +33,12 @@ class MeasurementRecord:
 class StabilizerState:
     def __init__(self, n: int):
         self.n = n
-        self.destab = [PauliString(n, 1 << q, 0, 0) for q in range(n)]
-        self.stab = [PauliString(n, 0, 1 << q, 0) for q in range(n)]
+        self.x = [1 << q for q in range(n)]
+        self.z = [1 << (n + q) for q in range(n)]
+        self.r = 0
 
     def apply_named(self, name: str, qubits: tuple[int, ...]) -> None:
-        # a generator with no support on the gate's qubits is left as it is
-        mask = sum(1 << q for q in qubits)
-        self.destab = [_conj_named(p, name, qubits) if (p.x | p.z) & mask else p
-                       for p in self.destab]
-        self.stab = [_conj_named(p, name, qubits) if (p.x | p.z) & mask else p
-                     for p in self.stab]
+        self.r = step_signed(self.x, self.z, self.r, name, qubits)
 
     def apply_instruction(self, inst: Instruction) -> None:
         if not is_clifford(inst):
@@ -45,37 +46,97 @@ class StabilizerState:
         for name, qubits in clifford_gate_sequence(inst):
             self.apply_named(name, qubits)
 
+    def _anticommuting(self, p: PauliString) -> int:
+        """Bit g set iff generator g anticommutes with p."""
+        if p.n != self.n:
+            raise ValueError(f"dimension mismatch: {p.n} vs {self.n}")
+        anti = 0
+        for q in range(self.n):
+            if p.x >> q & 1:
+                anti ^= self.z[q]
+            if p.z >> q & 1:
+                anti ^= self.x[q]
+        return anti
+
     def apply_pauli(self, p: PauliString) -> None:
         """Conjugate the generators by a Pauli error (sign flips only)."""
-        self.destab = [
-            row if row.commutes_with(p) else PauliString(row.n, row.x, row.z, (row.phase + 2) % 4)
-            for row in self.destab
-        ]
-        self.stab = [
-            row if row.commutes_with(p) else PauliString(row.n, row.x, row.z, (row.phase + 2) % 4)
-            for row in self.stab
-        ]
+        self.r ^= self._anticommuting(p)
+
+    def _product(self, chosen: int) -> tuple[int, int, int]:
+        """(x, z, phase exponent) of the product of the stabilizers i whose
+        bit i of `chosen` is set, in index order.  Writing each as
+        (-1)**r i**(x·z) X**x Z**z and moving every X left of every Z gives
+        the phase from three counts: the Y positions, the -1 signs, and the
+        pairs i < i' with Z at a qubit where i' has X, which a strict prefix
+        parity of each qubit's row finds in O(log n) shifts."""
+        n = self.n
+        width = chosen.bit_length()
+        px = pz = ys = pairs = 0
+        for q in range(n):
+            xs = self.x[q] >> n & chosen
+            zs = self.z[q] >> n & chosen
+            px |= (xs.bit_count() & 1) << q
+            pz |= (zs.bit_count() & 1) << q
+            if not (xs and zs):
+                continue
+            ys += (xs & zs).bit_count()
+            below = zs << 1  # bit i: parity of zs's bits under i
+            shift = 1
+            while shift < width:
+                below ^= below << shift
+                shift <<= 1
+            pairs += (below & xs).bit_count()
+        minus = (self.r >> n & chosen).bit_count()
+        return px, pz, (ys + 2 * (pairs + minus) - (px & pz).bit_count()) % 4
 
     def measure_z(self, q: int, rng=None) -> tuple[int, bool]:
         """Measure Z on qubit q; returns (outcome, deterministic)."""
-        zq = single_qubit_pauli(self.n, q, "Z")
-        anti = [i for i in range(self.n) if not self.stab[i].commutes_with(zq)]
-        if anti:
-            p = anti[0]
-            pivot = self.stab[p]
-            for i in anti[1:]:
-                self.stab[i] = pauli_mul(self.stab[i], pivot)
-            self.destab = [
-                row if row.commutes_with(zq) else pauli_mul(row, pivot)
-                for row in self.destab
-            ]
-            self.destab[p] = pivot
-            outcome = int(rng.integers(2)) if rng is not None else 0
-            self.stab[p] = PauliString(self.n, 0, 1 << q, 0 if outcome == 0 else 2)
-            return outcome, False
-        sign = self.expectation(zq)
-        assert sign is not None
-        return (0 if sign > 0 else 1), True
+        n, x, z = self.n, self.x, self.z
+        stabs = x[q] >> n
+        if not stabs:
+            px, pz, phase = self._product(x[q])
+            assert (px, pz) == (0, 1 << q)
+            return (0 if phase == 0 else 1), True
+        # the pivot is the lowest anticommuting stabilizer, generator n + p;
+        # it is multiplied into every other anticommuting generator, except
+        # destabilizer p, which becomes the pivot
+        p = (stabs & -stabs).bit_length() - 1
+        pivot = n + p
+        keep = ~(1 << pivot | 1 << p)
+        hit = x[q] & keep
+        # per hit row, a 2-bit count of the qubits where it anticommutes with
+        # the pivot (the count is even) and the parity of those whose product
+        # is -i (the row's Pauli, then the pivot's: YX, XZ and ZY)
+        c0 = c1 = neg = 0
+        for j in range(n):
+            xj, zj = x[j], z[j]
+            xp, zp = xj >> pivot & 1, zj >> pivot & 1
+            if xp:
+                if zp:
+                    anti, minus = xj ^ zj, zj & ~xj
+                    zj ^= hit
+                else:
+                    anti, minus = zj, xj & zj
+                xj ^= hit
+            elif zp:
+                anti, minus = xj, xj & ~zj
+                zj ^= hit
+            else:
+                anti = minus = 0
+            c1 ^= c0 & anti
+            c0 ^= anti
+            neg ^= minus
+            x[j] = xj & keep | xp << p
+            z[j] = zj & keep | zp << p
+        z[q] |= 1 << pivot
+        r = self.r
+        sign = r >> pivot & 1
+        r ^= (c1 ^ neg) & hit
+        if sign:
+            r ^= hit
+        outcome = int(rng.integers(2)) if rng is not None else 0
+        self.r = r & keep | sign << p | outcome << pivot
+        return outcome, False
 
     def reset(self, q: int, rng=None) -> None:
         outcome, _ = self.measure_z(q, rng=rng)
@@ -84,16 +145,13 @@ class StabilizerState:
 
     def expectation(self, p: PauliString) -> int | None:
         """+1/-1 if ±p stabilizes the state, None if the outcome is random."""
-        if any(not s.commutes_with(p) for s in self.stab):
+        anti = self._anticommuting(p)
+        if anti >> self.n:
             return None
-        acc = PauliString(self.n, 0, 0, 0)
-        for i in range(self.n):
-            if not self.destab[i].commutes_with(p):
-                acc = pauli_mul(acc, self.stab[i])
-        if acc.x != p.x or acc.z != p.z:
+        px, pz, phase = self._product(anti)
+        if (px, pz) != (p.x, p.z):
             raise AssertionError("Pauli commutes with the group but is not in it")
-        diff = (acc.phase - p.phase) % 4
-        return 1 if diff == 0 else -1
+        return 1 if (phase - p.phase) % 4 == 0 else -1
 
 
 def stabilizer_run(
@@ -108,10 +166,12 @@ def stabilizer_run(
     Random measurement outcomes are drawn from `seed` (0 when omitted).
     """
     n = circ.num_qubits
+    total = len(circ.instructions)
+    if injected is not None and not (inject_before is not None and 0 <= inject_before <= total):
+        raise ValueError(f"inject_before must lie in [0, {total}], got {inject_before}")
     state = StabilizerState(n)
     rng = np.random.default_rng(0 if seed is None else seed)
     records: list[MeasurementRecord] = []
-    total = len(circ.instructions)
     for i, inst in enumerate(circ.instructions):
         if injected is not None and inject_before == i:
             state.apply_pauli(injected)

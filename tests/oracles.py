@@ -276,6 +276,19 @@ def _suffix_tableaux(instructions, k: int) -> list:
     return suffix[::-1]
 
 
+def sorted_candidate_lefts(k: int) -> list:
+    """All weight-1 and weight-2 Paulis over k qubits as `PauliString`s,
+    sorted by label.  Reference for `qedc.pcs._candidate_rows`."""
+    from qedc.pauli import PauliString, single_qubit_pauli
+
+    cands = [single_qubit_pauli(k, q, kind) for q in range(k) for kind in "XYZ"]
+    for a, b in itertools.combinations(range(k), 2):
+        for ka, kb in itertools.product("XYZ", repeat=2):
+            pa, pb = single_qubit_pauli(k, a, ka), single_qubit_pauli(k, b, kb)
+            cands.append(PauliString(k, pa.x | pb.x, pa.z | pb.z, 0))
+    return sorted(cands, key=lambda p: p.to_label())
+
+
 def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
     """The greedy-coverage `CheckPair`s of a Clifford payload, scored with a
     suffix tableau per fault location.
@@ -284,12 +297,13 @@ def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
     every single-qubit Pauli after every payload instruction is conjugated
     through the tableau of the rest of the payload, and a candidate covers
     it when the result anticommutes with the candidate's right check.  The
-    candidates and the tableau conjugation are the package's; criterion 8
-    checks that conjugation against dense matrices.
+    candidates are sorted `PauliString`s and each right check comes from
+    the payload's tableau; the tableau conjugation is the package's, which
+    criterion 8 checks against dense matrices.
     """
     from qedc.clifford import conjugate, tableau_from_circuit
     from qedc.pauli import single_qubit_pauli
-    from qedc.pcs import CheckPair, _candidate_lefts, _localize
+    from qedc.pcs import CheckPair, _localize
 
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)
@@ -299,7 +313,7 @@ def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
     faults = [conjugate(suffix[f + 1], single_qubit_pauli(k, q, kind))
               for f in range(len(local)) for q in range(k) for kind in "XYZ"]
     scored = []
-    for left in _candidate_lefts(k):
+    for left in sorted_candidate_lefts(k):
         right = conjugate(tab, left)
         covered = frozenset(i for i, p in enumerate(faults) if not p.commutes_with(right))
         scored.append((left.to_label(), left, right, covered))
@@ -355,3 +369,89 @@ def tableau_pcs_estimate(circ, meta, noise) -> tuple[float, list[float]]:
                 out[s ^ sig] = out.get(s ^ sig, 0.0) + q * p / len(sigs)
         dist = out
     return dist.get(0, 0.0), fractions
+
+
+class PauliStabilizerState:
+    """CHP state with its n destabilizers and n stabilizers held as signed
+    `PauliString`s, each conjugated gate by gate with the package's
+    single-gate `_conj_named` (criterion 8 checks it against dense
+    matrices).  Reference for the row kernel in `qedc.stabilizer`: same
+    pivot (lowest-index anticommuting stabilizer), same draws."""
+
+    def __init__(self, n: int):
+        from qedc.pauli import PauliString
+
+        self.n = n
+        self.destab = [PauliString(n, 1 << q, 0, 0) for q in range(n)]
+        self.stab = [PauliString(n, 0, 1 << q, 0) for q in range(n)]
+
+    def apply_named(self, name, qubits) -> None:
+        from qedc.clifford import _conj_named
+
+        self.destab = [_conj_named(p, name, qubits) for p in self.destab]
+        self.stab = [_conj_named(p, name, qubits) for p in self.stab]
+
+    def apply_pauli(self, p) -> None:
+        from qedc.pauli import PauliString
+
+        def flip(row):
+            return row if row.commutes_with(p) else PauliString(row.n, row.x, row.z, row.phase + 2)
+
+        self.destab = [flip(row) for row in self.destab]
+        self.stab = [flip(row) for row in self.stab]
+
+    def measure_z(self, q: int, rng=None) -> tuple[int, bool]:
+        from qedc.pauli import PauliString, pauli_mul, single_qubit_pauli
+
+        zq = single_qubit_pauli(self.n, q, "Z")
+        anti = [i for i in range(self.n) if not self.stab[i].commutes_with(zq)]
+        if anti:
+            p = anti[0]
+            pivot = self.stab[p]
+            for i in anti[1:]:
+                self.stab[i] = pauli_mul(self.stab[i], pivot)
+            self.destab = [row if row.commutes_with(zq) else pauli_mul(row, pivot)
+                           for row in self.destab]
+            self.destab[p] = pivot
+            outcome = int(rng.integers(2)) if rng is not None else 0
+            self.stab[p] = PauliString(self.n, 0, 1 << q, 2 * outcome)
+            return outcome, False
+        return (0 if self.expectation(zq) > 0 else 1), True
+
+    def expectation(self, p) -> int | None:
+        from qedc.pauli import PauliString, pauli_mul
+
+        if any(not s.commutes_with(p) for s in self.stab):
+            return None
+        acc = PauliString(self.n, 0, 0, 0)
+        for i in range(self.n):
+            if not self.destab[i].commutes_with(p):
+                acc = pauli_mul(acc, self.stab[i])
+        assert (acc.x, acc.z) == (p.x, p.z), "Pauli commutes with the group but is not in it"
+        return 1 if (acc.phase - p.phase) % 4 == 0 else -1
+
+
+def pauli_stabilizer_run(circ, injected=None, inject_before=None, seed=None):
+    """`qedc.stabilizer.stabilizer_run` on a `PauliStabilizerState`:
+    (records as (instruction index, qubit, clbit, outcome, deterministic)
+    tuples, final state)."""
+    from qedc.clifford import clifford_gate_sequence
+
+    state = PauliStabilizerState(circ.num_qubits)
+    rng = np.random.default_rng(0 if seed is None else seed)
+    records = []
+    for i, inst in enumerate(circ.instructions):
+        if injected is not None and inject_before == i:
+            state.apply_pauli(injected)
+        if inst.name == "measure":
+            outcome, det = state.measure_z(inst.qubits[0], rng)
+            records.append((i, inst.qubits[0], inst.clbits[0], outcome, det))
+        elif inst.name == "reset":
+            if state.measure_z(inst.qubits[0], rng)[0]:
+                state.apply_named("x", inst.qubits)
+        elif inst.name != "barrier":
+            for name, qubits in clifford_gate_sequence(inst):
+                state.apply_named(name, qubits)
+    if injected is not None and inject_before == len(circ.instructions):
+        state.apply_pauli(injected)
+    return records, state

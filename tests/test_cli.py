@@ -197,6 +197,24 @@ def test_negative_shots_exit_sim(rot, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_too_wide_noisy_clifford_exits_sim(tmp_path, capsys):
+    n = 70
+    ghz = tmp_path / "ghz.qasm"
+    ghz.write_text("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                   f"qreg q[{n}];\ncreg c[1];\nh q[0];\n"
+                   + "".join(f"cx q[{q - 1}],q[{q}];\n" for q in range(1, n))
+                   + f"measure q[{n - 1}] -> c[0];\n")
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p1": 0.001, "p2": 0.01}))
+    out = tmp_path / "counts.json"
+    rc = main(["run", str(ghz), "--noise", str(noise), "--shots", "10", "--out", str(out)])
+    assert rc == EXIT_SIM
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "simulation"
+    assert "Pauli-frame limit of 64" in err["message"]
+    assert not out.exists()
+
+
 def test_bad_series_exits_parse(tmp_path, capsys):
     s = tmp_path / "s.json"
     s.write_text("[{\"m\": 1}]")

@@ -11,6 +11,7 @@ from qedc.clifford import (
     clifford_gate_sequence,
     conjugate,
     is_clifford,
+    step_signed,
     step_xz,
     tableau_from_circuit,
 )
@@ -116,6 +117,28 @@ def test_step_xz_matches_signed_conjugation_on_int_and_bool_rows():
             step_xz(bx, bz, name, qubits)
             assert (x, z) == start
             assert (_bool_to_int(bx), _bool_to_int(bz)) == start
+
+
+def test_step_signed_matches_signed_conjugation_on_int_and_bool_rows():
+    rng = random.Random(19)
+    for n in range(1, 5):
+        paulis = [PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.choice((0, 2)))
+                  for _ in range(40)]
+        start = _int_rows(paulis, n)
+        signs = sum((p.phase == 2) << j for j, p in enumerate(paulis))
+        gates = [(g, (q,)) for g in CLIFFORD_1Q for q in range(n)]
+        gates += [(g, (a, b)) for g in CLIFFORD_2Q for a in range(n) for b in range(n) if a != b]
+        for name, qubits in gates:
+            images = [_conj_named(p, name, qubits) for p in paulis]
+            want = _int_rows(images, n), sum((p.phase == 2) << j for j, p in enumerate(images))
+            x, z = list(start[0]), list(start[1])
+            bx, bz = ([np.array([r >> j & 1 for j in range(len(paulis))], dtype=bool) for r in rows]
+                      for rows in start)
+            r = step_signed(x, z, signs, name, qubits)
+            br = step_signed(bx, bz, np.array([signs >> j & 1 for j in range(len(paulis))],
+                                              dtype=bool), name, qubits)
+            assert ((x, z), r) == want
+            assert ((_bool_to_int(bx), _bool_to_int(bz)), _bool_to_int([br])[0]) == want
 
 
 def test_cx_rules():

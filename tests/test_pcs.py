@@ -7,12 +7,20 @@ import pytest
 from qedc.analysis import Region, largest_clifford_region
 from qedc.circuit import Circuit
 from qedc.pauli import PauliString, single_qubit_pauli
-from qedc.pcs import CheckPair, PcsError, PcsMeta, insert_pcs, synthesize_checks
+from qedc.pcs import (
+    CheckPair,
+    PcsError,
+    PcsMeta,
+    _candidate_rows,
+    _column,
+    insert_pcs,
+    synthesize_checks,
+)
 from qedc.postprocess import normalize_counts, postselect_counts, tvd
 from qedc.simulator import deterministic_distribution, ideal_distribution, sample
 from qedc.stabilizer import stabilizer_run
 
-from oracles import circuit_unitary, pauli_matrix, tableau_check_choice
+from oracles import circuit_unitary, pauli_matrix, sorted_candidate_lefts, tableau_check_choice
 
 PHASES = [1, 1j, -1, -1j]
 
@@ -177,6 +185,14 @@ def test_greedy_checks_match_the_suffix_tableau_reference():
         m = rng.randrange(1, 5 if k > 1 else 4)
         got = synthesize_checks(c.instructions, qubits, m)
         assert got == tableau_check_choice(c.instructions, qubits, m)
+
+
+def test_candidate_rows_are_the_lefts_in_label_order():
+    for k in range(1, 7):
+        x, z = _candidate_rows(k)
+        want = sorted_candidate_lefts(k)
+        assert x.shape == z.shape == (k, len(want))
+        assert [PauliString(k, _column(x, j), _column(z, j)) for j in range(len(want))] == want
 
 
 def test_synthesis_errors():

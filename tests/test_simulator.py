@@ -245,6 +245,19 @@ def test_large_clifford_uses_stabilizer_path():
     assert sample(c, shots=2000, seed=12) == counts
 
 
+def test_wide_noisy_clifford_names_the_pauli_frame_limit():
+    n = simulator.MAX_STABILIZER_QUBITS + 6
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", 1)
+    c.append("h", (0,))
+    for q in range(1, n):
+        c.append("cx", (q - 1, q))
+    c.append("measure", (n - 1,), clbits=(0,))
+    with pytest.raises(SimulationError, match=f"{n} active qubits exceeds the Pauli-frame limit of 64"):
+        sample(c, noise=NoiseModel(p2=0.01), shots=10, seed=1)
+
+
 def test_noise_model_validation_and_roundtrip():
     with pytest.raises(ValueError):
         NoiseModel(p1=1.5)
