@@ -195,11 +195,15 @@ def cmd_extrapolate(args) -> int:
     data = _read_json(args.series)
     try:
         series = [
-            (int(pt["m"]), float(pt["value"]), float(pt.get("stderr", 0.0) or 0.0))
+            (pt["m"], float(pt["value"]), float(pt.get("stderr", 0.0) or 0.0))
             for pt in data
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("parse", f"bad series file: {exc}", EXIT_PARSE) from exc
+    for m, _, _ in series:
+        if type(m) is not int or m < 0:
+            raise CliError("parse", f"check count m is {m!r}, not a non-negative integer",
+                           EXIT_PARSE)
     try:
         result = extrapolate_checks(series)
     except PostprocessError as exc:

@@ -1,21 +1,20 @@
 """Clifford gate recognition, `step_xz` (the one table of named-gate
 symplectic maps, which moves Pauli X/Z rows for the frame sampler, the
 detector sweep and check scoring), `step_signed` (the same step plus a sign
-row, for the CHP state and the signed right checks), and a symplectic
-tableau for U P U†.
+row, the one table of signed conjugation), and the tableau of a Clifford U
+for U P U†.
 
-The tableau stores the signed images of the X_q and Z_q generators under a
-Clifford unitary built gate-by-gate from a circuit slice.  Rotation gates at
-exact multiples of pi/2 are canonicalized to named Clifford gates first, which
-enlarges the detectable Clifford regions.
+The tableau holds the signed images of X_q and Z_q under U as CHP generator
+rows stepped by `step_signed`; `stabilizer.StabilizerState` extends it with
+measurement.  Rotation gates at exact multiples of pi/2 are canonicalized to
+named Clifford gates first, which enlarges the detectable Clifford regions.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction
-from .pauli import PauliString, pauli_mul
+from .pauli import PauliString
 
 CLIFFORD_NAMED = frozenset(("x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"))
 _ROTATIONS = frozenset(("rz", "rx", "ry"))
@@ -146,121 +145,62 @@ def step_signed(x: list, z: list, r, name: str, qubits: tuple[int, ...]):
     return r
 
 
-def _conj_named(p: PauliString, name: str, qubits: tuple[int, ...]) -> PauliString:
-    """g p g† for a named Clifford gate g, with its sign."""
-    x, z, phase = p.x, p.z, p.phase
-    if name == "h":
-        (q,) = qubits
-        b = 1 << q
-        if x & b and z & b:
-            phase = (phase + 2) % 4
-        xq, zq = x & b, z & b
-        x = (x & ~b) | (b if zq else 0)
-        z = (z & ~b) | (b if xq else 0)
-    elif name == "s":
-        (q,) = qubits
-        b = 1 << q
-        if x & b and z & b:
-            phase = (phase + 2) % 4
-        if x & b:
-            z ^= b
-    elif name == "sdg":
-        (q,) = qubits
-        b = 1 << q
-        if x & b and not z & b:
-            phase = (phase + 2) % 4
-        if x & b:
-            z ^= b
-    elif name == "x":
-        (q,) = qubits
-        if z & (1 << q):
-            phase = (phase + 2) % 4
-    elif name == "y":
-        (q,) = qubits
-        b = 1 << q
-        if bool(x & b) != bool(z & b):
-            phase = (phase + 2) % 4
-    elif name == "z":
-        (q,) = qubits
-        if x & (1 << q):
-            phase = (phase + 2) % 4
-    elif name == "cx":
-        c, t = qubits
-        bc, bt = 1 << c, 1 << t
-        if (x & bc) and (z & bt) and (bool(x & bt) == bool(z & bc)):
-            phase = (phase + 2) % 4
-        if x & bc:
-            x ^= bt
-        if z & bt:
-            z ^= bc
-    elif name == "cz":
-        p2 = _conj_named(PauliString(p.n, x, z, phase), "h", (qubits[1],))
-        p2 = _conj_named(p2, "cx", qubits)
-        return _conj_named(p2, "h", (qubits[1],))
-    elif name == "swap":
-        a, b = qubits
-        ba, bb = 1 << a, 1 << b
-        xa, xb = bool(x & ba), bool(x & bb)
-        za, zb = bool(z & ba), bool(z & bb)
-        x = (x & ~(ba | bb)) | (ba if xb else 0) | (bb if xa else 0)
-        z = (z & ~(ba | bb)) | (ba if zb else 0) | (bb if za else 0)
-    else:
-        raise ValueError(f"unknown Clifford gate {name!r}")
-    return PauliString(p.n, x, z, phase)
-
-
-@dataclass
 class CliffordTableau:
-    """Signed images of X_q (rows x_images[q]) and Z_q (z_images[q]) under U."""
+    """A Clifford U as the CHP tableau of U|0...0> (Aaronson and Gottesman,
+    quant-ph/0406196): generator q < n is U X_q U† (a destabilizer) and
+    generator n + q is U Z_q U† (a stabilizer).  They are held as per-qubit
+    int rows, the layout of `step_xz`: bit g of x[q] (z[q]) is the X (Z) bit
+    at qubit q of generator g, and bit g of the sign row r is set iff
+    generator g has sign -1."""
 
-    n: int
-    x_images: list[PauliString]
-    z_images: list[PauliString]
+    def __init__(self, n: int):
+        self.n = n
+        self.x = [1 << q for q in range(n)]
+        self.z = [1 << (n + q) for q in range(n)]
+        self.r = 0
 
-    @classmethod
-    def identity(cls, n: int) -> "CliffordTableau":
-        return cls(
-            n,
-            [PauliString(n, 1 << q, 0, 0) for q in range(n)],
-            [PauliString(n, 0, 1 << q, 0) for q in range(n)],
-        )
+    def apply_named(self, name: str, qubits: tuple[int, ...]) -> None:
+        self.r = step_signed(self.x, self.z, self.r, name, qubits)
 
-    def apply_gate(self, name: str, qubits: tuple[int, ...]) -> None:
-        self.x_images = [_conj_named(row, name, qubits) for row in self.x_images]
-        self.z_images = [_conj_named(row, name, qubits) for row in self.z_images]
+    def apply_instruction(self, inst: Instruction) -> None:
+        if not is_clifford(inst):
+            raise ValueError(f"non-Clifford instruction: {inst.name}")
+        for name, qubits in clifford_gate_sequence(inst):
+            self.apply_named(name, qubits)
+
+    def _product(self, chosen: int) -> tuple[int, int, int]:
+        """(x, z, phase exponent) of the product of the generators g whose
+        bit g of `chosen` is set, in index order.  Writing each as
+        (-1)**r i**(x·z) X**x Z**z and moving every X left of every Z gives
+        the phase from three counts: the Y positions, the -1 signs, and the
+        pairs g < g' with Z at a qubit where g' has X, which a strict prefix
+        parity of each qubit's row finds in O(log n) shifts."""
+        width = chosen.bit_length()
+        px = pz = ys = pairs = 0
+        for q in range(self.n):
+            xs = self.x[q] & chosen
+            zs = self.z[q] & chosen
+            px |= (xs.bit_count() & 1) << q
+            pz |= (zs.bit_count() & 1) << q
+            if not (xs and zs):
+                continue
+            ys += (xs & zs).bit_count()
+            below = zs << 1  # bit g: parity of zs's bits under g
+            shift = 1
+            while shift < width:
+                below ^= below << shift
+                shift <<= 1
+            pairs += (below & xs).bit_count()
+        minus = (self.r & chosen).bit_count()
+        return px, pz, (ys + 2 * (pairs + minus) - (px & pz).bit_count()) % 4
 
     def conjugate(self, p: PauliString) -> PauliString:
-        """R = U p U†, phase folded into the result."""
+        """R = U p U†, phase folded into the result: the product of the X_q
+        and Z_q images that p selects, times i per Y of p (Y = i X Z)."""
         if p.n != self.n:
             raise ValueError(f"dimension mismatch: {p.n} vs {self.n}")
-        out = PauliString(self.n, 0, 0, p.phase)
-        for q in range(self.n):
-            code = p.code_at(q)
-            if code == 0:
-                continue
-            if code == 1:  # X
-                out = pauli_mul(out, self.x_images[q])
-            elif code == 2:  # Z
-                out = pauli_mul(out, self.z_images[q])
-            else:  # Y = i X Z
-                out = pauli_mul(out, pauli_mul(self.x_images[q], self.z_images[q]))
-                out = PauliString(out.n, out.x, out.z, (out.phase + 1) % 4)
-        return out
-
-    def is_symplectic(self) -> bool:
-        for q in range(self.n):
-            if self.x_images[q].commutes_with(self.z_images[q]):
-                return False
-            for r in range(self.n):
-                if r == q:
-                    continue
-                if not self.x_images[q].commutes_with(self.x_images[r]):
-                    return False
-                if not self.x_images[q].commutes_with(self.z_images[r]):
-                    return False
-                if not self.z_images[q].commutes_with(self.z_images[r]):
-                    return False
-        return True
+        px, pz, phase = self._product(p.x | p.z << self.n)
+        return PauliString(self.n, px, pz, phase + p.phase + (p.x & p.z).bit_count())
 
 
 def tableau_from_circuit(circ_or_instructions, n: int | None = None) -> CliffordTableau:
@@ -272,14 +212,10 @@ def tableau_from_circuit(circ_or_instructions, n: int | None = None) -> Clifford
         instructions = list(circ_or_instructions)
         if n is None:
             raise ValueError("qubit count required for a bare instruction list")
-    tab = CliffordTableau.identity(n)
+    tab = CliffordTableau(n)
     for inst in instructions:
-        if inst.name == "barrier":
-            continue
-        if not is_clifford(inst):
-            raise ValueError(f"non-Clifford instruction: {inst.name}")
-        for name, qubits in clifford_gate_sequence(inst):
-            tab.apply_gate(name, qubits)
+        if inst.name != "barrier":
+            tab.apply_instruction(inst)
     return tab
 
 

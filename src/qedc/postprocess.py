@@ -275,6 +275,7 @@ def extrapolate_checks(series) -> ExtrapolationResult:
     candidate the linear parameters solve in closed form, then Gauss-Newton
     refines the best seed.  A fit whose rate ends at or past the grid's edge
     is flagged `degenerate`.  A constant series returns (value, 0, 1) exactly.
+    A non-finite check count, value or stderr raises `PostprocessError`.
     """
     series = [tuple(pt) for pt in series]
     if len(series) < 3 or len({pt[0] for pt in series}) < 3:
@@ -282,6 +283,8 @@ def extrapolate_checks(series) -> ExtrapolationResult:
     ms = np.array([float(pt[0]) for pt in series])
     vs = np.array([float(pt[1]) for pt in series])
     errs = np.array([float(pt[2]) if len(pt) > 2 and pt[2] else 1.0 for pt in series])
+    if not np.isfinite(np.concatenate([ms, vs, errs])).all():
+        raise PostprocessError("check counts, values and stderrs must be finite")
     w = np.sqrt(1.0 / errs ** 2)
     if np.allclose(vs, vs[0], rtol=0, atol=1e-15):
         return ExtrapolationResult(float(vs[0]), 0.0, 1.0, 0.0, [(int(m), float(v)) for m, v in zip(ms, vs)])

@@ -1,14 +1,13 @@
 """Stabilizer (CHP) simulator for Clifford circuits (Aaronson and Gottesman,
 "Improved simulation of stabilizer circuits", quant-ph/0406196).
 
-The state is n destabilizer and n stabilizer generators held as per-qubit
-int rows, the layout of `clifford.step_xz`: bit g of x[q] (z[q]) is the X
-(Z) bit at qubit q of generator g, destabilizers g < n first, then
-stabilizers n + i, and bit g of the sign row r is set iff generator g has
-sign -1.  A gate is a few int operations (`clifford.step_signed`), and a
-measurement works on whole rows at once.  It gives the Pauli-frame sampler
-its reference outcomes, reports whether each outcome is deterministic, and
-can evaluate the expectation of an arbitrary Pauli without collapsing it.
+The state extends `clifford.CliffordTableau`: its n destabilizers and n
+stabilizers are the tableau's per-qubit int rows and sign row,
+destabilizers g < n first, then stabilizers n + i.  A gate is a few int
+operations (`clifford.step_signed`), and a measurement works on whole rows
+at once.  It gives the Pauli-frame sampler its reference outcomes, reports
+whether each outcome is deterministic, and can evaluate the expectation of
+an arbitrary Pauli without collapsing it.
 """
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Instruction
-from .clifford import clifford_gate_sequence, is_clifford, step_signed
+from .circuit import Circuit
+from .clifford import CliffordTableau
 from .pauli import PauliString
 
 
@@ -30,21 +29,9 @@ class MeasurementRecord:
     deterministic: bool
 
 
-class StabilizerState:
-    def __init__(self, n: int):
-        self.n = n
-        self.x = [1 << q for q in range(n)]
-        self.z = [1 << (n + q) for q in range(n)]
-        self.r = 0
-
-    def apply_named(self, name: str, qubits: tuple[int, ...]) -> None:
-        self.r = step_signed(self.x, self.z, self.r, name, qubits)
-
-    def apply_instruction(self, inst: Instruction) -> None:
-        if not is_clifford(inst):
-            raise ValueError(f"non-Clifford instruction: {inst.name}")
-        for name, qubits in clifford_gate_sequence(inst):
-            self.apply_named(name, qubits)
+class StabilizerState(CliffordTableau):
+    """The CHP state U|0...0> of the Clifford U applied so far: its
+    destabilizers and stabilizers are the rows of U's tableau."""
 
     def _anticommuting(self, p: PauliString) -> int:
         """Bit g set iff generator g anticommutes with p."""
@@ -62,39 +49,12 @@ class StabilizerState:
         """Conjugate the generators by a Pauli error (sign flips only)."""
         self.r ^= self._anticommuting(p)
 
-    def _product(self, chosen: int) -> tuple[int, int, int]:
-        """(x, z, phase exponent) of the product of the stabilizers i whose
-        bit i of `chosen` is set, in index order.  Writing each as
-        (-1)**r i**(x·z) X**x Z**z and moving every X left of every Z gives
-        the phase from three counts: the Y positions, the -1 signs, and the
-        pairs i < i' with Z at a qubit where i' has X, which a strict prefix
-        parity of each qubit's row finds in O(log n) shifts."""
-        n = self.n
-        width = chosen.bit_length()
-        px = pz = ys = pairs = 0
-        for q in range(n):
-            xs = self.x[q] >> n & chosen
-            zs = self.z[q] >> n & chosen
-            px |= (xs.bit_count() & 1) << q
-            pz |= (zs.bit_count() & 1) << q
-            if not (xs and zs):
-                continue
-            ys += (xs & zs).bit_count()
-            below = zs << 1  # bit i: parity of zs's bits under i
-            shift = 1
-            while shift < width:
-                below ^= below << shift
-                shift <<= 1
-            pairs += (below & xs).bit_count()
-        minus = (self.r >> n & chosen).bit_count()
-        return px, pz, (ys + 2 * (pairs + minus) - (px & pz).bit_count()) % 4
-
     def measure_z(self, q: int, rng=None) -> tuple[int, bool]:
         """Measure Z on qubit q; returns (outcome, deterministic)."""
         n, x, z = self.n, self.x, self.z
         stabs = x[q] >> n
         if not stabs:
-            px, pz, phase = self._product(x[q])
+            px, pz, phase = self._product(x[q] << n)
             assert (px, pz) == (0, 1 << q)
             return (0 if phase == 0 else 1), True
         # the pivot is the lowest anticommuting stabilizer, generator n + p;
@@ -148,7 +108,7 @@ class StabilizerState:
         anti = self._anticommuting(p)
         if anti >> self.n:
             return None
-        px, pz, phase = self._product(anti)
+        px, pz, phase = self._product(anti << self.n)
         if (px, pz) != (p.x, p.z):
             raise AssertionError("Pauli commutes with the group but is not in it")
         return 1 if (phase - p.phase) % 4 == 0 else -1

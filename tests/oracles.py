@@ -173,6 +173,88 @@ def noisy_distribution(circ, noise) -> dict[str, float]:
     return dist
 
 
+def conj_named(p, name: str, qubits: tuple[int, ...]):
+    """g p g† for a named Clifford gate g, with its sign, one Pauli at a time
+    with a branch per gate.  Reference for `qedc.clifford.step_xz` and
+    `step_signed`; `test_conj_named_matches_dense_conjugation` holds it to
+    dense matrices."""
+    from qedc.pauli import PauliString
+
+    x, z, phase = p.x, p.z, p.phase
+    if name == "h":
+        (q,) = qubits
+        b = 1 << q
+        if x & b and z & b:
+            phase = (phase + 2) % 4
+        xq, zq = x & b, z & b
+        x = (x & ~b) | (b if zq else 0)
+        z = (z & ~b) | (b if xq else 0)
+    elif name == "s":
+        (q,) = qubits
+        b = 1 << q
+        if x & b and z & b:
+            phase = (phase + 2) % 4
+        if x & b:
+            z ^= b
+    elif name == "sdg":
+        (q,) = qubits
+        b = 1 << q
+        if x & b and not z & b:
+            phase = (phase + 2) % 4
+        if x & b:
+            z ^= b
+    elif name == "x":
+        (q,) = qubits
+        if z & (1 << q):
+            phase = (phase + 2) % 4
+    elif name == "y":
+        (q,) = qubits
+        b = 1 << q
+        if bool(x & b) != bool(z & b):
+            phase = (phase + 2) % 4
+    elif name == "z":
+        (q,) = qubits
+        if x & (1 << q):
+            phase = (phase + 2) % 4
+    elif name == "cx":
+        c, t = qubits
+        bc, bt = 1 << c, 1 << t
+        if (x & bc) and (z & bt) and (bool(x & bt) == bool(z & bc)):
+            phase = (phase + 2) % 4
+        if x & bc:
+            x ^= bt
+        if z & bt:
+            z ^= bc
+    elif name == "cz":
+        p2 = conj_named(PauliString(p.n, x, z, phase), "h", (qubits[1],))
+        p2 = conj_named(p2, "cx", qubits)
+        return conj_named(p2, "h", (qubits[1],))
+    elif name == "swap":
+        a, b = qubits
+        ba, bb = 1 << a, 1 << b
+        xa, xb = bool(x & ba), bool(x & bb)
+        za, zb = bool(z & ba), bool(z & bb)
+        x = (x & ~(ba | bb)) | (ba if xb else 0) | (bb if xa else 0)
+        z = (z & ~(ba | bb)) | (ba if zb else 0) | (bb if za else 0)
+    else:
+        raise ValueError(f"unknown Clifford gate {name!r}")
+    return PauliString(p.n, x, z, phase)
+
+
+def is_symplectic(tab) -> bool:
+    """Whether the 2n generators of a `qedc.clifford.CliffordTableau` keep
+    the commutation relations of X_q and Z_q: U X_q U† anticommutes with
+    U Z_q U† and every other pair commutes."""
+    from qedc.pauli import PauliString
+
+    n = tab.n
+    gens = [PauliString(n, sum((tab.x[q] >> g & 1) << q for q in range(n)),
+                        sum((tab.z[q] >> g & 1) << q for q in range(n)))
+            for g in range(2 * n)]
+    return all(gens[g].commutes_with(gens[h]) == (h - g != n)
+               for g in range(2 * n) for h in range(g + 1, 2 * n))
+
+
 _ROTATION_LIKE = frozenset(("rz", "rx", "ry", "rzz", "rxx", "ryy", "t", "tdg"))
 
 
@@ -180,11 +262,11 @@ def forward_propagate_flips(instructions, start, error) -> set[int]:
     """Clbits flipped by `error` striking just before instruction `start`,
     by pushing the error forward through the rest of the circuit.
 
-    Reference for the backward detector sweep in `qedc.errorprop`.  It reuses
-    the package's single-gate conjugation, which criterion 8 checks against
-    dense matrices; the walk direction and the flip bookkeeping are its own.
+    Reference for the backward detector sweep in `qedc.errorprop`.  It
+    conjugates gate by gate with `conj_named`; the walk direction and the
+    flip bookkeeping are its own.
     """
-    from qedc.clifford import _conj_named, clifford_gate_sequence, is_clifford
+    from qedc.clifford import clifford_gate_sequence, is_clifford
     from qedc.pauli import PauliString
 
     p = error
@@ -203,7 +285,7 @@ def forward_propagate_flips(instructions, start, error) -> set[int]:
             continue
         if is_clifford(inst):
             for gname, qubits in clifford_gate_sequence(inst):
-                p = _conj_named(p, gname, qubits)
+                p = conj_named(p, gname, qubits)
             continue
         if name in _ROTATION_LIKE:
             continue
@@ -254,26 +336,11 @@ def forward_iceberg_estimate(circ, meta, noise) -> tuple[float, list[float]]:
     return dist.get(0, 0.0), fractions
 
 
-def compose_tableaux(first, later):
-    """Tableau of (the circuit of `first` followed by that of `later`)."""
-    from qedc.clifford import CliffordTableau
-
-    return CliffordTableau(
-        first.n,
-        [later.conjugate(row) for row in first.x_images],
-        [later.conjugate(row) for row in first.z_images],
-    )
-
-
 def _suffix_tableaux(instructions, k: int) -> list:
-    """suffix[f] is the tableau of instructions[f:], built by composing one
-    instruction's tableau at a time from the end."""
-    from qedc.clifford import CliffordTableau, tableau_from_circuit
+    """suffix[f] is the tableau of instructions[f:]."""
+    from qedc.clifford import tableau_from_circuit
 
-    suffix = [CliffordTableau.identity(k)]
-    for inst in reversed(instructions):
-        suffix.append(compose_tableaux(tableau_from_circuit([inst], k), suffix[-1]))
-    return suffix[::-1]
+    return [tableau_from_circuit(instructions[f:], k) for f in range(len(instructions) + 1)]
 
 
 def sorted_candidate_lefts(k: int) -> list:
@@ -373,10 +440,9 @@ def tableau_pcs_estimate(circ, meta, noise) -> tuple[float, list[float]]:
 
 class PauliStabilizerState:
     """CHP state with its n destabilizers and n stabilizers held as signed
-    `PauliString`s, each conjugated gate by gate with the package's
-    single-gate `_conj_named` (criterion 8 checks it against dense
-    matrices).  Reference for the row kernel in `qedc.stabilizer`: same
-    pivot (lowest-index anticommuting stabilizer), same draws."""
+    `PauliString`s, each conjugated gate by gate with `conj_named`.
+    Reference for the row kernel in `qedc.stabilizer`: same pivot
+    (lowest-index anticommuting stabilizer), same draws."""
 
     def __init__(self, n: int):
         from qedc.pauli import PauliString
@@ -386,10 +452,8 @@ class PauliStabilizerState:
         self.stab = [PauliString(n, 0, 1 << q, 0) for q in range(n)]
 
     def apply_named(self, name, qubits) -> None:
-        from qedc.clifford import _conj_named
-
-        self.destab = [_conj_named(p, name, qubits) for p in self.destab]
-        self.stab = [_conj_named(p, name, qubits) for p in self.stab]
+        self.destab = [conj_named(p, name, qubits) for p in self.destab]
+        self.stab = [conj_named(p, name, qubits) for p in self.stab]
 
     def apply_pauli(self, p) -> None:
         from qedc.pauli import PauliString

@@ -1,0 +1,42 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bench_pairs  # noqa: E402
+
+LOWER = {"name": "pipeline_s", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "shots_per_s", "better": "higher", "bound": 0.25}
+PARENT = [0.95, 0.98, 1.0, 1.0, 1.02, 1.05]  # median 1.0, IQR 0.985-1.015
+
+
+def test_verdict_ok_within_bound():
+    assert bench_pairs.verdict(LOWER, PARENT, [1.1, 1.2, 1.15]) == "ok"
+    assert bench_pairs.verdict(HIGHER, PARENT, [0.9, 0.8, 0.85]) == "ok"
+
+
+def test_verdict_worse_past_the_bound():
+    assert bench_pairs.verdict(LOWER, PARENT, [1.3, 1.26, 1.4]) == "worse"
+    assert bench_pairs.verdict(HIGHER, PARENT, [0.7, 0.74, 0.6]) == "worse"
+    # a change past the bound in the good direction is not worse
+    assert bench_pairs.verdict(LOWER, PARENT, [0.5, 0.6]) == "ok"
+    assert bench_pairs.verdict(HIGHER, PARENT, [1.5, 1.6]) == "ok"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound():
+    wide = [0.5, 0.6, 1.0, 1.4, 1.5]  # median 1.0, IQR 0.6-1.4
+    assert bench_pairs.verdict(LOWER, wide, [1.0, 1.05, 0.95]) == "unresolved"
+    assert bench_pairs.verdict(HIGHER, wide, [1.0, 1.05, 0.95]) == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(LOWER, wide, [0.4, 0.45]) == "ok"
+    assert bench_pairs.verdict(HIGHER, wide, [1.6, 1.7]) == "ok"
+    # a loss past the bound is worse however wide the parent
+    assert bench_pairs.verdict(LOWER, wide, [1.3, 1.35]) == "worse"
+
+
+def test_pairs_below_one_is_rejected_before_any_run(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(["--workload", "pcs_wide", "--seed", "1", "--pairs", "0"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err

@@ -223,6 +223,32 @@ def test_bad_series_exits_parse(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field,bad", [("value", math.nan), ("stderr", math.inf)])
+def test_extrapolate_non_finite_point_exits_bad_series(tmp_path, capsys, field, bad):
+    points = [{"m": m, "value": 0.4 + 0.2 * 0.5 ** m, "stderr": 0.01} for m in (1, 2, 3, 4)]
+    points[2][field] = bad  # written as NaN or Infinity, which json.loads accepts
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(points))
+    out = tmp_path / "e.json"
+    rc = main(["extrapolate", "--series", str(s), "--out", str(out)])
+    assert rc == EXIT_COMPILE
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-series"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m", [1.7, -1, True, "2"])
+def test_extrapolate_non_integer_m_exits_parse(tmp_path, capsys, m):
+    points = [{"m": k, "value": 0.4 + 0.2 * 0.5 ** k} for k in (2, 3, 4)]
+    points.append({"m": m, "value": 0.5})
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(points))
+    rc = main(["extrapolate", "--series", str(s)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "non-negative integer" in err["message"]
+
+
 def test_stdout_when_no_out(bell, capsys):
     assert main(["analyze", str(bell)]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -4,10 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from qedc.circuit import Circuit
+from qedc.circuit import Circuit, Gate, Instruction
 from qedc.clifford import (
-    CliffordTableau,
-    _conj_named,
     clifford_gate_sequence,
     conjugate,
     is_clifford,
@@ -17,7 +15,7 @@ from qedc.clifford import (
 )
 from qedc.pauli import PauliString
 
-from oracles import circuit_unitary, compose_tableaux, pauli_matrix
+from oracles import circuit_unitary, conj_named, is_symplectic, pauli_matrix
 
 PHASES = [1, 1j, -1, -1j]
 
@@ -85,6 +83,24 @@ def test_named_gate_rules():
         assert got.to_label() == want, (name, label, got.to_label())
 
 
+def test_conj_named_matches_dense_conjugation():
+    # the reference the row kernels are held to, on every signed 1- and
+    # 2-qubit Pauli, every named gate and both qubit orders
+    gates = [(1, g, (0,)) for g in CLIFFORD_1Q]
+    gates += [(2, g, (q,)) for g in CLIFFORD_1Q for q in range(2)]
+    gates += [(2, g, qs) for g in CLIFFORD_2Q for qs in ((0, 1), (1, 0))]
+    for n, name, qubits in gates:
+        u = circuit_unitary([Instruction(Gate(name), qubits)], n)
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for phase in (0, 2):
+                    p = PauliString(n, x, z, phase)
+                    got = conj_named(p, name, qubits)
+                    want = dense_conjugate(u, p.bare().to_label()) * PHASES[phase]
+                    got_mat = PHASES[got.phase] * pauli_matrix(got.bare().to_label())
+                    assert np.allclose(got_mat, want, atol=1e-9), (name, qubits, p.to_label())
+
+
 def _int_rows(paulis, n):
     """Bit j of x[q] (z[q]) is the X (Z) bit at q of Pauli j."""
     return ([sum((p.x >> q & 1) << j for j, p in enumerate(paulis)) for q in range(n)],
@@ -103,7 +119,7 @@ def test_step_xz_matches_signed_conjugation_on_int_and_bool_rows():
         gates = [(g, (q,)) for g in CLIFFORD_1Q for q in range(n)]
         gates += [(g, (a, b)) for g in CLIFFORD_2Q for a in range(n) for b in range(n) if a != b]
         for name, qubits in gates:
-            want = _int_rows([_conj_named(p, name, qubits) for p in paulis], n)
+            want = _int_rows([conj_named(p, name, qubits) for p in paulis], n)
             x, z = list(start[0]), list(start[1])
             # bool rows: column j is Pauli j
             bx, bz = ([np.array([r >> j & 1 for j in range(len(paulis))], dtype=bool) for r in rows]
@@ -129,7 +145,7 @@ def test_step_signed_matches_signed_conjugation_on_int_and_bool_rows():
         gates = [(g, (q,)) for g in CLIFFORD_1Q for q in range(n)]
         gates += [(g, (a, b)) for g in CLIFFORD_2Q for a in range(n) for b in range(n) if a != b]
         for name, qubits in gates:
-            images = [_conj_named(p, name, qubits) for p in paulis]
+            images = [conj_named(p, name, qubits) for p in paulis]
             want = _int_rows(images, n), sum((p.phase == 2) << j for j, p in enumerate(images))
             x, z = list(start[0]), list(start[1])
             bx, bz = ([np.array([r >> j & 1 for j in range(len(paulis))], dtype=bool) for r in rows]
@@ -152,29 +168,32 @@ def test_cx_rules():
         assert got.to_label() == want
 
 
-def test_compose_matches_sequential():
-    rng = random.Random(11)
-    for _ in range(10):
-        n = rng.randrange(1, 4)
-        c1 = random_clifford_circuit(rng, n, 6)
-        c2 = random_clifford_circuit(rng, n, 6)
-        t1 = tableau_from_circuit(c1.instructions, n)
-        t2 = tableau_from_circuit(c2.instructions, n)
-        combined = Circuit()
-        combined.add_qreg("q", n)
-        combined.instructions = c1.instructions + c2.instructions
-        t12 = tableau_from_circuit(combined.instructions, n)
-        composed = compose_tableaux(t1, t2)
-        for p in [PauliString(n, x, z, 0) for x in range(1 << n) for z in range(1 << n)]:
-            assert conjugate(composed, p) == conjugate(t12, p)
-
-
 def test_tableaus_stay_symplectic():
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randrange(1, 5)
         circ = random_clifford_circuit(rng, n, 12)
-        assert tableau_from_circuit(circ.instructions, n).is_symplectic()
+        assert is_symplectic(tableau_from_circuit(circ.instructions, n))
+
+
+def test_is_symplectic_rejects_a_flipped_x_bit():
+    # Flipping the X bit at q of generator g multiplies g by X_q, which
+    # changes g's commutation with every generator that has Z at q.  That
+    # breaks the relations unless g is the only one (X_q is then g's
+    # partner up to sign, and g X_q is a valid replacement for g).
+    rng = random.Random(23)
+    rejected = 0
+    for _ in range(10):
+        n = rng.randrange(2, 5)
+        circ = random_clifford_circuit(rng, n, 12)
+        for q in range(n):
+            for g in range(2 * n):
+                tab = tableau_from_circuit(circ.instructions, n)
+                want = tab.z[q] == 1 << g
+                tab.x[q] ^= 1 << g
+                assert is_symplectic(tab) == want, (q, g)
+                rejected += not want
+    assert rejected > 0
 
 
 def test_is_clifford_classification():
@@ -200,7 +219,6 @@ def test_clifford_gate_sequence_preserves_unitary():
         for inst in circ.instructions:
             for name, qubits in clifford_gate_sequence(inst):
                 named.append((name, qubits))
-        from qedc.circuit import Gate, Instruction
         seq = [Instruction(Gate(nm), qs) for nm, qs in named]
         u1 = circuit_unitary(circ.instructions, n)
         u2 = circuit_unitary(seq, n)

@@ -20,7 +20,13 @@ from qedc.postprocess import normalize_counts, postselect_counts, tvd
 from qedc.simulator import deterministic_distribution, ideal_distribution, sample
 from qedc.stabilizer import stabilizer_run
 
-from oracles import circuit_unitary, pauli_matrix, sorted_candidate_lefts, tableau_check_choice
+from oracles import (
+    circuit_unitary,
+    conj_named,
+    pauli_matrix,
+    sorted_candidate_lefts,
+    tableau_check_choice,
+)
 
 PHASES = [1, 1j, -1, -1j]
 
@@ -136,7 +142,7 @@ def test_detection_flags_exactly_the_anticommuting_faults():
     n = sand.num_qubits
     anc_reg = sand.creg_by_name(meta.ancilla_register)
 
-    from qedc.clifford import _conj_named, clifford_gate_sequence, conjugate, tableau_from_circuit
+    from qedc.clifford import clifford_gate_sequence
     local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
     for boundary in range(start, end + 1):
         for q in meta.payload_qubits:
@@ -156,7 +162,7 @@ def test_detection_flags_exactly_the_anticommuting_faults():
                     loc = inst.__class__(inst.gate, tuple(local_of[x] for x in inst.qubits),
                                          inst.clbits)
                     for nm, qs in clifford_gate_sequence(loc):
-                        p = _conj_named(p, nm, qs)
+                        p = conj_named(p, nm, qs)
                 predicted = any(not p.commutes_with(c.right) for c in meta.check_pairs)
                 assert flagged == predicted
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -236,6 +237,16 @@ def test_extrapolate_criterion_9_series_not_degenerate():
     for _ in range(100):
         series = [(m, 0.6 + 0.25 * 0.55 ** m + rng.normal(0, 0.01)) for m in range(1, 7)]
         assert not extrapolate_checks(series).degenerate
+
+
+def test_extrapolate_rejects_non_finite_points():
+    good = [(1, 0.6, 0.01), (2, 0.5, 0.01), (3, 0.45, 0.01), (4, 0.42, 0.01)]
+    for i, field in itertools.product(range(4), range(3)):
+        for bad in (math.nan, math.inf, -math.inf):
+            series = [list(pt) for pt in good]
+            series[i][field] = bad
+            with pytest.raises(PostprocessError, match="finite"):
+                extrapolate_checks(series)
 
 
 def test_extrapolate_needs_three_points():

@@ -3,13 +3,13 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload pcs_heavyhex --seed 7301
 
 The change side is this checkout's working tree.  The parent side is the
-`--parent` revision, checked out with `git worktree` into a temporary
-directory that is removed afterwards.  Each pair runs
-`perfbench/run.py --trace 0` once per side, at the benchmark's own run
-length, the side that runs first alternating from pair to pair.  For every
-end-to-end metric in BENCHMARK.json the script prints the parent's median
-[lower quartile, upper quartile], the change's median, and in how many pairs
-the change did better.
+`--parent` revision, exported with `git archive` into a temporary directory
+that is removed afterwards.  Each pair runs `perfbench/run.py --trace 0`
+once per side, at the benchmark's own run length, the side that runs first
+alternating from pair to pair.  For every end-to-end metric in
+BENCHMARK.json the script prints its bound, the parent's median [lower
+quartile, upper quartile], the change's median, in how many pairs the
+change did better, and a verdict (see `verdict`).
 """
 from __future__ import annotations
 
@@ -31,7 +31,10 @@ def parse_args(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    return args
 
 
 def run_once(tree: Path, args) -> dict[str, float]:
@@ -50,8 +53,26 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(spec: dict, parent: list[float], change: list[float]) -> str:
+    """`worse` if the change's median is worse than the parent's by more
+    than bound × the parent's median; else `unresolved` if the parent's
+    interquartile range is wider than that, unless every change run beats
+    every parent run; else `ok`."""
+    q1, med, q3 = quartiles(parent)
+    allowed = spec["bound"] * abs(med)
+    lower = spec["better"] == "lower"
+    loss = statistics.median(change) - med if lower else med - statistics.median(change)
+    if loss > allowed:
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
-    print(f"{'metric':18s} {'parent median [IQR]':>36s} {'change median':>14s}  wins")
+    print(f"{'metric':18s} {'bound':>6s} {'parent median [IQR]':>36s} "
+          f"{'change median':>14s}  wins  verdict")
     for spec in specs:
         name = spec["name"]
         parent = [r[name] for r in runs["parent"]]
@@ -61,8 +82,9 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
             wins = sum(c < p for p, c in zip(parent, change))
         else:
             wins = sum(c > p for p, c in zip(parent, change))
-        print(f"{name:18s} {med:14.6g} [{q1:.6g}, {q3:.6g}] "
-              f"{statistics.median(change):14.6g}  {wins}/{len(parent)}")
+        print(f"{name:18s} {spec['bound']:6.2f} {med:14.6g} [{q1:.6g}, {q3:.6g}] "
+              f"{statistics.median(change):14.6g}  {wins}/{len(parent)}  "
+              f"{verdict(spec, parent, change)}")
 
 
 def main(argv=None) -> int:
@@ -70,12 +92,12 @@ def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json") as fh:
         specs = json.load(fh)["end_to_end"]
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    parent_tree = tmp / "parent"
-    added = False
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-        added = True
+        parent_tree = tmp / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         runs = {"parent": [], "change": []}
         trees = {"parent": parent_tree, "change": ROOT}
         for i in range(args.pairs):
@@ -84,9 +106,6 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(trees[side], args))
             print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
     finally:
-        if added:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)],
-                           cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
     report(specs, runs)
