@@ -142,36 +142,56 @@ class _Gate(NamedTuple):
     terms: tuple[tuple[np.ndarray | None, np.ndarray | None], ...]
 
 
-def _gate(mat: np.ndarray, qubits: tuple[int, ...], n: int, shared: dict) -> _Gate:
-    """`mat` on `qubits` (the first listed qubit is the most significant bit
-    of the matrix basis) as a _Gate.  Index arrays are taken from and kept
-    in `shared`, so gates on the same qubits hold one copy."""
-    k = len(qubits)
-    local = np.arange(1 << k)
-    # global bit mask of each local (matrix-basis) bit pattern
-    masks = sum(((local >> (k - 1 - a)) & 1) << q for a, q in enumerate(qubits))
-    if qubits not in shared:
-        basis = np.arange(1 << n)
-        shared[qubits] = sum(((basis >> q) & 1) << (k - 1 - a) for a, q in enumerate(qubits))
-    rows = shared[qubits]
+def _template(name: str, params: tuple[float, ...]) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+    """The terms of gate_matrix(name, params) that _gate places on qubits:
+    per term, the local bit flips of each matrix row and the coefficient of
+    each row (None for all ones)."""
+    mat = gate_matrix(name, params)
+    local = np.arange(len(mat))
     nonzero = mat != 0
     if (nonzero.sum(axis=1) == 1).all():
         # one entry per row (cx, cz, rzz, ...): a single permuted term
         col = nonzero.argmax(axis=1)
         parts = [(local ^ col, mat[local, col])]
     else:
-        parts = [(np.full(1 << k, flips), mat[local, local ^ flips])
-                 for flips in range(1 << k) if np.any(mat[local, local ^ flips])]
+        parts = [(np.full(len(mat), flips), mat[local, local ^ flips])
+                 for flips in range(len(mat)) if np.any(mat[local, local ^ flips])]
+    return tuple((flips, None if np.all(coef == 1) else coef.astype(complex))
+                 for flips, coef in parts)
+
+
+def _gate(template, qubits: tuple[int, ...], n: int, shared: dict) -> _Gate:
+    """A _template on `qubits` (the first listed qubit is the most
+    significant bit of the matrix basis) as a _Gate.  Index arrays are taken
+    from and kept in `shared`, so gates on the same qubits hold one copy."""
+    k = len(qubits)
+    if qubits not in shared:
+        basis = np.arange(1 << n)
+        shared[qubits] = sum(((basis >> q) & 1) << (k - 1 - a) for a, q in enumerate(qubits))
+    rows = shared[qubits]
     terms = []
-    for flips, coef in parts:
+    for flips, coef in template:
         perm = None
         if flips.any():
             key = (qubits, flips.tobytes())
             if key not in shared:
+                local = np.arange(1 << k)
+                # global bit mask of each local (matrix-basis) bit pattern
+                masks = sum(((local >> (k - 1 - a)) & 1) << q for a, q in enumerate(qubits))
                 shared[key] = np.arange(1 << n) ^ masks[flips][rows]
             perm = shared[key]
-        terms.append((perm, None if np.all(coef == 1) else coef.astype(complex)))
+        terms.append((perm, coef))
     return _Gate(rows, tuple(terms))
+
+
+def _gates(insts, n: int):
+    """A _Gate per instruction, each (name, params) analysed once."""
+    templates, shared = {}, {}
+    for inst in insts:
+        key = (inst.name, inst.params)
+        if key not in templates:
+            templates[key] = _template(*key)
+        yield _gate(templates[key], inst.qubits, n, shared)
 
 
 class _Batch:
@@ -188,6 +208,13 @@ class _Batch:
     def apply(self, gate: _Gate, active: int) -> None:
         """Apply the gate to the first `active` rows."""
         psi, out = self.psi[:active], self._out[:active]
+        if len(gate.terms) == 1 and gate.terms[0][0] is None:
+            # diagonal (z, s, t, rz, cz, rzz, ...): scale in place
+            coef = gate.terms[0][1]
+            if coef is not None:
+                np.take(coef, gate.rows, out=self._coef)
+                psi *= self._coef
+            return
         for t, (perm, coef) in enumerate(gate.terms):
             dest = self._scratch[:active] if t else out
             src = psi
@@ -217,18 +244,15 @@ class _Op(NamedTuple):
 
 def _program(circ: Circuit, noise: NoiseModel | None = None) -> list[_Op]:
     """The circuit's instructions without barriers, each gate built once."""
-    n = circ.num_qubits
-    ops, shared = [], {}
-    for inst in circ.instructions:
-        name = inst.name
-        if name == "barrier":
-            continue
-        if name in ("measure", "reset"):
-            ops.append(_Op(name, inst.qubits, inst.clbits[0] if inst.clbits else -1))
-            continue
-        error = noise.gate_error(inst) if noise is not None else 0.0
-        gate = _gate(gate_matrix(name, inst.params), inst.qubits, n, shared)
-        ops.append(_Op(name, inst.qubits, gate=gate, error=error))
+    insts = [i for i in circ.instructions if i.name != "barrier"]
+    gates = _gates([i for i in insts if i.name not in ("measure", "reset")], circ.num_qubits)
+    ops = []
+    for inst in insts:
+        if inst.name in ("measure", "reset"):
+            ops.append(_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1))
+        else:
+            error = noise.gate_error(inst) if noise is not None else 0.0
+            ops.append(_Op(inst.name, inst.qubits, gate=next(gates), error=error))
     return ops
 
 
@@ -261,10 +285,12 @@ def _prob_one(psi: np.ndarray, q: int) -> np.ndarray:
 def _collapse(psi: np.ndarray, q: int, p1: np.ndarray, outcomes: np.ndarray) -> None:
     """Project qubit q of each row onto its outcome and renormalise, in place."""
     view = _halves(psi, q)
-    view[outcomes, :, 0] = 0
-    view[~outcomes, :, 1] = 0
-    kept = np.where(outcomes, p1, 1.0 - p1)
-    view /= np.sqrt(np.maximum(kept, 1e-300))[:, None, None, None]
+    scale = np.sqrt(np.maximum(np.where(outcomes, p1, 1.0 - p1), 1e-300))[:, None, None]
+    for bit in (0, 1):
+        rows = np.nonzero(outcomes == bit)[0]
+        if len(rows):
+            view[rows, :, 1 - bit] = 0
+            view[rows, :, bit] /= scale[rows]
 
 
 def _flip(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
@@ -297,9 +323,9 @@ def statevector(circ: Circuit) -> np.ndarray:
     n = circ.num_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
-    batch, shared = _zero_state(n), {}
-    for inst in body:
-        batch.apply(_gate(gate_matrix(inst.name, inst.params), inst.qubits, n, shared), 1)
+    batch = _zero_state(n)
+    for gate in _gates(body, n):
+        batch.apply(gate, 1)
     return batch.psi[0]
 
 

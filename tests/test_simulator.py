@@ -380,6 +380,25 @@ def _clifford_midcircuit_circuit():
     return c
 
 
+def _iceberg_qaoa_circuit():
+    """The 6-qubit, 2-layer ring QAOA compiled with 2 Iceberg cycles: 10
+    qubits, mid-circuit measurements and resets, rzz and rxx at generic
+    angles."""
+    from qedc.pipeline import compile_circuit
+
+    c = Circuit()
+    c.add_qreg("q", 6)
+    c.add_creg("c", 6)
+    for q in range(6):
+        c.append("h", (q,))
+    for gamma, beta in ((0.7, 0.3), (0.4, 0.6)):
+        for q in range(6):
+            c.append("rzz", (q, (q + 1) % 6), (gamma,))
+        for q in range(6):
+            c.append("rx", (q,), (2 * beta,))
+    return compile_circuit(_measure_all(c, 6), code="iceberg", checks=2)[0]
+
+
 def _assert_matches(counts, dist, shots):
     assert sum(counts.values()) == shots
     for key in set(counts) | set(dist):
@@ -410,6 +429,7 @@ _PINNED_COUNTS = {
     "first-last": "f44bf06b266d3740e5d3b3fa2384a9040ede733dc9d9a980bc931dbf07f6b354",
     "clifford-terminal": "b46e1ac1505a7e7d7f57d944e8a2a21910aa9c641bf4245d3b10ff46e8a280b6",
     "clifford-midcircuit": "b62999f33e1cdbd9e4e383204e77e1a17ff317e7b313acacc564a40da5852436",
+    "iceberg-qaoa": "145efe8a2e3cb5ff3276ce03945e5c177d25627c9225b8f448bd5cd3d14b2848",
 }
 
 
@@ -420,6 +440,7 @@ _PINNED_COUNTS = {
      NoiseModel(p1=0.5, p2=0.5, gates1=("rx",), gates2=("cz",))),
     ("clifford-terminal", _clifford_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
     ("clifford-midcircuit", _clifford_midcircuit_circuit(), NoiseModel(p1=0.05, p2=0.05)),
+    ("iceberg-qaoa", _iceberg_qaoa_circuit(), NoiseModel(p1=1e-3, p2=2e-2)),
 ], ids=list(_PINNED_COUNTS))
 def test_counts_are_pinned(name, circ, noise):
     counts = sample(circ, noise=noise, shots=2000, seed=2024)
