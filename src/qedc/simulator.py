@@ -547,19 +547,37 @@ class _Faults(NamedTuple):
 
 def _draw_faults(errors: list[tuple[float, int]], shots: int, rng) -> _Faults:
     """Draw every shot's faults from (depolarizing probability, qubit count)
-    per op: for each noisy op a binomial count, then the shots hit, then a
-    Pauli code for each.  Exact for any sampler, because depolarizing faults
-    do not depend on the state."""
-    found, noisy = [(np.zeros(0, dtype=np.int64),) * 3], 0
-    for i, (p, k) in enumerate(errors):
-        if p > 0:
-            noisy += 1
-            hits = int(rng.binomial(shots, p))
-            if hits:
-                hit = rng.choice(shots, hits, replace=False)
-                code = rng.integers(len(_FAULT_XZ[k]), size=hits)
-                found.append((np.full(hits, i), hit, code))
-    return _Faults(*(np.concatenate(p) for p in zip(*found)), noisy)
+    per op.  The (op, shot) cells of all ops with the same probability are
+    one field of independent trials, drawn by _bernoulli_hits; then one draw
+    gives every fault its Pauli code.  Exact for any sampler, because
+    depolarizing faults do not depend on the state."""
+    rates = np.array([p for p, _ in errors], dtype=float)
+    cells = [np.zeros(0, dtype=np.int64)]
+    for p in sorted({p for p, _ in errors if p > 0}):
+        ops = np.nonzero(rates == p)[0]
+        row, shot = np.divmod(_bernoulli_hits(len(ops) * shots, p, rng), shots)
+        cells.append(ops[row] * shots + shot)
+    op, shot = np.divmod(np.sort(np.concatenate(cells), kind="stable"), shots)
+    paulis = np.array([4 ** k - 1 for _, k in errors])  # len(_FAULT_XZ[k])
+    return _Faults(op, shot, rng.integers(paulis[op]), int(np.count_nonzero(rates)))
+
+
+def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
+    """Sorted indices of the hits among `cells` independent Bernoulli(p)
+    trials, drawn as the geometric gaps between hits, so memory grows with
+    the hits, not the cells."""
+    found, last = [], -1
+    while last < cells - 1:
+        mean = (cells - 1 - last) * p
+        hits = rng.geometric(p, int(mean + 5 * math.sqrt(mean)) + 16)
+        # a gap past the end ends the field; capping it keeps the sum in range
+        np.minimum(hits, cells + 1, out=hits)
+        np.cumsum(hits, out=hits)
+        hits += last
+        found.append(hits)
+        last = int(hits[-1])
+    hits = np.concatenate(found)
+    return hits[:np.searchsorted(hits, cells)]
 
 
 def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):

@@ -424,12 +424,12 @@ def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
 # counts are byte-identical per (circuit, noise, shots, seed), so a change to
 # the order of the depolarizing Paulis or of the random draws fails here
 _PINNED_COUNTS = {
-    "terminal": "9748722df32ad01cd1d82fef0a74d5d064b2a19c502c84ba8a87e141246b2c78",
-    "midcircuit": "f721ea2cc0a8918ef77992287699116b824a011f63d67e118f8f1098f47fae58",
-    "first-last": "f44bf06b266d3740e5d3b3fa2384a9040ede733dc9d9a980bc931dbf07f6b354",
-    "clifford-terminal": "b46e1ac1505a7e7d7f57d944e8a2a21910aa9c641bf4245d3b10ff46e8a280b6",
-    "clifford-midcircuit": "b62999f33e1cdbd9e4e383204e77e1a17ff317e7b313acacc564a40da5852436",
-    "iceberg-qaoa": "145efe8a2e3cb5ff3276ce03945e5c177d25627c9225b8f448bd5cd3d14b2848",
+    "terminal": "5ea4f37f5f7c86688547f3f316878951123576bebea1bedf5a713bbacf5ae0fe",
+    "midcircuit": "c0ac5e70f7c6283a251b18a02562a911912c6b20edd902532ee51d84544bec04",
+    "first-last": "cbe291aec11aca811cdeaefaee509c28316f0aa54bb7ae81f5de07d47391b932",
+    "clifford-terminal": "58d382338f667565d01969a809371a0446497d546d365248d1bcb066cd3c84c9",
+    "clifford-midcircuit": "fc595bc267d1ec6427e3069188aece5a344376296f65b405f744f1a38c0d8fd2",
+    "iceberg-qaoa": "17890e0bb5d22edbcfdeae749715c8d032cfe47765b04abff184a837a65c4e93",
 }
 
 
@@ -446,6 +446,78 @@ def test_counts_are_pinned(name, circ, noise):
     counts = sample(circ, noise=noise, shots=2000, seed=2024)
     digest = hashlib.sha256(json.dumps(sorted(counts.items())).encode()).hexdigest()
     assert digest == _PINNED_COUNTS[name]
+
+
+class _ShortDraws:
+    """A generator whose geometric draws stop after three values, so that
+    _bernoulli_hits has to draw again, many times, to cover its field."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def geometric(self, p, size):
+        return self.rng.geometric(p, min(size, 3))
+
+    def integers(self, high):
+        return self.rng.integers(high)
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _ShortDraws],
+                         ids=["generator", "short-draws"])
+def test_draw_faults_is_an_independent_draw_per_cell(make_rng):
+    # (p, qubits) per op: gates at p1 and p2, and measure and reset at 0
+    errors = [(0.01, 1), (0.05, 2), (0.0, 1), (0.01, 1), (0.2, 2), (0.0, 1), (0.05, 2)]
+    shots, seeds = 500, 200
+    hits = np.zeros(len(errors))
+    codes = {1: np.zeros(3), 2: np.zeros(15)}
+    for seed in range(seeds):
+        faults = simulator._draw_faults(errors, shots, make_rng(seed))
+        assert faults.noisy_instructions == 5
+        assert np.all(np.diff(faults.op) >= 0)
+        cells = faults.op * shots + faults.shot
+        assert len(np.unique(cells)) == len(cells)
+        assert np.all((faults.shot >= 0) & (faults.shot < shots))
+        hits += np.bincount(faults.op, minlength=len(errors))
+        for k, freq in codes.items():
+            mine = np.array([errors[i][1] == k for i in faults.op], dtype=bool)
+            freq += np.bincount(faults.code[mine], minlength=len(freq))
+    for (p, _), n in zip(errors, hits):
+        cells = shots * seeds
+        assert abs(n - p * cells) <= 5 * math.sqrt(cells * p * (1 - p))  # 0 when p = 0
+    for freq in codes.values():
+        total, share = freq.sum(), 1 / len(freq)
+        assert np.all(np.abs(freq - total * share) < 5 * math.sqrt(total * share * (1 - share)))
+
+
+def test_draw_faults_at_probability_one_and_near_zero():
+    errors = [(1.0, 2), (0.0, 1), (1.0, 1), (0.3, 2)]
+    faults = simulator._draw_faults(errors, 100, np.random.default_rng(3))
+    for op in (0, 2):
+        assert np.array_equal(faults.shot[faults.op == op], np.arange(100))
+    assert not np.any(faults.op == 1)
+    # a gap that runs past the end of the field hits nothing
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        assert len(simulator._draw_faults([(1e-12, 1)] * 3, 100, rng).op) == 0
+
+
+def test_draw_faults_memory_grows_with_the_faults():
+    import tracemalloc
+
+    # 100 ops x 20,000 shots at p = 0.05: about 100,000 faults in a field of
+    # 2,000,000 cells.  Any array over the field, even of bools, costs at
+    # least 20 bytes per fault, and a float or int64 draw over it 160
+    shots, ops, p = 20000, 100, 0.05
+    tracemalloc.start()
+    try:
+        faults = simulator._draw_faults([(p, 2)] * ops, shots, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = ops * shots * p
+    assert abs(len(faults.op) - expected) < 5 * math.sqrt(expected)
+    # the three int64 fault arrays are 24 bytes per fault
+    assert peak < 80 * expected
 
 
 def test_fault_first_determinism():
