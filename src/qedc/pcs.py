@@ -164,18 +164,21 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
             sign = step_signed(x, z, sign, name, qubits)
         coverage[f, 0] = z
         coverage[f, 2] = x
-        np.not_equal(coverage[f, 0], coverage[f, 2], out=coverage[f, 1])
+    # two of X_q, Y_q and Z_q are covered where the observable acts on q; the
+    # Y rows hold x | z for that count, then x != z
+    np.logical_or(coverage[:, 0], coverage[:, 2], out=coverage[:, 1])
+    gain = 2 * coverage[:, 1].sum(axis=(0, 1), dtype=np.int32)
+    np.not_equal(coverage[:, 0], coverage[:, 2], out=coverage[:, 1])
     coverage = coverage.reshape(-1, count)
 
     # candidates are in label order, so argmax breaks ties as the label does
-    gain = np.count_nonzero(coverage, axis=0)
     covered = np.zeros(len(coverage), dtype=bool)
     chosen = []
     for _ in range(num_checks):
         best = int(np.argmax(gain))
         newly = coverage[:, best] & ~covered
         covered |= newly
-        gain -= np.count_nonzero(coverage[newly], axis=0)
+        gain -= coverage[newly].sum(axis=0, dtype=np.int32)
         gain[best] = -1  # below every unchosen candidate, even one with no gain left
         left = PauliString(k, _column(lefts[0], best), _column(lefts[1], best))
         right = PauliString(k, _column(x, best), _column(z, best))

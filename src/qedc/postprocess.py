@@ -271,21 +271,31 @@ def extrapolate_checks(series) -> ExtrapolationResult:
     m -> infinity limit.
 
     Each point is (m, value) or (m, value, stderr); stderrs weight the fit by
-    1/stderr**2.  The rate is scanned over a grid in [0.05, 0.95]; for each
-    candidate the linear parameters solve in closed form, then Gauss-Newton
-    refines the best seed.  A fit whose rate ends at or past the grid's edge
-    is flagged `degenerate`.  A constant series returns (value, 0, 1) exactly.
-    A non-finite check count, value or stderr raises `PostprocessError`.
+    1/stderr**2.  Either every stderr is positive, or none is (0 or missing),
+    and then the fit is unweighted.  The rate is scanned over a grid in
+    [0.05, 0.95]; for each candidate the linear parameters solve in closed
+    form, then Gauss-Newton refines the best seed.  A fit whose rate ends at
+    or past the grid's edge is flagged `degenerate`.  A constant series
+    returns (value, 0, 1) exactly.  A non-finite check count, value or
+    stderr, a negative stderr, or a series that gives some points a positive
+    stderr and others none raises `PostprocessError`.
     """
     series = [tuple(pt) for pt in series]
     if len(series) < 3 or len({pt[0] for pt in series}) < 3:
         raise PostprocessError("need at least 3 distinct check counts")
     ms = np.array([float(pt[0]) for pt in series])
     vs = np.array([float(pt[1]) for pt in series])
-    errs = np.array([float(pt[2]) if len(pt) > 2 and pt[2] else 1.0 for pt in series])
+    errs = np.array([float(pt[2]) if len(pt) > 2 and pt[2] is not None else 0.0
+                     for pt in series])
     if not np.isfinite(np.concatenate([ms, vs, errs])).all():
         raise PostprocessError("check counts, values and stderrs must be finite")
-    w = np.sqrt(1.0 / errs ** 2)
+    if (errs < 0).any():
+        raise PostprocessError("stderrs must not be negative")
+    weighted = errs > 0
+    if weighted.any() and not weighted.all():
+        # any stand-in weight for these points would be arbitrary
+        raise PostprocessError("a series with stderrs needs a positive stderr at every point")
+    w = 1.0 / errs if weighted.all() else np.ones_like(errs)
     if np.allclose(vs, vs[0], rtol=0, atol=1e-15):
         return ExtrapolationResult(float(vs[0]), 0.0, 1.0, 0.0, [(int(m), float(v)) for m, v in zip(ms, vs)])
 

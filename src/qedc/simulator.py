@@ -477,7 +477,10 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
 
     With the ``qedc.simulator`` logger at DEBUG, each call logs one JSON
     object: the backend ("noiseless", "statevector" or "pauli-frame"), the
-    shots, the shots with at least one fault, and the noisy instructions.
+    shots, the shots with at least one fault, the shots simulated (on the
+    statevector backends, those that start before the trailing
+    measurements rather than read the shared noiseless state; every shot
+    as Pauli frames), and the noisy instructions.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -502,12 +505,13 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
     run = _frame_records if frames else _sample_records
-    records, faults = run(compacted, noise, shots, rng)
+    records, faults, simulated = run(compacted, noise, shots, rng)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({
             "backend": "pauli-frame" if frames else "statevector" if noisy else "noiseless",
             "shots": shots,
             "faulty_shots": len(np.unique(faults.shot)),
+            "simulated_shots": simulated,
             "noisy_instructions": faults.noisy_instructions,
         }))
     return _counts(records, compacted.cregs)
@@ -582,7 +586,8 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
 
 def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """Classical records, one row of clbits per shot, of fault-first
-    statevector trajectories, and the faults drawn for them."""
+    statevector trajectories, the faults drawn for them and the number of
+    shots simulated."""
     n = circ.num_qubits
     ops = _program(circ, noise)
     tail = _terminal_start(ops)
@@ -627,7 +632,7 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         batch_faults = (fault_op[mine], fault_row[mine] - lo, fault_code[mine])
         idx = _run_batch(ops, tail, start[rows], states, work, batch_faults, records, rows, rng)
         _read_out(records, rows, idx, measures)
-    return records, faults
+    return records, faults, len(batch)
 
 
 def _read_out(records: np.ndarray, rows: np.ndarray, idx: np.ndarray, measures) -> None:
@@ -698,7 +703,8 @@ def _is_clifford_circuit(circ: Circuit) -> bool:
 def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """Classical records, one row of clbits per shot, of a Clifford circuit
     sampled with Pauli frames (Gidney, "Stim: a fast stabilizer circuit
-    simulator", arXiv:2103.02202), and the faults drawn for them.
+    simulator", arXiv:2103.02202), the faults drawn for them and the number
+    of shots simulated, which is all of them.
 
     One noiseless CHP run gives a reference outcome for every measurement.
     Each shot carries a Pauli frame, its difference from that run, as one
@@ -720,7 +726,7 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         mine = (faults.shot >= lo) & (faults.shot < hi)
         block = (faults.op[mine], faults.shot[mine] - lo, faults.code[mine])
         _step_frames(insts, circ.num_qubits, reference, block, bits[:, lo:hi], rng)
-    return bits.T, faults
+    return bits.T, faults, shots
 
 
 def _step_frames(insts, n, reference, faults, bits, rng) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import sys
 from pathlib import Path
 
@@ -40,3 +41,36 @@ def test_pairs_below_one_is_rejected_before_any_run(capsys):
         bench_pairs.parse_args(["--workload", "pcs_wide", "--seed", "1", "--pairs", "0"])
     assert exc.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def _stub_runs(monkeypatch, failed):
+    """run_pairs over three pairs with run_once stubbed: 13 operations per
+    run, of which `failed[side]` fail."""
+    def run_once(tree, args):
+        metrics = {"pipeline_s": 1.0, "shots_per_s": 1.0}
+        return {"metrics": metrics, "attempted": 13, "failed": failed[tree.name]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    args = argparse.Namespace(pairs=3)
+    return bench_pairs.run_pairs({"parent": Path("parent"), "change": Path("change")}, args)
+
+
+def test_failed_share_is_kept_per_side(monkeypatch, capsys):
+    runs = _stub_runs(monkeypatch, {"parent": 1, "change": 1})
+    assert [len(runs[side]) for side in ("parent", "change")] == [3, 3]
+    assert bench_pairs.failed_share(runs["change"]) == (3, 39, 3 / 39)
+    assert bench_pairs.failure_verdict(runs) == "ok"
+    bench_pairs.report([LOWER, HIGHER], runs)
+    out = capsys.readouterr().out
+    assert "parent failed 3 of 39 operations" in out
+    assert "change failed 3 of 39 operations" in out
+    assert "failed share: ok" in out
+
+
+def test_a_higher_failed_share_is_more_failures(monkeypatch, capsys):
+    runs = _stub_runs(monkeypatch, {"parent": 1, "change": 2})
+    assert bench_pairs.failure_verdict(runs) == "more-failures"
+    bench_pairs.report([LOWER, HIGHER], runs)
+    assert "failed share: more-failures" in capsys.readouterr().out
+    # fewer failures than the parent is not a regression
+    assert bench_pairs.failure_verdict(_stub_runs(monkeypatch, {"parent": 2, "change": 0})) == "ok"

@@ -236,6 +236,20 @@ def test_extrapolate_non_finite_point_exits_bad_series(tmp_path, capsys, field, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stderr", [0.0, -0.01])
+def test_extrapolate_unusable_stderr_exits_bad_series(tmp_path, capsys, stderr):
+    points = [{"m": m, "value": v, "stderr": 0.01}
+              for m, v in [(1, 0.6), (2, 0.5), (3, 0.45), (4, 0.30), (5, 0.42)]]
+    points[3]["stderr"] = stderr
+    s = tmp_path / "s.json"
+    s.write_text(json.dumps(points))
+    out = tmp_path / "e.json"
+    rc = main(["extrapolate", "--series", str(s), "--out", str(out)])
+    assert rc == EXIT_COMPILE
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-series"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m", [1.7, -1, True, "2"])
 def test_extrapolate_non_integer_m_exits_parse(tmp_path, capsys, m):
     points = [{"m": k, "value": 0.4 + 0.2 * 0.5 ** k} for k in (2, 3, 4)]

@@ -249,6 +249,37 @@ def test_extrapolate_rejects_non_finite_points():
                 extrapolate_checks(series)
 
 
+# a series whose m = 4 point sits far off the others' curve, so its weight
+# decides the fit
+_OFF_CURVE = [(1, 0.6), (2, 0.5), (3, 0.45), (4, 0.30), (5, 0.42)]
+
+
+@pytest.mark.parametrize("stderr", [0.0, None, "missing"])
+def test_extrapolate_rejects_a_point_without_stderr_among_weighted_ones(stderr):
+    series = [(m, v, 0.01) for m, v in _OFF_CURVE]
+    series[3] = series[3][:2] if stderr == "missing" else (4, 0.30, stderr)
+    with pytest.raises(PostprocessError, match="positive stderr at every point"):
+        extrapolate_checks(series)
+
+
+def test_extrapolate_rejects_a_negative_stderr():
+    series = [(m, v, 0.01) for m, v in _OFF_CURVE]
+    series[3] = (4, 0.30, -0.01)
+    with pytest.raises(PostprocessError, match="negative"):
+        extrapolate_checks(series)
+
+
+def test_extrapolate_weights_every_point_by_its_stderr():
+    # equal stderrs fit as no stderrs do
+    even = extrapolate_checks([(m, v, 0.01) for m, v in _OFF_CURVE])
+    assert even.value == pytest.approx(extrapolate_checks(_OFF_CURVE).value, abs=1e-12)
+    # a precise m = 4 point pulls the fit onto itself
+    precise = [(m, v, 1e-6 if m == 4 else 0.01) for m, v in _OFF_CURVE]
+    r = extrapolate_checks(precise)
+    assert abs(r.value + r.amplitude * r.rate ** 4 - 0.30) < 1e-4
+    assert abs(even.value + even.amplitude * even.rate ** 4 - 0.30) > 0.01
+
+
 def test_extrapolate_needs_three_points():
     with pytest.raises(PostprocessError):
         extrapolate_checks([(1, 0.5), (2, 0.4)])

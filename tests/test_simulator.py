@@ -603,8 +603,10 @@ def test_sample_logs_one_debug_record(caplog, circ, noise, backend, noisy):
     counts, stats = _logged_sample(caplog, circ, noise, shots)
     assert counts == quiet
     # every listed gate fails with probability 1, so every shot is faulty
+    # and simulated
     assert stats == {"backend": backend, "shots": shots,
-                     "faulty_shots": shots if noisy else 0, "noisy_instructions": noisy}
+                     "faulty_shots": shots if noisy else 0,
+                     "simulated_shots": shots if noisy else 0, "noisy_instructions": noisy}
 
 
 def test_sample_logs_faulty_shot_count(caplog):
@@ -614,6 +616,20 @@ def test_sample_logs_faulty_shot_count(caplog):
     assert stats["backend"] == "pauli-frame" and stats["noisy_instructions"] == 1
     sigma = math.sqrt(shots * 0.05 * 0.95)
     assert abs(stats["faulty_shots"] - shots * 0.05) < 5 * sigma
+
+
+def test_sample_logs_simulated_shots(caplog):
+    shots, noise = 4000, NoiseModel(p1=0.01, p2=0.02)
+    # measured only at the end: exactly the faulty shots are simulated
+    _, stats = _logged_sample(caplog, _terminal_circuit(), noise, shots)
+    assert stats["backend"] == "statevector"
+    assert 0 < stats["faulty_shots"] < shots
+    assert stats["simulated_shots"] == stats["faulty_shots"]
+    # the first mid-circuit measurement is random: every shot is simulated
+    for circ in (_midcircuit_circuit(), _clifford_midcircuit_circuit()):
+        _, stats = _logged_sample(caplog, circ, noise, shots)
+        assert stats["faulty_shots"] < shots
+        assert stats["simulated_shots"] == shots
 
 
 @pytest.mark.parametrize("width", [1, 13, 64, 65, 70])

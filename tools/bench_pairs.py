@@ -9,7 +9,9 @@ once per side, at the benchmark's own run length, the side that runs first
 alternating from pair to pair.  For every end-to-end metric in
 BENCHMARK.json the script prints its bound, the parent's median [lower
 quartile, upper quartile], the change's median, in how many pairs the
-change did better, and a verdict (see `verdict`).
+change did better, and a verdict (see `verdict`).  Last it prints each
+side's share of failed operations over all its runs, with the verdict
+`more-failures` if the change's share is the higher one.
 """
 from __future__ import annotations
 
@@ -37,13 +39,26 @@ def parse_args(argv=None):
     return args
 
 
-def run_once(tree: Path, args) -> dict[str, float]:
-    """Metric values of one `perfbench/run.py --trace 0` run in `tree`."""
+def run_once(tree: Path, args) -> dict:
+    """Metric values, operations attempted and operations failed of one
+    `perfbench/run.py --trace 0` run in `tree`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def run_pairs(trees: dict[str, Path], args) -> dict[str, list[dict]]:
+    """`args.pairs` runs per side, the side that runs first alternating."""
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(trees[side], args))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+    return runs
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -70,13 +85,27 @@ def verdict(spec: dict, parent: list[float], change: list[float]) -> str:
     return "ok"
 
 
+def failed_share(runs: list[dict]) -> tuple[int, int, float]:
+    """Operations failed and attempted over all runs, and their ratio."""
+    failed = sum(r["failed"] for r in runs)
+    attempted = sum(r["attempted"] for r in runs)
+    return failed, attempted, failed / attempted if attempted else 0.0
+
+
+def failure_verdict(runs: dict[str, list[dict]]) -> str:
+    """`more-failures` if the change failed a larger share of its
+    operations than the parent, else `ok`."""
+    worse = failed_share(runs["change"])[2] > failed_share(runs["parent"])[2]
+    return "more-failures" if worse else "ok"
+
+
 def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
     print(f"{'metric':18s} {'bound':>6s} {'parent median [IQR]':>36s} "
           f"{'change median':>14s}  wins  verdict")
     for spec in specs:
         name = spec["name"]
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
         q1, med, q3 = quartiles(parent)
         if spec["better"] == "lower":
             wins = sum(c < p for p, c in zip(parent, change))
@@ -85,6 +114,10 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
         print(f"{name:18s} {spec['bound']:6.2f} {med:14.6g} [{q1:.6g}, {q3:.6g}] "
               f"{statistics.median(change):14.6g}  {wins}/{len(parent)}  "
               f"{verdict(spec, parent, change)}")
+    for side in ("parent", "change"):
+        failed, attempted, share = failed_share(runs[side])
+        print(f"{side} failed {failed} of {attempted} operations ({share:.4g})")
+    print(f"failed share: {failure_verdict(runs)}")
 
 
 def main(argv=None) -> int:
@@ -98,13 +131,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-        runs = {"parent": [], "change": []}
-        trees = {"parent": parent_tree, "change": ROOT}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(trees[side], args))
-            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+        runs = run_pairs({"parent": parent_tree, "change": ROOT}, args)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
