@@ -8,7 +8,6 @@ import os
 import sys
 
 from .analysis import find_clifford_regions, interaction_graph, select_code
-from .circuit import Register
 from .iceberg import IcebergMeta
 from .layout import CouplingGraph
 from .pcs import PcsMeta
@@ -77,10 +76,11 @@ def _parse_circuit(path: str):
 
 
 def _default_seed() -> int:
+    value = os.environ.get("QED_SEED", "0")
     try:
-        return int(os.environ.get("QED_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise CliError("parse", f"QED_SEED must be an integer, got {value!r}", EXIT_PARSE) from None
 
 
 def cmd_analyze(args) -> int:
@@ -151,20 +151,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _meta_cregs(meta: CompilationMeta) -> list[Register] | None:
-    inner = meta.code_meta
-    if isinstance(inner, IcebergMeta):
-        regs = [Register(inner.verify_register, 1, 0)]
-        start = 1
-        cycles = inner.layout.cycle_count
-        if cycles:
-            regs.append(Register(inner.cycle_register, 2 * cycles, start))
-            start += 2 * cycles
-        regs.append(Register(inner.readout_register, inner.layout.n, start))
-        return regs
-    return None
-
-
 def cmd_postselect(args) -> int:
     data = _read_json(args.counts)
     counts = data.get("counts", data) if isinstance(data, dict) else None
@@ -182,7 +168,7 @@ def cmd_postselect(args) -> int:
         if isinstance(meta.code_meta, PcsMeta):
             report = postselect_counts(counts, meta.code_meta)
         elif isinstance(meta.code_meta, IcebergMeta):
-            report = postselect_counts_iceberg(counts, meta.code_meta, _meta_cregs(meta))
+            report = postselect_counts_iceberg(counts, meta.code_meta, meta.code_meta.cregs())
         else:
             raise CliError("no-detection-code", "meta carries no detection code", EXIT_COMPILE)
     except (PostprocessError, ValueError, IndexError) as exc:

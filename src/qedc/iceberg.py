@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import transpile_to_gateset
-from .circuit import Circuit, Gate, Instruction
+from .circuit import Circuit, Gate, Instruction, Register
 
 
 class IcebergError(Exception):
@@ -54,6 +54,19 @@ class IcebergMeta:
     @property
     def k(self) -> int:
         return self.layout.k
+
+    def cregs(self) -> list[Register]:
+        """The classical registers of the encoded circuit, in declaration
+        order: the verification bit, two syndrome bits per cycle (no register
+        without cycles) and the n readout bits."""
+        sizes = [(self.verify_register, 1), (self.cycle_register, 2 * self.layout.cycle_count),
+                 (self.readout_register, self.layout.n)]
+        regs, start = [], 0
+        for name, size in sizes:
+            if size:
+                regs.append(Register(name, size, start))
+                start += size
+        return regs
 
     def to_dict(self) -> dict:
         return {
@@ -187,18 +200,16 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
         if inst.name in ("measure", "reset"):
             raise IcebergError("mid-circuit measurement is not supported")
 
-    n = k + 2
-    out = Circuit()
-    out.add_qreg("d", n)
-    out.add_qreg("anc", 2)
-    verify = out.add_creg("verify", 1)
-    synd = out.add_creg("synd", 2 * cycles) if cycles else None
-    meas = out.add_creg("meas", n)
-
     frag, layout = iceberg_encode_init(k)
-    layout = IcebergLayout(k, layout.data_qubits, layout.ancillas, cycles)
-    # encode fragment wrote its verify bit to clbit 0 = verify.start
+    meta = IcebergMeta(IcebergLayout(k, layout.data_qubits, layout.ancillas, cycles))
+    layout = meta.layout
+    out = Circuit(cregs=meta.cregs())
+    out.add_qreg("d", layout.n)
+    out.add_qreg("anc", 2)
+    # the encode fragment writes its verify bit to clbit 0, the verify register
     out.instructions.extend(frag)
+    regs = {r.name: r for r in out.cregs}
+    synd, meas = regs.get(meta.cycle_register), regs[meta.readout_register]
 
     positions = _cycle_positions(len(logical.instructions), cycles)
     next_cycle = 0
@@ -218,7 +229,7 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     for i, d in enumerate(layout.data_qubits):
         out.instructions.append(_inst("measure", (d,), clbits=(meas.start + i,)))
 
-    return out, IcebergMeta(layout)
+    return out, meta
 
 
 def decode_readout(bits: str, meta: IcebergMeta) -> tuple[bool, str]:

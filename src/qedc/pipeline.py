@@ -73,7 +73,6 @@ def compile_circuit(
     code: str = "auto",
     checks: int = 2,
     coupling: CouplingGraph | None = None,
-    layout_limit: int = 10,
 ) -> tuple[Circuit, CompilationMeta]:
     """Run the full pipeline.  `checks` is the check-pair count for PCS and
     the syndrome-cycle count for Iceberg.  Without a coupling graph the
@@ -115,7 +114,7 @@ def compile_circuit(
                 "layout-infeasible",
             )
         ig = interaction_graph(compiled)
-        found = vf2_layouts(ig, compiled.num_qubits, coupling, limit=layout_limit)
+        found = vf2_layouts(ig, compiled.num_qubits, coupling, limit=1)
         try:
             lay = found[0] if found else fallback_layout(ig, compiled.num_qubits, coupling)
             routed = route(compiled, lay, coupling, protected_qubits(compiled, meta))

@@ -7,26 +7,54 @@ rewritten into rz/rx/rz Euler form.
 
 Single-qubit gates, reset, and measure broadcast over whole registers when
 given a bare register name.
+
+Each statement is read by one regex match at its offset and each operand by
+another; only a gate's parameter list is split into tokens.  An error's line
+and column are worked out from its offset when it is raised.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 
-from .circuit import Circuit, GATE_SPECS
+from .circuit import Circuit, GATE_SPECS, Register
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"]*")
-  | (?P<arrow>->)
-  | (?P<sym>[\[\](){};,*/+-])
-    """,
-    re.VERBOSE,
+# Blanks: whitespace and // comments.  A comment must run to the end of its
+# line, so that a failed match cannot backtrack into it and read code there.
+_BLANK = r"(?:\s|//[^\n]*(?![^\n]))*"
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
+def _upto(*pieces: str) -> str:
+    """The pieces in order after blanks, where a match may stop after any one:
+    it then ends just after its last good token, where the syntax error is."""
+    tail = ""
+    for piece in reversed(pieces):
+        tail = f"(?:{_BLANK}{piece}{tail})?"
+    return tail
+
+
+_SKIP_BLANKS = re.compile(_BLANK)
+_HEADER = re.compile(rf"{_BLANK}OPENQASM\b" + _upto(_NUMBER, "(?P<end>;)"))
+_STATEMENT = re.compile(
+    rf"{_BLANK}(?:(?P<include>include)\b" + _upto('"[^"]*"', "(?P<included>;)")
+    + r"|(?P<decl>[qc]reg)\b"
+    + _upto(f"(?P<reg>{_ID})", r"\[", f"(?P<size>{_NUMBER})", r"\]", "(?P<declared>;)")
+    + f"|(?P<name>{_ID})" + _upto(r"(?P<paren>\()") + r"|\Z)"
 )
+# `reg` or `reg[idx]`, then its separator; `close` is None when a bracket is left open
+_OPERAND = re.compile(
+    rf"{_BLANK}(?P<reg>{_ID})(?:{_BLANK}(?P<bracket>\[)"
+    + _upto(f"(?P<idx>{_NUMBER})", r"(?P<close>\])") + ")?" + _upto("(?P<sep>[,;]|->)")
+)
+# `->` and `//` are single tokens, never a minus or a division
+_PARAM_TOKEN = re.compile(
+    rf"{_BLANK}(?:(?P<number>{_NUMBER})|(?P<name>{_ID})|(?P<symbol>[+*(),]|-(?!>)|/(?!/)))"
+)
+# the tokens of the language and the blanks between them, tried in lexer order
+_LEXEMES = re.compile(rf"(?:\s+|//[^\n]*|{_NUMBER}|{_ID}|" + r'"[^"]*"|->|[\[\](){};,*/+-])*')
 
 _U_SUGAR = {"u1": 1, "u2": 2, "u3": 3}
 
@@ -42,283 +70,227 @@ class QasmError(Exception):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmError("syntax", f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    return tokens
+def _error(text: str, code: str, message: str, at: int) -> QasmError:
+    """The error at offset `at`, unless a character of the text starts no
+    token: that one is reported, wherever it is, as by a lexer that reads the
+    whole text before parsing."""
+    bad = _LEXEMES.match(text).end()
+    if bad < len(text):
+        code, message, at = "syntax", f"unexpected character {text[bad]!r}", bad
+    return QasmError(code, message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
-class _Parser:
+def _unexpected(text: str, end: int) -> QasmError:
+    """The syntax error for what follows `end`, the end of the last good
+    token; at the end of the input it points at that token."""
+    at = _SKIP_BLANKS.match(text, end).end()
+    if at < len(text):
+        return _error(text, "syntax", f"unexpected {text[at]!r}", at)
+    # a string is the one token that may span lines: point at its start
+    last = text.rfind('"', 0, end - 1) if text[end - 1] == '"' else end - 1
+    return _error(text, "syntax", "unexpected end of input", last)
+
+
+def _integer(text: str, m: re.Match, group: str) -> int:
+    try:
+        return int(m[group])
+    except ValueError:
+        raise _error(text, "syntax", f"expected an integer, got {m[group]!r}", m.start(group)) from None
+
+
+def _token(text: str, pos: int) -> tuple[str | None, str, int]:
+    """The kind and text of the parameter token after `pos`, and the offset
+    after it; the kind is None where no such token starts."""
+    m = _PARAM_TOKEN.match(text, pos)
+    if m is None:
+        return None, "", pos
+    return m.lastgroup, m[m.lastgroup], m.end()
+
+
+def _parameters(text: str, pos: int) -> tuple[list[float], int]:
+    """The values of the parameter list whose '(' ends at `pos`, and the offset
+    after its ')'."""
+    values = []
+    while True:
+        value, pos = _expression(text, pos)
+        values.append(value)
+        _, tok, end = _token(text, pos)
+        if tok == ")":
+            return values, end
+        if tok != ",":
+            raise _unexpected(text, pos)
+        pos = end
+
+
+def _divide(a: float, b: float) -> float:
+    return a / b if b else math.nan  # nan, which the caller rejects
+
+
+# binding power and function of each binary operator
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul), "/": (2, _divide)}
+
+
+def _expression(text: str, pos: int, bound: int = 0) -> tuple[float, int]:
+    """The value of the expression at `pos` and the offset after it, reading
+    only operators that bind tighter than `bound`; a unary sign binds as
+    tightly as `*` and `/`, so it applies to one atom."""
+    kind, tok, end = _token(text, pos)
+    if tok in ("-", "+"):
+        value, pos = _expression(text, end, 2)
+        value = -value if tok == "-" else value
+    elif tok == "(":
+        value, pos = _expression(text, end)
+        _, tok, end = _token(text, pos)
+        if tok != ")":
+            raise _unexpected(text, pos)
+        pos = end
+    elif kind == "number" or tok == "pi":
+        value, pos = float(tok) if kind == "number" else math.pi, end
+    else:
+        raise _unexpected(text, pos)
+    while True:
+        _, op, end = _token(text, pos)
+        power, apply = _BINARY.get(op, (0, None))
+        if power <= bound:
+            return value, pos
+        rhs, pos = _expression(text, end, power)
+        value = apply(value, rhs)
+
+
+class _Reader:
+    """Reads the statements of one text into a Circuit."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    # -- token plumbing -------------------------------------------------------
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("sym", "", 1, 1)
-            raise QasmError("syntax", "unexpected end of input", last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def _expect(self, text: str) -> _Token:
-        tok = self._next()
-        if tok.text != text:
-            raise QasmError("syntax", f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def _expect_kind(self, kind: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise QasmError("syntax", f"expected {kind}, got {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    # -- grammar --------------------------------------------------------------
+        self.text, self.circ = text, Circuit()
+        self.qregs, self.cregs = {}, {}
+        # offset of the first gate with a parameter that is not finite; it is
+        # raised once the whole text has parsed, so that any other error is
+        # reported as it would be if the value were finite
+        self.non_finite: int | None = None
 
     def parse(self) -> Circuit:
-        circ = Circuit()
-        self._header()
-        while self._peek() is not None:
-            self._statement(circ)
-        return circ
-
-    def _header(self):
-        tok = self._peek()
-        if tok is not None and tok.text == "OPENQASM":
-            self._next()
-            self._expect_kind("number")
-            self._expect(";")
-
-    def _statement(self, circ: Circuit):
-        tok = self._peek()
-        if tok.text == "include":
-            self._next()
-            self._expect_kind("string")
-            self._expect(";")
-        elif tok.text in ("qreg", "creg"):
-            self._register_decl(circ)
-        elif tok.text == "measure":
-            self._measure(circ)
-        elif tok.text == "barrier":
-            self._barrier(circ)
-        elif tok.kind == "id":
-            self._gate(circ)
-        else:
-            raise QasmError("syntax", f"unexpected token {tok.text!r}", tok.line, tok.col)
-
-    def _register_decl(self, circ: Circuit):
-        kind = self._next().text
-        name_tok = self._expect_kind("id")
-        self._expect("[")
-        size_tok = self._expect_kind("number")
-        self._expect("]")
-        self._expect(";")
-        try:
-            size = int(size_tok.text)
-        except ValueError:
-            raise QasmError("syntax", f"register size must be an integer, got {size_tok.text!r}",
-                            size_tok.line, size_tok.col)
-        regs = circ.qregs if kind == "qreg" else circ.cregs
-        if any(r.name == name_tok.text for r in circ.qregs + circ.cregs):
-            raise QasmError("duplicate-register", f"register {name_tok.text!r} already declared",
-                            name_tok.line, name_tok.col)
-        if kind == "qreg":
-            circ.add_qreg(name_tok.text, size)
-        else:
-            circ.add_creg(name_tok.text, size)
-
-    def _operand(self, circ: Circuit, classical=False) -> tuple[str, int | None, _Token]:
-        """Returns (register name, index or None for whole register, token)."""
-        name_tok = self._expect_kind("id")
-        regs = circ.cregs if classical else circ.qregs
-        reg = next((r for r in regs if r.name == name_tok.text), None)
-        if reg is None:
-            raise QasmError("unknown-register", f"undeclared register {name_tok.text!r}",
-                            name_tok.line, name_tok.col)
-        idx = None
-        if self._peek() is not None and self._peek().text == "[":
-            self._next()
-            idx_tok = self._expect_kind("number")
-            self._expect("]")
-            idx = int(idx_tok.text)
-            if not 0 <= idx < reg.size:
-                raise QasmError("out-of-bounds",
-                                f"index {idx} out of bounds for {reg.name}[{reg.size}]",
-                                idx_tok.line, idx_tok.col)
-        return reg.name, idx, name_tok
-
-    def _measure(self, circ: Circuit):
-        self._next()
-        qname, qidx, qtok = self._operand(circ)
-        self._expect("->")
-        cname, cidx, ctok = self._operand(circ, classical=True)
-        self._expect(";")
-        qreg = next(r for r in circ.qregs if r.name == qname)
-        creg = next(r for r in circ.cregs if r.name == cname)
-        if (qidx is None) != (cidx is None):
-            raise QasmError("syntax", "measure operands must both be indexed or both registers",
-                            qtok.line, qtok.col)
-        if qidx is None:
-            if qreg.size != creg.size:
-                raise QasmError("out-of-bounds",
-                                f"register sizes differ: {qname}[{qreg.size}] vs {cname}[{creg.size}]",
-                                ctok.line, ctok.col)
-            for i in range(qreg.size):
-                circ.append("measure", (qreg.start + i,), clbits=(creg.start + i,))
-        else:
-            circ.append("measure", (qreg.start + qidx,), clbits=(creg.start + cidx,))
-
-    def _barrier(self, circ: Circuit):
-        self._next()
-        qubits: list[int] = []
+        text, pos = self.text, 0
+        m = _HEADER.match(text)
+        if m:
+            if m["end"] is None:
+                raise _unexpected(text, m.end())
+            pos = m.end()
         while True:
-            name, idx, _ = self._operand(circ)
-            reg = next(r for r in circ.qregs if r.name == name)
-            if idx is None:
-                qubits.extend(range(reg.start, reg.start + reg.size))
-            else:
-                qubits.append(reg.start + idx)
-            tok = self._next()
-            if tok.text == ";":
-                break
-            if tok.text != ",":
-                raise QasmError("syntax", f"expected ',' or ';', got {tok.text!r}", tok.line, tok.col)
-        circ.append("barrier", tuple(qubits))
+            m = _STATEMENT.match(text, pos)
+            if m is None:
+                raise _unexpected(text, pos)
+            if m["name"] is not None:
+                pos = self._instruction(m)
+                continue
+            if m["include"] is None and m["decl"] is None:
+                break  # only blanks are left
+            if m["included"] is None and m["declared"] is None:
+                raise _unexpected(text, m.end())
+            pos = m.end()
+            if m["decl"] is not None:
+                self._declare(m)
+        if self.non_finite is not None:
+            raise _error(text, "bad-params", "parameter is not a finite number", self.non_finite)
+        return self.circ
 
-    def _gate(self, circ: Circuit):
-        name_tok = self._next()
-        name = name_tok.text
+    def _declare(self, m: re.Match):
+        size, name = _integer(self.text, m, "size"), m["reg"]
+        if name in self.qregs or name in self.cregs:
+            raise _error(self.text, "duplicate-register", f"register {name!r} already declared",
+                         m.start("reg"))
+        if m["decl"] == "qreg":
+            self.qregs[name] = self.circ.add_qreg(name, size)
+        else:
+            self.cregs[name] = self.circ.add_creg(name, size)
+
+    def _instruction(self, m: re.Match) -> int:
+        """Reads the gate, measure or barrier statement that `m` starts, and
+        returns the offset after its ';'."""
+        text, name, at = self.text, m["name"], m.start("name")
         if name not in GATE_SPECS and name not in _U_SUGAR:
-            raise QasmError("unknown-gate", f"unknown gate {name!r}", name_tok.line, name_tok.col)
-        params: list[float] = []
-        if self._peek() is not None and self._peek().text == "(":
-            self._next()
-            while True:
-                params.append(self._expression())
-                tok = self._next()
-                if tok.text == ")":
-                    break
-                if tok.text != ",":
-                    raise QasmError("syntax", f"expected ',' or ')', got {tok.text!r}", tok.line, tok.col)
-        operands: list[tuple[str, int | None]] = []
+            raise _error(text, "unknown-gate", f"unknown gate {name!r}", at)
+        params, pos = [], m.end()
+        if m["paren"] is not None:
+            if name in ("measure", "barrier"):
+                raise _error(text, "syntax", "unexpected '('", m.start("paren"))
+            params, pos = _parameters(text, pos)
+            if self.non_finite is None and not all(map(math.isfinite, params)):
+                self.non_finite = at
+        measuring = name == "measure"
+        operands = []  # (register, index or None, offset); measure's second is classical
         while True:
-            rname, idx, _ = self._operand(circ)
-            operands.append((rname, idx))
-            tok = self._next()
-            if tok.text == ";":
+            o = _OPERAND.match(text, pos)
+            if o is None:
+                raise _unexpected(text, pos)
+            reg = (self.cregs if measuring and operands else self.qregs).get(o["reg"])
+            if reg is None:
+                raise _error(text, "unknown-register", f"undeclared register {o['reg']!r}",
+                             o.start("reg"))
+            if o["bracket"] is not None and o["close"] is None:
+                raise _unexpected(text, o.end("bracket" if o["idx"] is None else "idx"))
+            idx = None if o["idx"] is None else _integer(text, o, "idx")
+            if idx is not None and not 0 <= idx < reg.size:
+                raise _error(text, "out-of-bounds",
+                             f"index {idx} out of bounds for {reg.name}[{reg.size}]", o.start("idx"))
+            sep = o["sep"]
+            if sep is None:
+                raise _unexpected(text, o.end())
+            if measuring:  # `a -> b;`
+                misplaced = sep != ("->" if not operands else ";")
+            else:
+                misplaced = sep == "->"
+            if misplaced:
+                raise _error(text, "syntax", f"unexpected {sep!r}", o.start("sep"))
+            operands.append((reg, idx, o.start("reg")))
+            pos = o.end()
+            if sep == ";":
                 break
-            if tok.text != ",":
-                raise QasmError("syntax", f"expected ',' or ';', got {tok.text!r}", tok.line, tok.col)
-
-        if name in _U_SUGAR:
-            expansions = _expand_u(name, params, name_tok)
-            for subname, subparams in expansions:
-                self._emit_gate(circ, subname, subparams, operands, name_tok)
+        if measuring:
+            (qreg, qidx, qat), (creg, cidx, cat) = operands
+            if (qidx is None) != (cidx is None):
+                raise _error(text, "syntax", "measure operands must both be indexed or both registers", qat)
+            if qidx is None and qreg.size != creg.size:
+                raise _error(text, "out-of-bounds", f"register sizes differ: "
+                             f"{qreg.name}[{qreg.size}] vs {creg.name}[{creg.size}]", cat)
+            for q, c in zip(_span(qreg, qidx), _span(creg, cidx)):
+                self.circ.append("measure", (q,), clbits=(c,))
+        elif name == "barrier":
+            self.circ.append("barrier", tuple(q for reg, idx, _ in operands for q in _span(reg, idx)))
         else:
-            self._emit_gate(circ, name, params, operands, name_tok)
+            self._gate(name, params, operands, at)
+        return pos
 
-    def _emit_gate(self, circ: Circuit, name: str, params, operands, tok):
-        nqubits, nparams, _ = GATE_SPECS[name]
+    def _gate(self, name: str, params: list[float], operands, at: int):
+        nparams = _U_SUGAR[name] if name in _U_SUGAR else GATE_SPECS[name][1]
         if len(params) != nparams:
-            raise QasmError("bad-params", f"{name} takes {nparams} parameter(s), got {len(params)}",
-                            tok.line, tok.col)
-
-        def resolve(op):
-            rname, idx = op
-            reg = next(r for r in circ.qregs if r.name == rname)
-            return reg, idx
-
-        if nqubits == 1 and len(operands) == 1 and operands[0][1] is None:
-            reg, _ = resolve(operands[0])
-            for i in range(reg.size):
-                circ.append(name, (reg.start + i,), params)
-            return
-        if len(operands) != nqubits:
-            raise QasmError("bad-arity", f"{name} expects {nqubits} operand(s), got {len(operands)}",
-                            tok.line, tok.col)
-        qubits = []
-        for op in operands:
-            reg, idx = resolve(op)
-            if idx is None:
-                raise QasmError("syntax", f"{name} operands must be indexed", tok.line, tok.col)
-            qubits.append(reg.start + idx)
-        if len(set(qubits)) != len(qubits):
-            raise QasmError("duplicate-qubit", f"{name} repeats a qubit", tok.line, tok.col)
-        circ.append(name, tuple(qubits), params)
-
-    def _expression(self) -> float:
-        # precedence-climbing over + - * / with unary minus, pi, and parentheses
-        return self._add_expr()
-
-    def _add_expr(self) -> float:
-        value = self._mul_expr()
-        while self._peek() is not None and self._peek().text in ("+", "-"):
-            op = self._next().text
-            rhs = self._mul_expr()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _mul_expr(self) -> float:
-        value = self._atom()
-        while self._peek() is not None and self._peek().text in ("*", "/"):
-            op = self._next().text
-            rhs = self._atom()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def _atom(self) -> float:
-        tok = self._next()
-        if tok.text == "-":
-            return -self._atom()
-        if tok.text == "+":
-            return self._atom()
-        if tok.text == "(":
-            value = self._add_expr()
-            self._expect(")")
-            return value
-        if tok.kind == "number":
-            return float(tok.text)
-        if tok.text == "pi":
-            return math.pi
-        raise QasmError("syntax", f"expected expression, got {tok.text!r}", tok.line, tok.col)
+            raise _error(self.text, "bad-params",
+                         f"{name} takes {nparams} parameter(s), got {len(params)}", at)
+        for name, params in _expand_u(name, params) if name in _U_SUGAR else [(name, params)]:
+            nqubits = GATE_SPECS[name][0]
+            if nqubits == 1 and len(operands) == 1 and operands[0][1] is None:
+                for q in _span(operands[0][0], None):
+                    self.circ.append(name, (q,), params)
+                continue
+            if len(operands) != nqubits:
+                raise _error(self.text, "bad-arity",
+                             f"{name} expects {nqubits} operand(s), got {len(operands)}", at)
+            if any(idx is None for _, idx, _ in operands):
+                raise _error(self.text, "syntax", f"{name} operands must be indexed", at)
+            qubits = tuple(reg.start + idx for reg, idx, _ in operands)
+            if len(set(qubits)) != len(qubits):
+                raise _error(self.text, "duplicate-qubit", f"{name} repeats a qubit", at)
+            self.circ.append(name, qubits, params)
 
 
-def _expand_u(name: str, params: list[float], tok) -> list[tuple[str, list[float]]]:
+def _span(reg: Register, idx: int | None) -> range:
+    """The global indices an operand names: one, or its whole register."""
+    if idx is None:
+        return range(reg.start, reg.start + reg.size)
+    return range(reg.start + idx, reg.start + idx + 1)
+
+
+def _expand_u(name: str, params: list[float]) -> list[tuple[str, list[float]]]:
     """Rewrite u1/u2/u3 into the canonical rz/rx/rz Euler form."""
-    if len(params) != _U_SUGAR[name]:
-        raise QasmError("bad-params", f"{name} takes {_U_SUGAR[name]} parameter(s), got {len(params)}",
-                        tok.line, tok.col)
     if name == "u1":
         (lam,) = params
         return [("rz", [lam])]
@@ -336,7 +308,7 @@ def _expand_u(name: str, params: list[float], tok) -> list[tuple[str, list[float
 
 def parse_qasm(text: str) -> Circuit:
     """Parse QASM source text into a Circuit; raises QasmError on bad input."""
-    return _Parser(text).parse()
+    return _Reader(text).parse()
 
 
 def emit_qasm(circ: Circuit) -> str:
@@ -360,4 +332,3 @@ def emit_qasm(circ: Circuit) -> str:
         else:
             lines.append(f"{name} {args};")
     return "\n".join(lines) + "\n"
-

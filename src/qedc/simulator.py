@@ -307,11 +307,17 @@ def _phase(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
 
 
 def statevector(circ: Circuit) -> np.ndarray:
-    """Noiseless final state; trailing measurements/barriers are ignored."""
+    """Noiseless final state; trailing measurements/barriers are ignored.
+
+    Raises SimulationError on a reset or a mid-circuit measurement, which no
+    single state describes.
+    """
     body: list[Instruction] = []
     seen_measure = False
     for inst in circ.instructions:
-        if inst.name in ("measure", "reset"):
+        if inst.name == "reset":
+            raise SimulationError("reset is not supported by statevector()")
+        if inst.name == "measure":
             seen_measure = True
             continue
         if inst.name == "barrier":
@@ -329,30 +335,15 @@ def statevector(circ: Circuit) -> np.ndarray:
     return batch.psi[0]
 
 
-def probabilities(circ: Circuit) -> np.ndarray:
-    amps = statevector(circ)
-    return np.abs(amps) ** 2
-
-
 def ideal_distribution(circ: Circuit) -> dict[str, float]:
-    """Exact outcome distribution over the circuit's counts keys.
+    """Exact noiseless outcome distribution over the circuit's counts keys.
 
-    Measurements map qubits to clbits; unmeasured clbits read 0.
+    Measurements map qubits to clbits; unmeasured clbits read 0.  This is
+    `deterministic_distribution`: resets and deterministic mid-circuit
+    measurements are followed, and a random mid-circuit outcome raises
+    SimulationError.
     """
-    measures = [(inst.qubits[0], inst.clbits[0]) for inst in circ.instructions
-                if inst.name == "measure"]
-    probs = probabilities(circ)
-    dist: dict[str, float] = {}
-    nc = circ.num_clbits
-    for idx, p in enumerate(probs):
-        if p < 1e-300:
-            continue
-        clbits = [0] * nc
-        for q, c in measures:
-            clbits[c] = (idx >> q) & 1
-        key = counts_key(clbits, circ.cregs)
-        dist[key] = dist.get(key, 0.0) + float(p)
-    return dist
+    return deterministic_distribution(circ)
 
 
 class _NoiselessRun:

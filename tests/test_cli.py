@@ -4,6 +4,9 @@ import math
 import pytest
 
 from qedc.cli import EXIT_COMPILE, EXIT_IO, EXIT_PARSE, EXIT_SIM, main
+from qedc.pipeline import CompilationMeta
+from qedc.postprocess import postselect_counts_iceberg
+from qedc.qasm import parse_qasm
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -87,6 +90,30 @@ def test_iceberg_pipeline(rot, tmp_path):
     assert all(len(k) == 2 for k in rep["counts"])
 
 
+@pytest.mark.parametrize("cycles", [0, 2])
+def test_iceberg_postselect_matches_library(rot, tmp_path, cycles):
+    compiled = tmp_path / "c.qasm"
+    meta = tmp_path / "m.json"
+    noise = tmp_path / "noise.json"
+    counts = tmp_path / "counts.json"
+    report = tmp_path / "r.json"
+    noise.write_text(json.dumps({"p1": 0.01, "p2": 0.05}))
+    assert main(["compile", str(rot), "--code", "iceberg", "--checks", str(cycles),
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    assert main(["run", str(compiled), "--noise", str(noise), "--shots", "400", "--seed", "5",
+                 "--out", str(counts)]) == 0
+    assert main(["postselect", "--counts", str(counts), "--meta", str(meta),
+                 "--out", str(report)]) == 0
+    library = postselect_counts_iceberg(
+        json.loads(counts.read_text())["counts"],
+        CompilationMeta.from_dict(json.loads(meta.read_text())).code_meta,
+        parse_qasm(compiled.read_text()).cregs,
+    )
+    rep = json.loads(report.read_text())
+    assert rep == library.to_dict()
+    assert 0 < rep["kept"] < rep["total"]
+
+
 def test_compile_with_coupling(bell, tmp_path):
     coupling = tmp_path / "cg.json"
     coupling.write_text(json.dumps(
@@ -151,6 +178,12 @@ def test_seed_env_default(bell, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_non_integer_seed_env_exits_parse(bell, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QED_SEED", "abc")
+    assert main(["run", str(bell), "--shots", "10"]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+
 def test_missing_input_exits_io(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "nope.qasm")])
     assert rc == EXIT_IO
@@ -164,6 +197,21 @@ def test_bad_qasm_exits_parse(tmp_path, capsys):
     rc = main(["analyze", str(bad)])
     assert rc == EXIT_PARSE
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("statement,code", [
+    ("h q[1.5];", "syntax"),
+    ("measure q[0.5] -> c[0];", "syntax"),
+    ("rz(1/0) q[0];", "bad-params"),
+    ("rz(1e400) q[0];", "bad-params"),
+])
+def test_malformed_numbers_exit_parse(tmp_path, capsys, statement, code):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n{statement}\n")
+    rc = main(["compile", str(bad), "--code", "none", "--out", str(tmp_path / "c.qasm"),
+               "--meta-out", str(tmp_path / "m.json")])
+    assert rc == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"] == code
 
 
 def test_compile_failure_exits_compile(tmp_path, capsys):

@@ -32,22 +32,66 @@ def test_u_sugar_expands():
     assert all(i.name in ("rz", "rx") for i in c.instructions)
 
 
+# (source after HEADER, or a whole text as a 1-tuple; code, line, col): one
+# row per place the parser raises
+ERROR_CASES = [
+    # a character that starts no token is reported ahead of an earlier error
+    ("qreg q[2];\nbad q[0];\nh q[0] @;\n", "syntax", 5, 8),
+    ("qreg q[2]\nh q[0];\n", "syntax", 4, 1),
+    ("qreg q[", "syntax", 3, 7),
+    (('include "a\nb"',), "syntax", 1, 9),
+    (("OPENQASM 2.0\nqreg q[1];\n",), "syntax", 2, 1),
+    (('include "qelib1.inc"\nqreg q[1];\n',), "syntax", 2, 1),
+    ("qreg q[1.5];\n", "syntax", 3, 8),
+    ("qreg q[2];\ncreg q[1];\n", "duplicate-register", 4, 6),
+    ("qreg q[2];\nbad q[0];\n", "unknown-gate", 4, 1),
+    ("qreg q[1];\ncreg c[1];\nmeasure(0) q[0] -> c[0];\n", "syntax", 5, 8),
+    ("qreg q[1];\nrz(pi/) q[0];\n", "syntax", 4, 7),
+    ("qreg q[1];\nrz(1 2) q[0];\n", "syntax", 4, 6),
+    ("h q[0];\n", "unknown-register", 3, 3),
+    ("qreg q[2];\nh q[0\n;\n", "syntax", 5, 1),
+    ("qreg q[2];\nh q[5];\n", "out-of-bounds", 4, 5),
+    ("qreg q[2];\nh q[1.5];\n", "syntax", 4, 5),
+    ("qreg q[1];\ncreg c[1];\nmeasure q[0.5] -> c[0];\n", "syntax", 5, 11),
+    ("qreg q[2];\ncx q[0] -> q[1];\n", "syntax", 4, 9),
+    ("qreg q[1];\ncreg c[1];\nmeasure q[0], c[0];\n", "syntax", 5, 13),
+    ("qreg q[1];\ncreg c[1];\nmeasure q -> c[0];\n", "syntax", 5, 9),
+    ("qreg q[2];\ncreg c[1];\nmeasure q -> c;\n", "out-of-bounds", 5, 14),
+    ("qreg q[2];\nrz q[0];\n", "bad-params", 4, 1),
+    ("qreg q[2];\nu3(1) q[0];\n", "bad-params", 4, 1),
+    ("qreg q[1];\nrz(1/0) q[0];\n", "bad-params", 4, 1),
+    ("qreg q[1];\nrz(1e400) q[0];\n", "bad-params", 4, 1),
+    # a value error waits for the rest of the text to parse
+    ("qreg q[1];\nrz(1e400) q[0];\nbad q[0];\n", "unknown-gate", 5, 1),
+    ("qreg q[2];\ncx q[0];\n", "bad-arity", 4, 1),
+    ("qreg q[2];\ncx q,q[1];\n", "syntax", 4, 1),
+    ("qreg q[2];\ncx q[0],q[0];\n", "duplicate-qubit", 4, 1),
+    ("qreg q[2];\ncx q[0],\n  q[7];\n", "out-of-bounds", 5, 5),
+    ("qreg q[2]; // two qubits\n// h q[9];\nh q[2];\n", "out-of-bounds", 5, 5),
+]
+
+
 def test_error_codes_and_locations():
-    cases = [
-        ("qreg q[2];\nbad q[0];\n", "unknown-gate"),
-        ("qreg q[2];\nh q[5];\n", "out-of-bounds"),
-        ("qreg q[2];\nqreg q[1];\n", "duplicate-register"),
-        ("h q[0];\n", "unknown-register"),
-        ("qreg q[2];\nrz q[0];\n", "bad-params"),
-        ("qreg q[2];\ncx q[0];\n", "bad-arity"),
-        ("qreg q[2];\ncx q[0],q[0];\n", "duplicate-qubit"),
-        ("qreg q[", "syntax"),
-    ]
-    for body, code in cases:
+    for source, code, line, col in ERROR_CASES:
+        text = source[0] if isinstance(source, tuple) else HEADER + source
         with pytest.raises(QasmError) as exc:
-            parse_qasm(HEADER + body)
-        assert exc.value.code == code, body
-        assert exc.value.line >= 1
+            parse_qasm(text)
+        assert (exc.value.code, exc.value.line, exc.value.col) == (code, line, col), text
+
+
+def test_blanks_and_comments_do_not_change_the_circuit():
+    plain = HEADER + (
+        "qreg q[3];\ncreg c[3];\nrz(-pi/2*(1+2)) q[1];\ncx q[0],q[2];\nbarrier q;\n"
+        "measure q -> c;\n"
+    )
+    spaced = (
+        "// header\n  OPENQASM  2.0 ;\ninclude\t\"qelib1.inc\" ; // ignored\n"
+        "qreg\nq [ 3 ] ;creg c[3];\n"
+        "rz ( - pi / 2 // half turn\n * ( 1 + 2 ) ) q [1] ;\n"
+        "cx q[0] ,\n\n q[2];barrier // all\n q ;\n"
+        "measure q\n->\nc // last\n;\n// end"
+    )
+    assert parse_qasm(spaced) == parse_qasm(plain)
 
 
 def test_emit_contains_header_and_measure_arrow():

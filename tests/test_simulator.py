@@ -114,6 +114,19 @@ def test_qubit_limit_and_midcircuit_errors():
         statevector(d)
 
 
+def test_reset_is_followed_not_skipped():
+    c = Circuit()
+    c.add_qreg("q", 1)
+    c.add_creg("c", 1)
+    c.append("x", (0,))
+    c.append("reset", (0,))
+    c.append("measure", (0,), clbits=(0,))
+    assert ideal_distribution(c) == {"0": pytest.approx(1.0)}
+    assert sample(c, shots=50, seed=1) == {"0": 50}
+    with pytest.raises(SimulationError):
+        statevector(c)
+
+
 def test_noiseless_sampling_bell():
     counts = sample(bell(), shots=10000, seed=3)
     assert set(counts) == {"00", "11"}
