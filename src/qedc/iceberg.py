@@ -209,7 +209,8 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     # the encode fragment writes its verify bit to clbit 0, the verify register
     out.instructions.extend(frag)
     regs = {r.name: r for r in out.cregs}
-    synd, meas = regs.get(meta.cycle_register), regs[meta.readout_register]
+    synd = regs.get(meta.cycle_register)
+    meas = regs[meta.readout_register]
 
     positions = _cycle_positions(len(logical.instructions), cycles)
     next_cycle = 0

@@ -76,7 +76,9 @@ def _error(text: str, code: str, message: str, at: int) -> QasmError:
     whole text before parsing."""
     bad = _LEXEMES.match(text).end()
     if bad < len(text):
-        code, message, at = "syntax", f"unexpected character {text[bad]!r}", bad
+        code = "syntax"
+        message = f"unexpected character {text[bad]!r}"
+        at = bad
     return QasmError(code, message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
@@ -145,7 +147,8 @@ def _expression(text: str, pos: int, bound: int = 0) -> tuple[float, int]:
             raise _unexpected(text, pos)
         pos = end
     elif kind == "number" or tok == "pi":
-        value, pos = float(tok) if kind == "number" else math.pi, end
+        value = float(tok) if kind == "number" else math.pi
+        pos = end
     else:
         raise _unexpected(text, pos)
     while True:
@@ -161,15 +164,18 @@ class _Reader:
     """Reads the statements of one text into a Circuit."""
 
     def __init__(self, text: str):
-        self.text, self.circ = text, Circuit()
-        self.qregs, self.cregs = {}, {}
+        self.text = text
+        self.circ = Circuit()
+        self.qregs = {}
+        self.cregs = {}
         # offset of the first gate with a parameter that is not finite; it is
         # raised once the whole text has parsed, so that any other error is
         # reported as it would be if the value were finite
         self.non_finite: int | None = None
 
     def parse(self) -> Circuit:
-        text, pos = self.text, 0
+        text = self.text
+        pos = 0
         m = _HEADER.match(text)
         if m:
             if m["end"] is None:
@@ -194,7 +200,8 @@ class _Reader:
         return self.circ
 
     def _declare(self, m: re.Match):
-        size, name = _integer(self.text, m, "size"), m["reg"]
+        size = _integer(self.text, m, "size")
+        name = m["reg"]
         if name in self.qregs or name in self.cregs:
             raise _error(self.text, "duplicate-register", f"register {name!r} already declared",
                          m.start("reg"))
@@ -206,10 +213,13 @@ class _Reader:
     def _instruction(self, m: re.Match) -> int:
         """Reads the gate, measure or barrier statement that `m` starts, and
         returns the offset after its ';'."""
-        text, name, at = self.text, m["name"], m.start("name")
+        text = self.text
+        name = m["name"]
+        at = m.start("name")
         if name not in GATE_SPECS and name not in _U_SUGAR:
             raise _error(text, "unknown-gate", f"unknown gate {name!r}", at)
-        params, pos = [], m.end()
+        params = []
+        pos = m.end()
         if m["paren"] is not None:
             if name in ("measure", "barrier"):
                 raise _error(text, "syntax", "unexpected '('", m.start("paren"))
@@ -265,7 +275,8 @@ class _Reader:
         if len(params) != nparams:
             raise _error(self.text, "bad-params",
                          f"{name} takes {nparams} parameter(s), got {len(params)}", at)
-        for name, params in _expand_u(name, params) if name in _U_SUGAR else [(name, params)]:
+        expansions = _expand_u(name, params) if name in _U_SUGAR else [(name, params)]
+        for name, params in expansions:
             nqubits = GATE_SPECS[name][0]
             if nqubits == 1 and len(operands) == 1 and operands[0][1] is None:
                 for q in _span(operands[0][0], None):

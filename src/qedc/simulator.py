@@ -398,6 +398,13 @@ def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, fl
         raise SimulationError(f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
 
     ops = _program(compacted)
+    # a reset after which its qubit sees only resets changes no recorded bit
+    live, kept = set(), []
+    for op in reversed(ops):
+        if op.name != "reset" or op.qubits[0] in live:
+            kept.append(op)
+            live.update(op.qubits)
+    ops = kept[::-1]
     tail = _terminal_start(ops)
     run = _NoiselessRun(ops, n, tol)
     run.advance(tail)

@@ -43,6 +43,7 @@ ERROR_CASES = [
     (("OPENQASM 2.0\nqreg q[1];\n",), "syntax", 2, 1),
     (('include "qelib1.inc"\nqreg q[1];\n',), "syntax", 2, 1),
     ("qreg q[1.5];\n", "syntax", 3, 8),
+    ("qreg q[2];\nqreg q[1];\n", "duplicate-register", 4, 6),
     ("qreg q[2];\ncreg q[1];\n", "duplicate-register", 4, 6),
     ("qreg q[2];\nbad q[0];\n", "unknown-gate", 4, 1),
     ("qreg q[1];\ncreg c[1];\nmeasure(0) q[0] -> c[0];\n", "syntax", 5, 8),

@@ -127,6 +127,20 @@ def test_reset_is_followed_not_skipped():
         statevector(c)
 
 
+def test_resets_after_the_last_measurements_change_nothing():
+    c = Circuit()
+    c.add_qreg("q", 2)
+    c.add_creg("c", 2)
+    c.append("h", (0,))
+    c.append("cx", (0, 1))
+    c.append("measure", (0,), clbits=(0,))
+    c.append("reset", (0,))
+    c.append("measure", (1,), clbits=(1,))
+    c.append("reset", (0,))
+    c.append("reset", (1,))
+    assert ideal_distribution(c) == {"00": pytest.approx(0.5), "11": pytest.approx(0.5)}
+
+
 def test_noiseless_sampling_bell():
     counts = sample(bell(), shots=10000, seed=3)
     assert set(counts) == {"00", "11"}
