@@ -223,7 +223,10 @@ class _Reader:
         if m["paren"] is not None:
             if name in ("measure", "barrier"):
                 raise _error(text, "syntax", "unexpected '('", m.start("paren"))
-            params, pos = _parameters(text, pos)
+            try:
+                params, pos = _parameters(text, pos)
+            except RecursionError:
+                raise _error(text, "bad-params", "parameter nested too deeply", at) from None
             if self.non_finite is None and not all(map(math.isfinite, params)):
                 self.non_finite = at
         measuring = name == "measure"

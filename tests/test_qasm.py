@@ -62,6 +62,8 @@ ERROR_CASES = [
     ("qreg q[2];\nu3(1) q[0];\n", "bad-params", 4, 1),
     ("qreg q[1];\nrz(1/0) q[0];\n", "bad-params", 4, 1),
     ("qreg q[1];\nrz(1e400) q[0];\n", "bad-params", 4, 1),
+    ("qreg q[1];\nrz(" + "(" * 5000 + "1" + ")" * 5000 + ") q[0];\n", "bad-params", 4, 1),
+    ("qreg q[1];\nrz(" + "-" * 5000 + "1) q[0];\n", "bad-params", 4, 1),
     # a value error waits for the rest of the text to parse
     ("qreg q[1];\nrz(1e400) q[0];\nbad q[0];\n", "unknown-gate", 5, 1),
     ("qreg q[2];\ncx q[0];\n", "bad-arity", 4, 1),
