@@ -1,5 +1,5 @@
-"""Desk-scale execution backend: dense statevector simulation, Pauli-frame
-sampling of Clifford circuits, and Monte-Carlo depolarizing noise.
+"""Desk-scale execution backend: dense statevector simulation, and
+Monte-Carlo depolarizing noise pushed through circuits as Pauli frames.
 
 Basis convention: bit q of a computational-basis index is qubit q
 (little-endian), so amplitude index 0b01 on two qubits means qubit 0 in |1>.
@@ -205,15 +205,26 @@ class _Batch:
             np.zeros((rows, 1 << n), dtype=complex) for _ in range(3))
         self._coef = np.zeros(1 << n, dtype=complex)
 
-    def apply(self, gate: _Gate, active: int) -> None:
-        """Apply the gate to the first `active` rows."""
+    def apply(self, gate: _Gate, active: int, flip: np.ndarray | None = None) -> None:
+        """Apply the gate to the first `active` rows.
+
+        For a Pauli rotation exp(-i theta P / 2) (t and tdg are rz(±pi/4)
+        up to a phase), `flip` marks the rows that run it at -theta.  A
+        diagonal one then scales those rows by the conjugate coefficients;
+        any other is cos(theta/2) I plus its permuted P terms, and those
+        terms are negated in the flipped rows."""
         psi, out = self.psi[:active], self._out[:active]
         if len(gate.terms) == 1 and gate.terms[0][0] is None:
             # diagonal (z, s, t, rz, cz, rzz, ...): scale in place
             coef = gate.terms[0][1]
             if coef is not None:
                 np.take(coef, gate.rows, out=self._coef)
-                psi *= self._coef
+                if flip is None:
+                    psi *= self._coef
+                else:
+                    np.multiply(psi, self._coef, out=psi, where=~flip[:, None])
+                    np.conjugate(self._coef, out=self._coef)
+                    np.multiply(psi, self._coef, out=psi, where=flip[:, None])
             return
         for t, (perm, coef) in enumerate(gate.terms):
             dest = self._scratch[:active] if t else out
@@ -227,6 +238,8 @@ class _Batch:
                 np.multiply(src, self._coef, out=dest)
             elif src is psi:
                 np.copyto(dest, psi)
+            if perm is not None and flip is not None:
+                np.negative(dest, out=dest, where=flip[:, None])
             if t:
                 out += dest
         self.psi, self._out = self._out, self.psi
@@ -300,10 +313,13 @@ def _flip(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
         view[rows] = view[rows, :, ::-1]
 
 
-def _phase(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
-    """Z on qubit q of the selected rows, in place."""
-    if len(rows):
-        _halves(psi, q)[rows, :, 1] *= -1
+def _settle(psi: np.ndarray, op: _Op, p1: np.ndarray, outcomes: np.ndarray) -> None:
+    """Collapse each row of a measurement or reset onto its outcome; a
+    reset then returns its qubit to |0>."""
+    q = op.qubits[0]
+    _collapse(psi, q, p1, outcomes)
+    if op.name == "reset":
+        _flip(psi, np.nonzero(outcomes)[0], q)
 
 
 def statevector(circ: Circuit) -> np.ndarray:
@@ -340,8 +356,8 @@ def ideal_distribution(circ: Circuit) -> dict[str, float]:
 
     Measurements map qubits to clbits; unmeasured clbits read 0.  This is
     `deterministic_distribution`: resets and deterministic mid-circuit
-    measurements are followed, and a random mid-circuit outcome raises
-    SimulationError.
+    measurements are followed, a random reset down both outcomes, and a
+    random mid-circuit measurement raises SimulationError.
     """
     return deterministic_distribution(circ)
 
@@ -350,16 +366,17 @@ class _NoiselessRun:
     """One noiseless state stepped through the ops from |0...0> on demand.
 
     It stops before the first measurement or reset whose outcome is random
-    (one-outcome probability farther than `tol` from 0 and 1); `index` is the
-    op it stands before and `record` the deterministic outcomes so far, as
-    (clbit, bit) pairs.
+    (one-outcome probability farther than `tol` from 0 and 1), and then
+    `random` is set; `index` is the op it stands before and `record` the
+    deterministic outcomes so far, one byte per clbit.
     """
 
-    def __init__(self, ops: list[_Op], n: int, tol: float):
-        self.ops, self.tol = ops, tol
+    def __init__(self, ops: list[_Op], n: int, clbits: int, tol: float):
+        self.ops, self.n, self.tol = ops, n, tol
         self.batch = _zero_state(n)
         self.index = 0
-        self.record: list[tuple[int, int]] = []
+        self.record = np.zeros(clbits, dtype=np.uint8)
+        self.random = False
 
     @property
     def psi(self) -> np.ndarray:
@@ -367,30 +384,52 @@ class _NoiselessRun:
 
     def advance(self, end: int) -> None:
         """Step to the state before ops[end], or before a random outcome."""
-        while self.index < end:
+        while self.index < end and not self.random:
             op = self.ops[self.index]
             if op.gate is not None:
                 self.batch.apply(op.gate, 1)
-            else:
-                q = op.qubits[0]
-                p1 = _prob_one(self.psi, q)
-                if self.tol < p1[0] < 1.0 - self.tol:
-                    return
-                outcome = p1 >= 0.5
-                _collapse(self.psi, q, p1, outcome)
-                if op.name == "measure":
-                    self.record.append((op.clbit, int(outcome[0])))
-                elif outcome[0]:
-                    _flip(self.psi, np.array([0]), q)
-            self.index += 1
+                self.index += 1
+                continue
+            p1 = _prob_one(self.psi, op.qubits[0])
+            self.random = self.tol < p1[0] < 1.0 - self.tol
+            if not self.random:
+                self._take(p1, p1 >= 0.5)
+
+    def _take(self, p1: np.ndarray, outcome: np.ndarray) -> None:
+        """Step past the measurement or reset with the given outcome."""
+        op = self.ops[self.index]
+        _settle(self.psi, op, p1, outcome)
+        if op.name == "measure":
+            self.record[op.clbit] = outcome[0]
+        self.index += 1
+
+    def rejoin(self, index: int, psi: np.ndarray, record: np.ndarray, random: bool = False) -> None:
+        """Take over the noiseless state before ops[index], stepped there
+        elsewhere, with its outcomes so far."""
+        self.psi[0] = psi
+        self.index, self.record, self.random = index, record.copy(), random
+
+    def fork(self) -> list[tuple[float, "_NoiselessRun"]]:
+        """Each outcome of the random op the run stands before: its
+        probability and a copy of the run stepped past it."""
+        p1 = _prob_one(self.psi, self.ops[self.index].qubits[0])
+        forks = []
+        for bit, p in ((0, 1.0 - p1[0]), (1, p1[0])):
+            run = _NoiselessRun(self.ops, self.n, len(self.record), self.tol)
+            run.rejoin(self.index, self.psi[0], self.record)
+            run._take(p1, np.array([bit], dtype=bool))
+            forks.append((float(p), run))
+        return forks
 
 
 def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, float]:
     """Exact outcome distribution for circuits whose mid-circuit measurements
     are all deterministic (as in noiseless verification/syndrome cycles).
 
-    Raises SimulationError if a mid-circuit measurement has a genuinely random
-    outcome.  Trailing measurements are enumerated exactly.
+    A reset with a random outcome is followed down both outcomes, each
+    weighted by its probability.  Raises SimulationError if a mid-circuit
+    measurement has a genuinely random outcome.  Trailing measurements are
+    enumerated exactly.
     """
     compacted, _ = _compact(circ)
     n = compacted.num_qubits
@@ -406,39 +445,42 @@ def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, fl
             live.update(op.qubits)
     ops = kept[::-1]
     tail = _terminal_start(ops)
-    run = _NoiselessRun(ops, n, tol)
-    run.advance(tail)
-    if run.index < tail:
-        q = ops[run.index].qubits[0]
-        raise SimulationError(
-            f"mid-circuit measurement on qubit {q} is not deterministic "
-            f"(p1={_prob_one(run.psi, q)[0]:.3g})"
-        )
-    clbits = [0] * compacted.num_clbits
-    for c, bit in run.record:
-        clbits[c] = bit
-
     measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
-    probs = np.abs(run.psi[0]) ** 2
     dist: dict[str, float] = {}
-    for idx, p in enumerate(probs):
-        if p < 1e-18:
+    runs = [(1.0, _NoiselessRun(ops, n, compacted.num_clbits, tol))]
+    while runs:
+        weight, run = runs.pop()
+        run.advance(tail)
+        if run.index < tail:
+            op = ops[run.index]
+            if op.name == "measure":
+                q = op.qubits[0]
+                raise SimulationError(
+                    f"mid-circuit measurement on qubit {q} is not deterministic "
+                    f"(p1={_prob_one(run.psi, q)[0]:.3g})"
+                )
+            runs.extend((weight * p, fork) for p, fork in run.fork())
             continue
-        vals = list(clbits)
-        for q, c in measures:
-            vals[c] = (idx >> q) & 1
-        key = counts_key(vals, compacted.cregs)
-        dist[key] = dist.get(key, 0.0) + float(p)
+        probs = np.abs(run.psi[0]) ** 2
+        for idx, p in enumerate(probs):
+            if p < 1e-18:
+                continue
+            vals = run.record.tolist()
+            for q, c in measures:
+                vals[c] = (idx >> q) & 1
+            key = counts_key(vals, compacted.cregs)
+            dist[key] = dist.get(key, 0.0) + weight * float(p)
     return dist
 
 
-# Amplitudes one batch of trajectories may hold: sample() splits its faulty
-# shots into batches of at most this many amplitudes, so its memory does not
+# Amplitudes one batch of statevector rows may hold: sample() splits its
+# rows into batches of at most this many amplitudes, so its memory does not
 # grow with the shot count.
 _BATCH_AMPLITUDES = 1 << 14
 
 # a mid-circuit measurement or reset whose one-outcome probability lies
-# farther than this from 0 and 1 is random, and ends the shared prefix
+# farther than this from 0 and 1 is random: the noiseless run stops there,
+# and a batch row draws one outcome per shot
 _RANDOM_TOL = 1e-12
 
 # fault Pauli -> (x, z) bits of each factor, indexed by the code _draw_faults
@@ -450,6 +492,25 @@ _FAULT_XZ = {
                 dtype=bool)
     for k in (1, 2)
 }
+
+# the Pauli P of each rotation exp(-i theta P / 2) that sample() runs on
+# statevectors, as its (x, z) bits on each of the gate's qubits; t and tdg
+# are rz(pi/4) and rz(-pi/4) up to a global phase
+_ROTATION_XZ = {"rz": (0, 1), "t": (0, 1), "tdg": (0, 1), "rzz": (0, 1),
+                "rx": (1, 0), "rxx": (1, 0), "ry": (1, 1), "ryy": (1, 1)}
+
+def _anticommuting(inst, x, z, acc):
+    """`acc` XOR the rows, of x and z at the rotation's qubits, that mark
+    the Paulis anticommuting with its Pauli (see _ROTATION_XZ).  Rows are
+    Python ints or numpy bool arrays, as for `clifford.step_xz`."""
+    px, pz = _ROTATION_XZ[inst.name]
+    for q in inst.qubits:
+        if pz:
+            acc = acc ^ x[q]
+        if px:
+            acc = acc ^ z[q]
+    return acc
+
 
 # the widest Clifford circuit sample() runs as Pauli frames
 MAX_STABILIZER_QUBITS = 64
@@ -467,18 +528,25 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
 
     Every random draw comes from one ``np.random.default_rng(seed)``, so the
     same (circuit, noise, shots, seed) gives byte-identical counts.  Every
-    shot's faults are drawn up front.  Clifford circuits then run as Pauli
-    frames, in blocks of up to _FRAME_SHOTS shots; other circuits run
-    fault-first: fault-free shots read the shared noiseless state, and only
-    the faulty ones are simulated, together, from their first fault.  Both
+    shot's faults are drawn up front and pushed through the circuit as a
+    Pauli frame (Gidney, arXiv:2103.02202).  Clifford circuits run as
+    frames alone, in blocks of up to _FRAME_SHOTS shots.  In other circuits
+    every gate is a Clifford or a Pauli rotation exp(-i theta P / 2), and a
+    frame passes through a rotation with theta negated where it
+    anticommutes with P.  So a noisy shot is its frame applied to the
+    noiseless circuit with some rotations negated (its sign pattern), and
+    its outcomes are that circuit's XOR the frame's X bits.  Shots with the
+    empty pattern read the shared noiseless final state; each other
+    pattern is one statevector row, simulated from its first negated
+    rotation, and a row splits where its outcome is random.  Both backends
     keep one byte per clbit per shot until the counts are tallied.
 
     With the ``qedc.simulator`` logger at DEBUG, each call logs one JSON
     object: the backend ("noiseless", "statevector" or "pauli-frame"), the
     shots, the shots with at least one fault, the shots simulated (on the
-    statevector backends, those that start before the trailing
-    measurements rather than read the shared noiseless state; every shot
-    as Pauli frames), and the noisy instructions.
+    statevector backends, the rows simulated rather than read from the
+    shared noiseless state: one per sign pattern and outcome branch; every
+    shot as Pauli frames), and the noisy instructions.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -520,7 +588,9 @@ def _counts(records: np.ndarray, cregs: list[Register]) -> dict[str, int]:
     packed into whole 64-bit words and read as one key, so the tally is a
     1-D np.unique.  One word is read as a uint64: np.unique sorts those
     about ten times faster than raw bytes (on pcs_heavyhex raw-byte keys
-    cost 12% of shots_per_s)."""
+    cost 12% of shots_per_s).  The distinct rows are then written out as
+    counts_key characters, a space between register groups, and decoded
+    in one pass."""
     shots, nc = records.shape
     if nc == 0:
         return {counts_key([], cregs): shots}
@@ -531,9 +601,17 @@ def _counts(records: np.ndarray, cregs: list[Register]) -> dict[str, int]:
     uniq, freq = np.unique(keys, return_counts=True)
     rows = np.unpackbits(uniq.view(np.uint8).reshape(len(uniq), -1), axis=1,
                          count=nc, bitorder="little")
+    # counts_key's column order: registers last-declared first, high bit
+    # first, and a space (column -1) between groups
+    columns = []
+    for g, reg in enumerate(reversed(cregs)):
+        columns += [-1] * (g > 0) + list(range(reg.start + reg.size - 1, reg.start - 1, -1))
+    columns = np.array(columns, dtype=np.intp)
+    chars = np.where(columns >= 0, rows[:, columns] + ord("0"), ord(" ")).astype(np.uint8)
+    text = chars.tobytes().decode("ascii")
     counts: dict[str, int] = {}
-    for row, c in zip(rows.tolist(), freq.tolist()):
-        key = counts_key(row, cregs)
+    for i, c in enumerate(freq.tolist()):
+        key = text[i * len(columns):(i + 1) * len(columns)]
         counts[key] = counts.get(key, 0) + c
     return counts
 
@@ -583,54 +661,110 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
 
 
 def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
-    """Classical records, one row of clbits per shot, of fault-first
-    statevector trajectories, the faults drawn for them and the number of
-    shots simulated."""
-    n = circ.num_qubits
+    """Classical records, one row of clbits per shot, of statevector
+    trajectories with Pauli frames through Pauli rotations, the faults drawn
+    for them and the number of batch rows simulated.
+
+    A shot's state is F |phi>: F is its Pauli frame, stepped through every
+    op by _step_frames, and phi the noiseless circuit with the rotations F
+    anticommutes with negated.  Those rotations are the shot's sign
+    pattern.  A measurement of F |phi> reads phi's outcome XOR the frame's
+    X bit, and leaves F on the collapsed phi.
+    """
+    n, nc = circ.num_qubits, circ.num_clbits
+    insts = [i for i in circ.instructions if i.name != "barrier"]
     ops = _program(circ, noise)
     tail = _terminal_start(ops)
 
-    # 1. every shot's faults
+    # 1. every shot's faults; the faulty shots' frames give the rotations
+    # each one negates, and the X bit each of its measurements reads
     faults = _draw_faults([(op.error, len(op.qubits)) for op in ops], shots, rng)
-    fault_op, fault_shot, fault_code = faults.op, faults.shot, faults.code
-    first = np.full(shots, tail)
-    np.minimum.at(first, fault_shot, fault_op)
+    faulty, column = np.unique(faults.shot, return_inverse=True)
+    xbits = np.zeros((nc, len(faulty)), dtype=bool)
+    negated = {}
+    if len(faulty):
+        negated = _step_frames(insts, circ.num_qubits, (faults.op, column, faults.code), xbits)
+    rotation = np.full(len(ops), -1)
+    rotation[list(negated)] = np.arange(len(negated))
 
-    # 2. the shared noiseless prefix ends before the first random outcome;
-    # a shot needs simulating from its first fault or that point on
-    prefix = _NoiselessRun(ops, n, _RANDOM_TOL)
-    prefix.advance(tail)
-    start = np.minimum(first, prefix.index)
-    records = np.zeros((shots, circ.num_clbits), dtype=np.uint8)
-    for c, bit in prefix.record:
-        records[:, c] = bit
-    measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
+    # 2. the distinct sign patterns; the empty one, which every fault-free
+    # shot has, is row 0 of np.unique's sorted output
+    flips = np.zeros((1 + len(faulty), len(negated)), dtype=bool)
+    for k, anti in enumerate(negated.values()):
+        flips[1:, k] = anti
+    patterns, which = np.unique(flips, axis=0, return_inverse=True)
+    pattern_of = np.zeros(shots, dtype=np.intp)
+    pattern_of[faulty] = which.ravel()[1:]
+    members = np.split(np.argsort(pattern_of, kind="stable"),
+                       np.cumsum(np.bincount(pattern_of, minlength=len(patterns)))[:-1])
+    # each pattern's first negated op; the tail for the empty pattern
+    ends = np.column_stack([patterns, np.ones(len(patterns), dtype=bool)])
+    first = np.append(np.array(list(negated), dtype=int), tail)[ends.argmax(axis=1)]
+    pending = [(int(first[u]), patterns[u], members[u])
+               for u in np.argsort(first, kind="stable") if len(members[u])]
 
-    # 3. shots with no fault and no random mid-circuit outcome read the
-    # final noiseless state in one draw
-    free = np.nonzero(start == tail)[0]
-    if len(free):
-        cum = np.cumsum(np.abs(prefix.psi[0]) ** 2)
+    # 3. the patterns run as batch rows, in order of their first negated op;
+    # one noiseless run, carried on as row 0 of each batch, hands each row
+    # its state
+    records = np.zeros((shots, nc), dtype=np.uint8)
+    random = _may_be_random(insts[:tail], n)
+    plan = _Plan(ops, tail, rotation, np.cumsum([0] + random[::-1])[::-1],
+                 [(op.qubits[0], op.clbit) for op in ops[tail:]])
+    run = _NoiselessRun(ops, n, nc, _RANDOM_TOL)
+    size = min(max(1, _BATCH_AMPLITUDES >> n), shots)
+    work = _Batch(1 + size, n)
+    simulated = 0
+    while pending:
+        run.advance(pending[0][0])
+        if run.index == tail:
+            break  # only the empty pattern is left
+        rows = [row for row in pending[:size] if run.random or row[0] < tail]
+        rest = pending[len(rows):]
+        resume = rest[0][0] if rest else tail
+        ran, back = _run_rows(plan, rows, resume, run, work, records, rng)
+        simulated += ran
+        pending = back + rest
+
+    # 4. the empty pattern reads the final noiseless state; then every
+    # faulty shot's outcomes take its frame's X bits
+    if pending:
+        ((_, _, free),) = pending
+        records[free] = run.record
+        cum = np.cumsum(np.abs(run.psi[0]) ** 2)
         idx = np.searchsorted(cum, rng.random(len(free)) * cum[-1], side="right")
-        _read_out(records, free, np.minimum(idx, len(cum) - 1), measures)
+        _read_out(records, free, np.minimum(idx, len(cum) - 1), plan.measures)
+    records[faulty] ^= xbits.T
+    return records, faults, simulated
 
-    # 4. the others run in batches sorted by start; a second noiseless run,
-    # stepped forward as they join, hands each its starting state
-    states = _NoiselessRun(ops, n, _RANDOM_TOL)
-    batch = np.nonzero(start < tail)[0]
-    batch = batch[np.argsort(start[batch], kind="stable")]
-    position = np.full(shots, -1)
-    position[batch] = np.arange(len(batch))
-    fault_row = position[fault_shot]
-    size = max(1, _BATCH_AMPLITUDES >> n)
-    work = _Batch(min(size, len(batch)), n)
-    for lo in range(0, len(batch), size):
-        rows = batch[lo:lo + size]
-        mine = (fault_row >= lo) & (fault_row < lo + len(rows))
-        batch_faults = (fault_op[mine], fault_row[mine] - lo, fault_code[mine])
-        idx = _run_batch(ops, tail, start[rows], states, work, batch_faults, records, rows, rng)
-        _read_out(records, rows, idx, measures)
-    return records, faults, len(batch)
+
+def _may_be_random(insts, n: int) -> list[bool]:
+    """Per instruction, whether it is a measurement or reset whose outcome
+    some sign pattern could make random.
+
+    One backward sweep of the measured Z_q, one bit per measurement or
+    reset in per-qubit int rows, proves the others deterministic in every
+    pattern: an observable passes a Clifford by `step_xz` and a rotation it
+    commutes with, loses its part on a measured or reset qubit there (an
+    eigenstate stays one), and must be free of X at the start, |0...0>.
+    It is lost where it anticommutes with a rotation or has X on a measured
+    or reset qubit."""
+    x, z = [0] * n, [0] * n
+    lost, bit = 0, {}
+    for i in range(len(insts) - 1, -1, -1):
+        inst = insts[i]
+        if inst.name in ("measure", "reset"):
+            q = inst.qubits[0]
+            lost |= x[q]
+            bit[i] = 1 << len(bit)
+            x[q], z[q] = 0, bit[i]
+        elif inst.name in _ROTATION_XZ and not is_clifford(inst):
+            lost |= _anticommuting(inst, x, z, 0)
+        else:
+            for name, qs in reversed(clifford_gate_sequence(inst)):
+                step_xz(x, z, name, qs)
+    for row in x:
+        lost |= row
+    return [i in bit and bool(bit[i] & lost) for i in range(len(insts))]
 
 
 def _read_out(records: np.ndarray, rows: np.ndarray, idx: np.ndarray, measures) -> None:
@@ -640,55 +774,108 @@ def _read_out(records: np.ndarray, rows: np.ndarray, idx: np.ndarray, measures) 
         records[rows, c] = (idx >> q) & 1
 
 
-def _run_batch(ops, tail, starts, states, work, faults, records, rows, rng) -> np.ndarray:
-    """Run the shots `rows` (sorted by start op) from their starts through
-    ops[:tail] in the leading rows of the _Batch `work`, writing mid-circuit
-    outcomes into `records`.
+class _Plan(NamedTuple):
+    """What the batches of _sample_records share."""
 
-    `faults` holds (op index, batch row, Pauli code) arrays sorted by op.  A
-    shot joins the batch at its start with the noiseless state before that
-    op, taken from `states`, which only ever steps forward.
-    Returns one basis-state index per shot drawn from its final state.
+    ops: list[_Op]
+    tail: int  # the first of the trailing measurements
+    rotation: np.ndarray  # per op, its column in the sign patterns, or -1
+    splits: np.ndarray  # per op, the possibly random outcomes from it to the tail
+    measures: list[tuple[int, int]]  # (qubit, clbit) of the trailing ones
+
+
+def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
+    """Simulate sign patterns as rows of the _Batch `work`, from the op
+    `run` stands before through the tail, and write their shots' records.
+
+    `rows` holds (first negated op, negations per rotation, shots), sorted
+    by first op.  Row 0 carries the noiseless state on from `run`, and a row
+    joins at its first op as a copy of it; if the run stands before a
+    random outcome, every row joins there.  A row of s shots can split into
+    at most min(s, 2**k) rows over the k outcomes ahead that _may_be_random,
+    and a row joins only while there is room for that many for every row.
+    Where a row's outcome is random, each of its shots draws one and the
+    row splits by outcome.  Row 0 goes back to `run` at the first op where a
+    row finds no room, where its own outcome is random, or at `resume`,
+    where the next batch starts; rows not joined by then are handed back.
+    Returns the rows simulated and the rows handed back.
     """
-    fault_op, fault_row, fault_code = faults
-    fault_edges = np.searchsorted(fault_op, np.arange(tail + 1))
-    joined_by = np.searchsorted(starts, np.arange(tail), side="right")
-    active = 0
-    for i in range(int(starts[0]), tail):
-        joined = joined_by[i]
-        if joined > active:
-            states.advance(i)
-            work.psi[active:joined] = states.psi
-            active = joined
-        op = ops[i]
+    members = np.concatenate([shots for _, _, shots in rows])
+    owner = np.empty(len(members), dtype=np.intp)  # row of each member
+    signs = np.zeros((len(work.psi), len(rows[0][1])), dtype=bool)
+    any_negated = np.any([pattern for _, pattern, _ in rows], axis=0)
+    start, record = run.index, run.record.copy()
+    if run.random:
+        rows = [(start, pattern, shots) for _, pattern, shots in rows]
+    noiseless = not run.random  # row 0 is the noiseless state, not yet handed back
+    work.psi[0] = run.psi[0]
+    sizes = []  # shots per row, from row 1
+    active, joined, nxt = 1, 0, 0
+    back = []
+    for i in range(start, plan.tail):
+        most = 1 << min(int(plan.splits[i]), 62)
+        while nxt < len(rows) and rows[nxt][0] <= i:
+            first, pattern, shots = rows[nxt]
+            room = len(work.psi) - 1 - sum(min(s, most) for s in sizes)
+            if min(len(shots), most) > room:
+                if sizes:
+                    rows, back = rows[:nxt], rows[nxt:]
+                    break
+                # wider than a whole batch: its first shots join alone
+                rows[nxt:nxt + 1] = [(first, pattern, shots[:room]), (first, pattern, shots[room:])]
+                shots = shots[:room]
+            work.psi[active], signs[active] = work.psi[0], pattern
+            owner[joined:joined + len(shots)] = active
+            records[shots] = record
+            sizes.append(len(shots))
+            active, joined, nxt = active + 1, joined + len(shots), nxt + 1
+        if noiseless and (back or i == resume):
+            run.rejoin(i, work.psi[0], record)
+            noiseless = False
+        op = plan.ops[i]
         if op.gate is not None:
-            work.apply(op.gate, active)
-            live = work.psi[:active]
-            a, b = fault_edges[i], fault_edges[i + 1]
-            if a < b:
-                hit = fault_row[a:b]
-                xz = _FAULT_XZ[len(op.qubits)][fault_code[a:b]]
-                # a Y fault is X times Z up to a global phase, which no
-                # outcome can see
-                for k, q in enumerate(op.qubits):
-                    _phase(live, hit[xz[:, k, 1]], q)
-                    _flip(live, hit[xz[:, k, 0]], q)
+            k = plan.rotation[i]
+            work.apply(op.gate, active, signs[:active, k] if k >= 0 and any_negated[k] else None)
             continue
-        live = work.psi[:active]
-        q = op.qubits[0]
-        p1 = _prob_one(live, q)
-        outcomes = rng.random(active) < p1
-        _collapse(live, q, p1, outcomes)
+        p1 = _prob_one(work.psi[:active], op.qubits[0])
+        outcomes = p1 >= 0.5
+        random = (p1 > _RANDOM_TOL) & (p1 < 1.0 - _RANDOM_TOL)
+        if noiseless and random[0]:
+            run.rejoin(i, work.psi[0], record, random=True)
+            noiseless = False
+            rows, back = rows[:nxt], rows[nxt:]
+        for r in np.nonzero(random[1:])[0] + 1:
+            mine = np.nonzero(owner[:joined] == r)[0]
+            ones = rng.random(len(mine)) < p1[r]
+            outcomes[r] = ones.all()
+            if ones.any() and not ones.all():
+                # the shots that read 1 move to a copy of the row
+                work.psi[active], signs[active] = work.psi[r], signs[r]
+                owner[mine[ones]] = active
+                moved = int(ones.sum())
+                sizes[r - 1] -= moved
+                sizes.append(moved)
+                outcomes, p1 = np.append(outcomes, True), np.append(p1, p1[r])
+                active += 1
+        _settle(work.psi[:active], op, p1, outcomes)
         if op.name == "measure":
-            records[rows[:active], op.clbit] = outcomes
-        else:
-            _flip(live, np.nonzero(outcomes)[0], q)
+            record[op.clbit] = outcomes[0]
+            records[members[:joined], op.clbit] = outcomes[owner[:joined]]
+    if noiseless:
+        run.rejoin(plan.tail, work.psi[0], record)
 
+    # one search for every shot's basis state: row r's cumulative
+    # probabilities, which end near 1, are shifted up by 2r
     cum = np.abs(work.psi[:active])
     cum *= cum
     np.cumsum(cum, axis=1, out=cum)
-    u = rng.random(len(rows)) * cum[:, -1]
-    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[1] - 1)
+    owner = owner[:joined]
+    u = rng.random(joined) * cum[owner, -1]
+    cum += 2 * np.arange(active)[:, None]
+    width = cum.shape[1]
+    idx = np.searchsorted(cum.ravel(), u + 2 * owner, side="right") - owner * width
+    _read_out(records, members[:joined], np.minimum(idx, width - 1), plan.measures)
+    return active - 1, back
 
 
 def _is_clifford_circuit(circ: Circuit) -> bool:
@@ -723,34 +910,51 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         hi = min(lo + _FRAME_SHOTS, shots)
         mine = (faults.shot >= lo) & (faults.shot < hi)
         block = (faults.op[mine], faults.shot[mine] - lo, faults.code[mine])
-        _step_frames(insts, circ.num_qubits, reference, block, bits[:, lo:hi], rng)
+        _step_frames(insts, circ.num_qubits, block, bits[:, lo:hi], reference, rng)
     return bits.T, faults, shots
 
 
-def _step_frames(insts, n, reference, faults, bits, rng) -> None:
+def _step_frames(insts, n, faults, bits, reference=None, rng=None) -> dict[int, np.ndarray]:
     """Step one frame per column of `bits` through the instructions, writing
-    each measurement's outcomes into its row of `bits`.  The frame is the
-    per-qubit bool rows x[q] and z[q], stepped through each gate by
+    each measurement's X bits into its row of `bits`, XORed with the next
+    `reference` outcome if one is given.  The frame is the per-qubit bool
+    rows x[q] and z[q], stepped through each Clifford gate by
     `clifford.step_xz`.  `faults` holds (op index, column, Pauli code)
-    arrays sorted by op."""
+    arrays sorted by op, and is the only place faults enter any sampler.
+
+    A reset clears X.  Z starts random and is drawn again after each
+    measurement and reset if `rng` is given, and is 0 and cleared there
+    otherwise.  A non-Clifford rotation (see _ROTATION_XZ) leaves the
+    frames as they are; returned by its op index is the row of frames that
+    anticommute with its Pauli."""
     fault_op, fault_col, fault_code = faults
     edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
-    outcomes = iter(reference)
+    outcomes = iter(reference or ())
     shots = bits.shape[1]
+
+    def fresh_z(shape):
+        if rng is None:
+            return np.zeros(shape, dtype=bool)
+        return rng.integers(2, size=shape, dtype=bool)
+
     # one array per qubit, so h and swap exchange rows without copying
     x = list(np.zeros((n, shots), dtype=bool))
-    z = list(rng.integers(2, size=(n, shots), dtype=bool))
+    z = list(fresh_z((n, shots)))
+    negated = {}
     for i, inst in enumerate(insts):
         if inst.name in ("measure", "reset"):
             q = inst.qubits[0]
             if inst.name == "measure":
-                bits[inst.clbits[0]] = x[q] ^ bool(next(outcomes))
+                bits[inst.clbits[0]] = x[q] ^ bool(next(outcomes, False))
             else:
                 x[q][:] = False
-            z[q] = rng.integers(2, size=shots, dtype=bool)
+            z[q] = fresh_z(shots)
             continue
-        for name, qs in clifford_gate_sequence(inst):
-            step_xz(x, z, name, qs)
+        if inst.name in _ROTATION_XZ and not is_clifford(inst):
+            negated[i] = _anticommuting(inst, x, z, np.zeros(shots, dtype=bool))
+        else:
+            for name, qs in clifford_gate_sequence(inst):
+                step_xz(x, z, name, qs)
         a, b = edges[i], edges[i + 1]
         if a < b:
             hit = fault_col[a:b]
@@ -758,3 +962,4 @@ def _step_frames(insts, n, reference, faults, bits, rng) -> None:
             for k, q in enumerate(inst.qubits):
                 x[q][hit[xz[:, k, 0]]] ^= True
                 z[q][hit[xz[:, k, 1]]] ^= True
+    return negated

@@ -1,4 +1,5 @@
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -74,3 +75,21 @@ def test_a_higher_failed_share_is_more_failures(monkeypatch, capsys):
     assert "failed share: more-failures" in capsys.readouterr().out
     # fewer failures than the parent is not a regression
     assert bench_pairs.failure_verdict(_stub_runs(monkeypatch, {"parent": 2, "change": 0})) == "ok"
+
+
+def test_json_holds_the_runs_and_the_summary(monkeypatch, tmp_path):
+    runs = _stub_runs(monkeypatch, {"parent": 1, "change": 2})
+    runs["change"][0]["metrics"]["pipeline_s"] = 0.5
+    args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=3, parent="HEAD~1")
+    path = tmp_path / "bench.json"
+    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
+    out = json.loads(path.read_text())
+    assert (out["workload"], out["seed"], out["pairs"], out["parent"]) == ("pcs_wide", 7, 3, "HEAD~1")
+    assert out["runs"] == runs
+    lower = out["metrics"]["pipeline_s"]
+    assert lower["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert lower["change"] == {"q1": 0.75, "median": 1.0, "q3": 1.0}
+    assert (lower["wins"], lower["pairs"], lower["verdict"]) == (1, 3, "ok")
+    assert out["metrics"]["shots_per_s"]["wins"] == 0
+    assert out["failed"]["change"] == {"failed": 6, "attempted": 39, "share": 6 / 39}
+    assert out["failure_verdict"] == "more-failures"

@@ -14,6 +14,7 @@ from qedc.simulator import (
     NoiseModel,
     SimulationError,
     deterministic_distribution,
+    gate_matrix,
     ideal_distribution,
     sample,
     statevector,
@@ -257,6 +258,38 @@ def test_deterministic_distribution_handles_midcircuit():
         deterministic_distribution(d)
 
 
+def test_deterministic_distribution_branches_on_a_random_reset():
+    c = Circuit()
+    c.add_qreg("q", 2)
+    c.add_creg("c", 2)
+    c.append("h", (0,))
+    c.append("cx", (0, 1))
+    c.append("reset", (0,))
+    _measure_all(c, 2)
+    assert deterministic_distribution(c) == pytest.approx({"00": 0.5, "10": 0.5})
+    # each branch weighs its outcome's probability, sin^2(0.3) for 1
+    d = Circuit()
+    d.add_qreg("q", 2)
+    d.add_creg("c", 1)
+    d.append("ry", (0,), (0.6,))
+    d.append("cx", (0, 1))
+    d.append("reset", (0,))
+    d.append("measure", (1,), clbits=(0,))
+    p1 = math.sin(0.3) ** 2
+    assert deterministic_distribution(d) == pytest.approx({"0": 1 - p1, "1": p1})
+    # a random mid-circuit measurement still raises, and names its kind
+    e = Circuit()
+    e.add_qreg("q", 2)
+    e.add_creg("c", 2)
+    e.append("h", (0,))
+    e.append("cx", (0, 1))
+    e.append("measure", (0,), clbits=(0,))
+    e.append("x", (1,))
+    e.append("measure", (1,), clbits=(1,))
+    with pytest.raises(SimulationError, match="mid-circuit measurement on qubit 0 is not deterministic"):
+        deterministic_distribution(e)
+
+
 def test_large_clifford_uses_stabilizer_path():
     n = 20
     c = Circuit()
@@ -426,6 +459,28 @@ def _iceberg_qaoa_circuit():
     return compile_circuit(_measure_all(c, 6), code="iceberg", checks=2)[0]
 
 
+def _split_circuit():
+    """q1 reads 0 at its mid-circuit measurement, since the two rzz cancel,
+    unless a fault on q0 between them negates the second rzz.  Then the
+    outcome is random and entangled with q0, and the cx carries it on."""
+    c = Circuit()
+    c.add_qreg("q", 2)
+    c.add_creg("m", 1)
+    c.add_creg("c", 2)
+    c.append("ry", (0,), (0.8,))
+    c.append("h", (1,))
+    c.append("rzz", (0, 1), (0.7,))
+    c.append("rz", (0,), (0.4,))
+    c.append("rzz", (0, 1), (-0.7,))
+    c.append("h", (1,))
+    c.append("measure", (1,), clbits=(0,))
+    c.append("cx", (1, 0))
+    c.append("ry", (1,), (0.5,))
+    c.append("measure", (0,), clbits=(1,))
+    c.append("measure", (1,), clbits=(2,))
+    return c
+
+
 def _assert_matches(counts, dist, shots):
     assert sum(counts.values()) == shots
     for key in set(counts) | set(dist):
@@ -440,23 +495,84 @@ def _assert_matches(counts, dist, shots):
     (_first_last_circuit(), NoiseModel(p1=0.5, p2=0.5, gates1=("rx",), gates2=("cz",))),
     (_clifford_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
     (_clifford_midcircuit_circuit(), NoiseModel(p1=0.05, p2=0.05)),
-], ids=["terminal", "midcircuit", "first-last", "clifford-terminal", "clifford-midcircuit"])
+    (_split_circuit(), NoiseModel(p1=0.2, p2=0.1, gates1=("rz",), gates2=("cx",))),
+], ids=["terminal", "midcircuit", "first-last", "clifford-terminal", "clifford-midcircuit",
+        "split"])
 def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
     shots = 100000
     _assert_matches(sample(circ, noise=noise, shots=shots, seed=11),
                     noisy_distribution(circ, noise), shots)
 
 
+@pytest.mark.parametrize("name", sorted(simulator._ROTATION_XZ))
+def test_frames_pass_rotations_with_the_sign_rule(name):
+    """gate(theta) F = phase F gate(±theta) for every Pauli F on the gate's
+    qubits, with - where _step_frames reports that F anticommutes with the
+    rotation's Pauli; and _Batch.apply with `flip` runs gate(-theta)."""
+    from qedc.circuit import Instruction
+
+    from oracles import pauli_matrix
+
+    k = 2 if name in ("rzz", "rxx", "ryy") else 1
+    params = () if name in ("t", "tdg") else (0.7,)
+    negated = gate_matrix({"t": "tdg", "tdg": "t"}.get(name, name), tuple(-p for p in params))
+    gate = gate_matrix(name, params)
+    # every depolarizing Pauli, as a fault after a Clifford on the same qubits
+    c = Circuit()
+    c.add_qreg("q", k)
+    c.append("cz" if k == 2 else "z", tuple(range(k)))
+    c.append(name, tuple(range(k)), params)
+    codes = np.arange(4 ** k - 1)
+    faults = (np.zeros_like(codes), codes, codes)
+    (anti,) = simulator._step_frames(c.instructions, k, faults, np.zeros((0, len(codes)), dtype=bool)).values()
+    for code in codes:
+        label = "".join("IZXY"[x * 2 + z] for x, z in simulator._FAULT_XZ[k][code])
+        f = pauli_matrix(label)
+        lhs, rhs = gate @ f, f @ (negated if anti[code] else gate)
+        phase = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
+        assert abs(abs(phase) - 1) < 1e-12 and np.allclose(lhs, phase * rhs), (label, anti[code])
+
+    # qubits listed high bit first, so the matrix basis is the state basis
+    qubits = tuple(reversed(range(k)))
+    insts = [Instruction(c.instructions[1].gate, qubits)]
+    batch = simulator._Batch(2, k)
+    rng = np.random.default_rng(1)
+    batch.psi[:] = rng.normal(size=(2, 2 ** k)) + 1j * rng.normal(size=(2, 2 ** k))
+    want = [gate @ batch.psi[0], negated @ batch.psi[1]]
+    batch.apply(next(simulator._gates(insts, k)), 2, np.array([False, True]))
+    assert np.allclose(batch.psi, want)
+
+
+def _random_ops(circ):
+    """The ops before the trailing measurements that _may_be_random flags."""
+    compacted, _ = simulator._compact(circ)
+    insts = [i for i in compacted.instructions if i.name != "barrier"]
+    tail = simulator._terminal_start(simulator._program(compacted))
+    flags = simulator._may_be_random(insts[:tail], compacted.num_qubits)
+    return [(i, insts[i].name) for i, flag in enumerate(flags) if flag]
+
+
+def test_may_be_random_flags_what_a_sign_pattern_can_randomise():
+    # the Iceberg syndrome measurements and resets commute with the logical
+    # rotations, so no sign pattern makes them random
+    assert _random_ops(_iceberg_qaoa_circuit()) == []
+    # negating the second rzz leaves q1 off the Z axis at its measurement
+    assert _random_ops(_split_circuit()) == [(6, "measure")]
+    # random even without a fault
+    assert _random_ops(_midcircuit_circuit()) == [(4, "measure"), (5, "reset")]
+
+
 # sha256 of the sorted counts of sample(circ, noise, shots=2000, seed=2024):
 # counts are byte-identical per (circuit, noise, shots, seed), so a change to
 # the order of the depolarizing Paulis or of the random draws fails here
 _PINNED_COUNTS = {
-    "terminal": "5ea4f37f5f7c86688547f3f316878951123576bebea1bedf5a713bbacf5ae0fe",
-    "midcircuit": "c0ac5e70f7c6283a251b18a02562a911912c6b20edd902532ee51d84544bec04",
-    "first-last": "cbe291aec11aca811cdeaefaee509c28316f0aa54bb7ae81f5de07d47391b932",
+    "terminal": "be5f2215bb2b92c4348ec9c6a0241640319143ac80f4fc7261f6a74704c432eb",
+    "midcircuit": "4c48ea2cbec92ae2736897a7ae8d4a3ec3d6fc6ba6d3a02c31def3b5e53badb7",
+    "first-last": "ed50a32a5f6d76dd03c7e8804dae796e5d574a99e6241fcfc17c0a8dd15fd2bd",
     "clifford-terminal": "58d382338f667565d01969a809371a0446497d546d365248d1bcb066cd3c84c9",
     "clifford-midcircuit": "fc595bc267d1ec6427e3069188aece5a344376296f65b405f744f1a38c0d8fd2",
-    "iceberg-qaoa": "17890e0bb5d22edbcfdeae749715c8d032cfe47765b04abff184a837a65c4e93",
+    "iceberg-qaoa": "aa4063255a299a3e0048f208ee46ba9a5e5bec579b290f11e21ff3e472ecc9b1",
+    "split": "d69d1eaf6192340f5aa5954ba04adde8aeaf5798edd6181c8ea592d5f168f359",
 }
 
 
@@ -468,6 +584,7 @@ _PINNED_COUNTS = {
     ("clifford-terminal", _clifford_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
     ("clifford-midcircuit", _clifford_midcircuit_circuit(), NoiseModel(p1=0.05, p2=0.05)),
     ("iceberg-qaoa", _iceberg_qaoa_circuit(), NoiseModel(p1=1e-3, p2=2e-2)),
+    ("split", _split_circuit(), NoiseModel(p1=0.2, p2=0.1, gates1=("rz",), gates2=("cx",))),
 ], ids=list(_PINNED_COUNTS))
 def test_counts_are_pinned(name, circ, noise):
     counts = sample(circ, noise=noise, shots=2000, seed=2024)
@@ -555,13 +672,16 @@ def test_fault_first_determinism():
 
 
 def test_counts_sum_to_shots_across_batches(monkeypatch):
-    # 4 rows of 16 amplitudes per batch: hundreds of batches
-    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 64)
+    # rows of 4 to 16 amplitudes: at 64 a few rows per batch; at 8 at most
+    # one beside the noiseless row, so rows that could split past it are
+    # cut, the empty pattern after the random measurement too
     noise = NoiseModel(p1=0.02, p2=0.05)
-    for circ in (_terminal_circuit(), _midcircuit_circuit()):
-        counts = sample(circ, noise=noise, shots=3000, seed=5)
-        assert sum(counts.values()) == 3000
-    _assert_matches(counts, noisy_distribution(circ, noise), 3000)
+    for amplitudes in (64, 8):
+        monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", amplitudes)
+        for circ in (_terminal_circuit(), _split_circuit(), _midcircuit_circuit()):
+            counts = sample(circ, noise=noise, shots=3000, seed=5)
+            assert sum(counts.values()) == 3000
+        _assert_matches(counts, noisy_distribution(circ, noise), 3000)
 
 
 def test_counts_sum_to_shots_without_faults():
@@ -629,11 +749,14 @@ def test_sample_logs_one_debug_record(caplog, circ, noise, backend, noisy):
     assert not [r for r in caplog.records if r.name == "qedc.simulator"]
     counts, stats = _logged_sample(caplog, circ, noise, shots)
     assert counts == quiet
-    # every listed gate fails with probability 1, so every shot is faulty
-    # and simulated
+    # every listed gate fails with probability 1, so every shot is faulty.
+    # As Pauli frames every shot is simulated; on statevectors one row per
+    # sign pattern is: the t's X and Y faults negate the rzz after it, and
+    # its Z faults negate nothing
+    simulated = {"pauli-frame": shots, "statevector": 1, "noiseless": 0}[backend]
     assert stats == {"backend": backend, "shots": shots,
                      "faulty_shots": shots if noisy else 0,
-                     "simulated_shots": shots if noisy else 0, "noisy_instructions": noisy}
+                     "simulated_shots": simulated, "noisy_instructions": noisy}
 
 
 def test_sample_logs_faulty_shot_count(caplog):
@@ -647,16 +770,22 @@ def test_sample_logs_faulty_shot_count(caplog):
 
 def test_sample_logs_simulated_shots(caplog):
     shots, noise = 4000, NoiseModel(p1=0.01, p2=0.02)
-    # measured only at the end: exactly the faulty shots are simulated
+    # measured only at the end: one row per non-empty sign pattern over the
+    # circuit's 5 rotations, far fewer than the faulty shots
     _, stats = _logged_sample(caplog, _terminal_circuit(), noise, shots)
     assert stats["backend"] == "statevector"
+    assert 2 ** 5 < stats["faulty_shots"] < shots
+    assert 0 < stats["simulated_shots"] < 2 ** 5
+    # the first mid-circuit measurement is random: every shot joins a row
+    # there, and a row splits at most in four over that measurement and
+    # the random reset after it; there are 4 rotations
+    _, stats = _logged_sample(caplog, _midcircuit_circuit(), noise, shots)
     assert 0 < stats["faulty_shots"] < shots
-    assert stats["simulated_shots"] == stats["faulty_shots"]
-    # the first mid-circuit measurement is random: every shot is simulated
-    for circ in (_midcircuit_circuit(), _clifford_midcircuit_circuit()):
-        _, stats = _logged_sample(caplog, circ, noise, shots)
-        assert stats["faulty_shots"] < shots
-        assert stats["simulated_shots"] == shots
+    assert 4 <= stats["simulated_shots"] <= 4 * 2 ** 4
+    # as Pauli frames every shot is simulated
+    _, stats = _logged_sample(caplog, _clifford_midcircuit_circuit(), noise, shots)
+    assert stats["faulty_shots"] < shots
+    assert stats["simulated_shots"] == shots
 
 
 @pytest.mark.parametrize("width", [1, 13, 64, 65, 70])

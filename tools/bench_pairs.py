@@ -11,7 +11,9 @@ BENCHMARK.json the script prints its bound, the parent's median [lower
 quartile, upper quartile], the change's median, in how many pairs the
 change did better, and a verdict (see `verdict`).  Last it prints each
 side's share of failed operations over all its runs, with the verdict
-`more-failures` if the change's share is the higher one.
+`more-failures` if the change's share is the higher one.  With `--json PATH`
+it also writes every run's metrics, the medians, quartiles and verdicts,
+and the failed shares to PATH.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ def parse_args(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--json", type=Path, help="also write the runs and the summary here")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -99,25 +102,48 @@ def failure_verdict(runs: dict[str, list[dict]]) -> str:
     return "more-failures" if worse else "ok"
 
 
-def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
-    print(f"{'metric':18s} {'bound':>6s} {'parent median [IQR]':>36s} "
-          f"{'change median':>14s}  wins  verdict")
+def summary(specs: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Per metric: its bound, each side's median and quartiles, the pairs
+    the change won and the verdict; then each side's failed share and the
+    failure verdict."""
+    metrics = {}
     for spec in specs:
         name = spec["name"]
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
-        q1, med, q3 = quartiles(parent)
         if spec["better"] == "lower":
             wins = sum(c < p for p, c in zip(parent, change))
         else:
             wins = sum(c > p for p, c in zip(parent, change))
-        print(f"{name:18s} {spec['bound']:6.2f} {med:14.6g} [{q1:.6g}, {q3:.6g}] "
-              f"{statistics.median(change):14.6g}  {wins}/{len(parent)}  "
-              f"{verdict(spec, parent, change)}")
-    for side in ("parent", "change"):
-        failed, attempted, share = failed_share(runs[side])
-        print(f"{side} failed {failed} of {attempted} operations ({share:.4g})")
-    print(f"failed share: {failure_verdict(runs)}")
+        metrics[name] = {"bound": spec["bound"], "better": spec["better"],
+                         "parent": dict(zip(("q1", "median", "q3"), quartiles(parent))),
+                         "change": dict(zip(("q1", "median", "q3"), quartiles(change))),
+                         "wins": wins, "pairs": len(parent),
+                         "verdict": verdict(spec, parent, change)}
+    failed = {side: dict(zip(("failed", "attempted", "share"), failed_share(runs[side])))
+              for side in ("parent", "change")}
+    return {"metrics": metrics, "failed": failed, "failure_verdict": failure_verdict(runs)}
+
+
+def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
+    result = summary(specs, runs)
+    print(f"{'metric':18s} {'bound':>6s} {'parent median [IQR]':>36s} "
+          f"{'change median':>14s}  wins  verdict")
+    for name, m in result["metrics"].items():
+        parent = m["parent"]
+        print(f"{name:18s} {m['bound']:6.2f} {parent['median']:14.6g} "
+              f"[{parent['q1']:.6g}, {parent['q3']:.6g}] "
+              f"{m['change']['median']:14.6g}  {m['wins']}/{m['pairs']}  {m['verdict']}")
+    for side, f in result["failed"].items():
+        print(f"{side} failed {f['failed']} of {f['attempted']} operations ({f['share']:.4g})")
+    print(f"failed share: {result['failure_verdict']}")
+
+
+def write_json(path: Path, args, specs: list[dict], runs: dict[str, list[dict]]) -> None:
+    """The settings, every run and the summary, as one JSON object."""
+    out = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+           "parent": args.parent, "runs": runs, **summary(specs, runs)}
+    path.write_text(json.dumps(out, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -136,6 +162,8 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
     report(specs, runs)
+    if args.json:
+        write_json(args.json, args, specs, runs)
     return 0
 
 
