@@ -6,6 +6,7 @@ Basis convention: bit q of a computational-basis index is qubit q
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Instruction, Register, counts_key
+from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key
 from .clifford import clifford_gate_sequence, is_clifford, step_xz
 from .errorprop import depolarizing_signatures
 from .stabilizer import stabilizer_run
@@ -39,6 +40,12 @@ class NoiseModel:
     def __post_init__(self):
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ValueError("depolarizing probabilities must lie in [0, 1]")
+        for field, unitary in (("gates1", ONE_QUBIT_GATES), ("gates2", TWO_QUBIT_GATES)):
+            names = getattr(self, field)
+            if not (isinstance(names, (list, tuple))
+                    and all(isinstance(g, str) and g in unitary for g in names)):
+                raise ValueError(f"{field} must be a list of gates from {sorted(unitary)}, got {names!r}")
+            setattr(self, field, tuple(names))
 
     @property
     def is_noiseless(self) -> bool:
@@ -60,8 +67,8 @@ class NoiseModel:
         return cls(
             p1=float(d.get("p1", 0.0)),
             p2=float(d.get("p2", 0.0)),
-            gates1=tuple(d.get("gates1", DEFAULT_GATES_1Q)),
-            gates2=tuple(d.get("gates2", DEFAULT_GATES_2Q)),
+            gates1=d.get("gates1", DEFAULT_GATES_1Q),
+            gates2=d.get("gates2", DEFAULT_GATES_2Q),
         )
 
 
@@ -129,120 +136,67 @@ def _compact(circ: Circuit) -> tuple[Circuit, dict[int, int]]:
     return out, remap
 
 
-class _Gate(NamedTuple):
-    """A gate on fixed qubits of an n-qubit batch as a sum of terms:
-    out[j] = sum over terms of coef[rows[j]] * psi[perm[j]], where rows[j]
-    is the matrix row of basis state j and perm changes only target bits.
-    A term is one gather and one multiply over whole rows of the batch, so
-    the inner loops run over contiguous memory whichever qubits the gate
-    acts on."""
+class _Permutation(NamedTuple):
+    """A run of Clifford gates with one nonzero entry per matrix row (cx, cz,
+    swap, x, y, z, s, sdg, and rotations such as rz(pi/2)) as one kernel:
+    out[:, j] = phase[j] * psi[:, perm[j]]."""
 
-    rows: np.ndarray  # matrix row of each basis state
-    # (perm, or None for no change; coef per matrix row, or None for all ones)
-    terms: tuple[tuple[np.ndarray | None, np.ndarray | None], ...]
+    perm: np.ndarray | None  # None for the identity
+    phase: np.ndarray | None  # None for all ones
 
 
-def _template(name: str, params: tuple[float, ...]) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-    """The terms of gate_matrix(name, params) that _gate places on qubits:
-    per term, the local bit flips of each matrix row and the coefficient of
-    each row (None for all ones)."""
-    mat = gate_matrix(name, params)
-    local = np.arange(len(mat))
-    nonzero = mat != 0
-    if (nonzero.sum(axis=1) == 1).all():
-        # one entry per row (cx, cz, rzz, ...): a single permuted term
-        col = nonzero.argmax(axis=1)
-        parts = [(local ^ col, mat[local, col])]
-    else:
-        parts = [(np.full(len(mat), flips), mat[local, local ^ flips])
-                 for flips in range(len(mat)) if np.any(mat[local, local ^ flips])]
-    return tuple((flips, None if np.all(coef == 1) else coef.astype(complex))
-                 for flips, coef in parts)
+class _Rotation(NamedTuple):
+    """exp(-i theta P / 2) for a Pauli P with bits xmask and zmask over the
+    basis index (t and tdg are diagonal ones up to a phase).  By coef[f, p],
+    f 1 in a row that runs it at -theta and p the parity of j & zmask, a
+    diagonal P scales state j (row 1 is the conjugate of row 0); any other
+    gives c psi[j] + coef[f, p] psi[j ^ xmask] (row 1 is minus row 0)."""
 
-
-def _gate(template, qubits: tuple[int, ...], n: int, shared: dict) -> _Gate:
-    """A _template on `qubits` (the first listed qubit is the most
-    significant bit of the matrix basis) as a _Gate.  Index arrays are taken
-    from and kept in `shared`, so gates on the same qubits hold one copy."""
-    k = len(qubits)
-    if qubits not in shared:
-        basis = np.arange(1 << n)
-        shared[qubits] = sum(((basis >> q) & 1) << (k - 1 - a) for a, q in enumerate(qubits))
-    rows = shared[qubits]
-    terms = []
-    for flips, coef in template:
-        perm = None
-        if flips.any():
-            key = (qubits, flips.tobytes())
-            if key not in shared:
-                local = np.arange(1 << k)
-                # global bit mask of each local (matrix-basis) bit pattern
-                masks = sum(((local >> (k - 1 - a)) & 1) << q for a, q in enumerate(qubits))
-                shared[key] = np.arange(1 << n) ^ masks[flips][rows]
-            perm = shared[key]
-        terms.append((perm, coef))
-    return _Gate(rows, tuple(terms))
-
-
-def _gates(insts, n: int):
-    """A _Gate per instruction, each (name, params) analysed once."""
-    templates, shared = {}, {}
-    for inst in insts:
-        key = (inst.name, inst.params)
-        if key not in templates:
-            templates[key] = _template(*key)
-        yield _gate(templates[key], inst.qubits, n, shared)
+    coef: np.ndarray  # (2, 2) complex
+    parity: np.ndarray | None  # parity of j & zmask, or None if zmask is 0
+    perm: np.ndarray | None  # j ^ xmask, or None if P is diagonal
+    c: float = 0.0  # cos(theta / 2)
 
 
 class _Batch:
     """A (rows, 2**n) batch of states, one state per row (bit q of a column
-    index is qubit q), with the spare arrays gates run through.  A gate
-    allocates nothing, so the memory of a batch is not handed back to the
-    system and faulted in again between gates."""
+    index is qubit q), with the spare arrays kernels run through, so its
+    memory is not handed back to the system and faulted in again between
+    kernels.  `passes` counts the kernels run."""
 
     def __init__(self, rows: int, n: int):
-        self.psi, self._out, self._scratch = (
-            np.zeros((rows, 1 << n), dtype=complex) for _ in range(3))
-        self._coef = np.zeros(1 << n, dtype=complex)
+        self.psi, self._out, self._scale = (np.zeros((rows, 1 << n), dtype=complex) for _ in range(3))
+        self._coef = np.zeros((2, 1 << n), dtype=complex)
+        self.passes = 0
 
-    def apply(self, gate: _Gate, active: int, flip: np.ndarray | None = None) -> None:
-        """Apply the gate to the first `active` rows.
-
-        For a Pauli rotation exp(-i theta P / 2) (t and tdg are rz(±pi/4)
-        up to a phase), `flip` marks the rows that run it at -theta.  A
-        diagonal one then scales those rows by the conjugate coefficients;
-        any other is cos(theta/2) I plus its permuted P terms, and those
-        terms are negated in the flipped rows."""
-        psi, out = self.psi[:active], self._out[:active]
-        if len(gate.terms) == 1 and gate.terms[0][0] is None:
-            # diagonal (z, s, t, rz, cz, rzz, ...): scale in place
-            coef = gate.terms[0][1]
-            if coef is not None:
-                np.take(coef, gate.rows, out=self._coef)
-                if flip is None:
-                    psi *= self._coef
-                else:
-                    np.multiply(psi, self._coef, out=psi, where=~flip[:, None])
-                    np.conjugate(self._coef, out=self._coef)
-                    np.multiply(psi, self._coef, out=psi, where=flip[:, None])
-            return
-        for t, (perm, coef) in enumerate(gate.terms):
-            dest = self._scratch[:active] if t else out
-            src = psi
-            if perm is not None:
-                # mode="clip" writes straight into dest; "raise" buffers
-                np.take(psi, perm, axis=1, out=dest, mode="clip")
-                src = dest
-            if coef is not None:
-                np.take(coef, gate.rows, out=self._coef)
-                np.multiply(src, self._coef, out=dest)
-            elif src is psi:
-                np.copyto(dest, psi)
-            if perm is not None and flip is not None:
-                np.negative(dest, out=dest, where=flip[:, None])
-            if t:
-                out += dest
-        self.psi, self._out = self._out, self.psi
+    def apply(self, kernels, active: int, flip: np.ndarray | None = None) -> None:
+        """Run the kernels on the first `active` rows; `flip` marks the rows
+        that run a rotation at -theta.  A kernel that moves amplitudes reads
+        whole rows, so its inner loops run over contiguous memory whichever
+        qubits it acts on."""
+        f = None if flip is None else flip.astype(np.intp)
+        for kernel in kernels:
+            self.passes += 1
+            psi, out = self.psi[:active], self._out[:active]
+            if isinstance(kernel, _Permutation):
+                scale = kernel.phase
+            elif kernel.parity is None:  # one coefficient for every state
+                scale = kernel.coef[0, 0] if f is None else kernel.coef[f, :1]
+            else:  # a coefficient per state, then a row of them per batch row
+                np.take(kernel.coef, kernel.parity, axis=1, out=self._coef)
+                scale = self._coef[0] if f is None else np.take(self._coef, f, axis=0, out=self._scale[:active])
+            if kernel.perm is None:  # diagonal: scale in place
+                if scale is not None:
+                    psi *= scale
+                continue
+            # mode="clip" writes straight into out; "raise" buffers
+            np.take(psi, kernel.perm, axis=1, out=out, mode="clip")
+            if scale is not None:
+                out *= scale
+            if isinstance(kernel, _Rotation):
+                psi *= kernel.c
+                out += psi
+            self.psi, self._out = self._out, self.psi
 
 
 class _Op(NamedTuple):
@@ -251,22 +205,97 @@ class _Op(NamedTuple):
     name: str
     qubits: tuple[int, ...]
     clbit: int = -1
-    gate: _Gate | None = None  # None for measure and reset
+    kernels: tuple | None = None  # None for measure and reset
     error: float = 0.0  # depolarizing probability after the gate
 
 
-def _program(circ: Circuit, noise: NoiseModel | None = None) -> list[_Op]:
-    """The circuit's instructions without barriers, each gate built once."""
-    insts = [i for i in circ.instructions if i.name != "barrier"]
-    gates = _gates([i for i in insts if i.name not in ("measure", "reset")], circ.num_qubits)
-    ops = []
-    for inst in insts:
-        if inst.name in ("measure", "reset"):
-            ops.append(_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1))
+def _monomial(name: str, params: tuple[float, ...]):
+    """A gate with one nonzero entry per matrix row as its entries (None if
+    all are 1) and, for each bit a (from the first listed qubit, the high
+    bit) of the entry's column that differs from the row's, (a, the row's
+    bits to XOR, a constant): a Clifford's column is affine in its row."""
+    mat = gate_matrix(name, params)
+    if ((mat != 0).sum(axis=1) != 1).any():
+        return None
+    k, cols, entries = len(mat).bit_length() - 1, (mat != 0).argmax(axis=1), mat.sum(axis=1)
+    bit = [[(int(c) >> (k - 1 - a)) & 1 for a in range(k)] for c in cols]
+    maps = [(a, [s for s in range(k) if bit[1 << (k - 1 - s)][a] ^ bit[0][a]], bit[0][a])
+            for a in range(k)]
+    return None if (entries == 1).all() else entries, [m for m in maps if m[1:] != ([m[0]], 0)]
+
+
+def _fuse(run, bits: list[np.ndarray]) -> _Permutation:
+    """A run of (qubits, _monomial) as one kernel, from bits[q], bit q of
+    every basis state j: stepping each j back through the gates, last first,
+    gives the state perm[j] it reads and the product of the entries it meets."""
+    start, bits, phase = bits, list(bits), None
+    for qubits, (entries, maps) in reversed(run):
+        if entries is not None:
+            row = bits[qubits[0]] if len(qubits) == 1 else 2 * bits[qubits[0]] + bits[qubits[1]]
+            phase = entries[row] if phase is None else phase * entries[row]
+        old = [bits[q] for q in qubits]
+        for a, sources, const in maps:
+            bits[qubits[a]] = functools.reduce(np.bitwise_xor, [old[s] for s in sources] + [1] * const)
+    moved = any(b is not b0 for b, b0 in zip(bits, start))
+    return _Permutation(sum(b << q for q, b in enumerate(bits)) if moved else None, phase)
+
+
+def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
+    """An op per instruction but barriers, each gate as kernels.  A Clifford
+    with one nonzero entry per matrix row joins the open run, and h, which is
+    X ry(pi/2) and ry(-pi/2) X, puts its X into one; any other gate is one
+    _Rotation.  A run is one _Permutation on the op where it starts (the
+    other ops of the run have none), and it stops at every op where a batch
+    of sample() can start or stop: rotations, measurements and resets."""
+    insts = [i for i in insts if i.name != "barrier"]
+    index = np.arange(1 << n)
+    bits = [(index >> q) & 1 for q in range(n)]
+    monomial = functools.cache(_monomial)
+    parity = functools.cache(lambda mask: sum(bits[q] for q in range(n) if mask >> q & 1) & 1)
+    moved = functools.cache(lambda mask: index ^ mask)
+    kernels, run, start = [[] for _ in insts], [], 0  # run: the open run's (qubits, _monomial)
+
+    def close():
+        if run:
+            kernels[start].append(_fuse(run, bits))
+            run.clear()
+
+    def rotation(i, qubits, pauli, a, b):  # a, b: P's phases if it is diagonal, else cos, sin
+        close()
+        (px, pz), mask = pauli, sum(1 << q for q in qubits)
+        if px:  # (-i s P psi)[j] = -i s i**y (-1)**|(j ^ xmask) & zmask| psi[j ^ xmask],
+            # y = |xmask & zmask|, and that sign is (-1)**y (-1)**|j & zmask|
+            v = complex(0, -b) * (-1j) ** (pz * len(qubits))
+            coef = [[v, -v], [-v, v]]
         else:
-            error = noise.gate_error(inst) if noise is not None else 0.0
-            ops.append(_Op(inst.name, inst.qubits, gate=next(gates), error=error))
-    return ops
+            coef, a = [[a, b], [a.conjugate(), b.conjugate()]], 0.0
+        kernels[i].append(_Rotation(np.array(coef), parity(mask) if pz else None,
+                                    moved(mask) if px else None, a))
+
+    for i, inst in enumerate(insts):
+        name, qubits = inst.name, inst.qubits
+        if name in ("measure", "reset"):
+            close()
+        elif name == "h" and run:
+            run.append((qubits, monomial("x", ())))
+            rotation(i, qubits, (1, 1), _SQ2, -_SQ2)
+        elif name == "h":
+            rotation(i, qubits, (1, 1), _SQ2, _SQ2)
+            run[:], start = [(qubits, monomial("x", ()))], i
+        elif is_clifford(inst) and (mono := monomial(name, inst.params)) is not None:
+            start = start if run else i
+            run.append((qubits, mono))
+        elif _ROTATION_XZ[name][0]:
+            half = inst.params[0] / 2
+            rotation(i, qubits, _ROTATION_XZ[name], math.cos(half), math.sin(half))
+        else:
+            mat = gate_matrix(name, inst.params)
+            rotation(i, qubits, _ROTATION_XZ[name], mat[0, 0], mat[1, 1])
+    close()
+    return [_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1,
+                None if inst.name in ("measure", "reset") else tuple(ks),
+                noise.gate_error(inst) if noise is not None else 0.0)
+            for inst, ks in zip(insts, kernels)]
 
 
 def _terminal_start(ops: list[_Op]) -> int:
@@ -295,31 +324,20 @@ def _prob_one(psi: np.ndarray, q: int) -> np.ndarray:
     return np.einsum("abc,abc->a", ones, ones.conj()).real
 
 
-def _collapse(psi: np.ndarray, q: int, p1: np.ndarray, outcomes: np.ndarray) -> None:
-    """Project qubit q of each row onto its outcome and renormalise, in place."""
-    view = _halves(psi, q)
-    scale = np.sqrt(np.maximum(np.where(outcomes, p1, 1.0 - p1), 1e-300))[:, None, None]
-    for bit in (0, 1):
-        rows = np.nonzero(outcomes == bit)[0]
-        if len(rows):
-            view[rows, :, 1 - bit] = 0
-            view[rows, :, bit] /= scale[rows]
-
-
-def _flip(psi: np.ndarray, rows: np.ndarray, q: int) -> None:
-    """X on qubit q of the selected rows, in place."""
-    if len(rows):
-        view = _halves(psi, q)
-        view[rows] = view[rows, :, ::-1]
-
-
 def _settle(psi: np.ndarray, op: _Op, p1: np.ndarray, outcomes: np.ndarray) -> None:
-    """Collapse each row of a measurement or reset onto its outcome; a
-    reset then returns its qubit to |0>."""
-    q = op.qubits[0]
-    _collapse(psi, q, p1, outcomes)
+    """Collapse each row of a measurement or reset onto its outcome and
+    renormalise, in place; a reset then returns its qubit to |0>.  A
+    broadcast over the halves multiplies the kept one by 1 / scale and the
+    other by 0, which is how numpy divides a complex number by a real one."""
+    view = _halves(psi, op.qubits[0])
+    # complex, so the broadcasts cast nothing
+    inverse = (1.0 / np.sqrt(np.maximum(np.where(outcomes, p1, 1.0 - p1), 1e-300))).astype(complex)
     if op.name == "reset":
-        _flip(psi, np.nonzero(outcomes)[0], q)
+        kept = np.where(outcomes[:, None, None], view[:, :, 1], view[:, :, 0])
+        np.multiply(kept, inverse[:, None, None], out=view[:, :, 0])
+        view[:, :, 1] = 0
+    else:
+        view *= np.where(outcomes[:, None] == np.arange(2), inverse[:, None], 0)[:, None, :, None]
 
 
 def statevector(circ: Circuit) -> np.ndarray:
@@ -328,26 +346,17 @@ def statevector(circ: Circuit) -> np.ndarray:
     Raises SimulationError on a reset or a mid-circuit measurement, which no
     single state describes.
     """
-    body: list[Instruction] = []
-    seen_measure = False
-    for inst in circ.instructions:
-        if inst.name == "reset":
-            raise SimulationError("reset is not supported by statevector()")
-        if inst.name == "measure":
-            seen_measure = True
-            continue
-        if inst.name == "barrier":
-            continue
-        if seen_measure:
-            raise SimulationError("mid-circuit measurement is not supported by statevector()")
-        body.append(inst)
-
     n = circ.num_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
+    ops = _program(circ.instructions, n)
+    tail = _terminal_start(ops)
+    if any(op.name == "reset" for op in ops):
+        raise SimulationError("reset is not supported by statevector()")
+    if any(op.kernels is None for op in ops[:tail]):
+        raise SimulationError("mid-circuit measurement is not supported by statevector()")
     batch = _zero_state(n)
-    for gate in _gates(body, n):
-        batch.apply(gate, 1)
+    batch.apply([kernel for op in ops[:tail] for kernel in op.kernels], 1)
     return batch.psi[0]
 
 
@@ -386,8 +395,8 @@ class _NoiselessRun:
         """Step to the state before ops[end], or before a random outcome."""
         while self.index < end and not self.random:
             op = self.ops[self.index]
-            if op.gate is not None:
-                self.batch.apply(op.gate, 1)
+            if op.kernels is not None:
+                self.batch.apply(op.kernels, 1)
                 self.index += 1
                 continue
             p1 = _prob_one(self.psi, op.qubits[0])
@@ -436,14 +445,13 @@ def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, fl
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
 
-    ops = _program(compacted)
     # a reset after which its qubit sees only resets changes no recorded bit
     live, kept = set(), []
-    for op in reversed(ops):
-        if op.name != "reset" or op.qubits[0] in live:
-            kept.append(op)
-            live.update(op.qubits)
-    ops = kept[::-1]
+    for inst in reversed([i for i in compacted.instructions if i.name != "barrier"]):
+        if inst.name != "reset" or inst.qubits[0] in live:
+            kept.append(inst)
+            live.update(inst.qubits)
+    ops = _program(kept[::-1], n)
     tail = _terminal_start(ops)
     measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
     dist: dict[str, float] = {}
@@ -546,7 +554,8 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
     shots, the shots with at least one fault, the shots simulated (on the
     statevector backends, the rows simulated rather than read from the
     shared noiseless state: one per sign pattern and outcome branch; every
-    shot as Pauli frames), and the noisy instructions.
+    shot as Pauli frames), the kernels run on statevector batches (the
+    noiseless run's too; 0 as Pauli frames) and the noisy instructions.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -571,13 +580,14 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
     run = _frame_records if frames else _sample_records
-    records, faults, simulated = run(compacted, noise, shots, rng)
+    records, faults, simulated, passes = run(compacted, noise, shots, rng)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({
             "backend": "pauli-frame" if frames else "statevector" if noisy else "noiseless",
             "shots": shots,
             "faulty_shots": len(np.unique(faults.shot)),
             "simulated_shots": simulated,
+            "statevector_passes": passes,
             "noisy_instructions": faults.noisy_instructions,
         }))
     return _counts(records, compacted.cregs)
@@ -663,7 +673,7 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
 def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """Classical records, one row of clbits per shot, of statevector
     trajectories with Pauli frames through Pauli rotations, the faults drawn
-    for them and the number of batch rows simulated.
+    for them, the number of batch rows simulated and of kernels run.
 
     A shot's state is F |phi>: F is its Pauli frame, stepped through every
     op by _step_frames, and phi the noiseless circuit with the rotations F
@@ -673,7 +683,7 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """
     n, nc = circ.num_qubits, circ.num_clbits
     insts = [i for i in circ.instructions if i.name != "barrier"]
-    ops = _program(circ, noise)
+    ops = _program(insts, n, noise)
     tail = _terminal_start(ops)
 
     # 1. every shot's faults; the faulty shots' frames give the rotations
@@ -734,7 +744,7 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         idx = np.searchsorted(cum, rng.random(len(free)) * cum[-1], side="right")
         _read_out(records, free, np.minimum(idx, len(cum) - 1), plan.measures)
     records[faulty] ^= xbits.T
-    return records, faults, simulated
+    return records, faults, simulated, run.batch.passes + work.passes
 
 
 def _may_be_random(insts, n: int) -> list[bool]:
@@ -833,9 +843,9 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
             run.rejoin(i, work.psi[0], record)
             noiseless = False
         op = plan.ops[i]
-        if op.gate is not None:
+        if op.kernels is not None:
             k = plan.rotation[i]
-            work.apply(op.gate, active, signs[:active, k] if k >= 0 and any_negated[k] else None)
+            work.apply(op.kernels, active, signs[:active, k] if k >= 0 and any_negated[k] else None)
             continue
         p1 = _prob_one(work.psi[:active], op.qubits[0])
         outcomes = p1 >= 0.5
@@ -889,7 +899,7 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """Classical records, one row of clbits per shot, of a Clifford circuit
     sampled with Pauli frames (Gidney, "Stim: a fast stabilizer circuit
     simulator", arXiv:2103.02202), the faults drawn for them and the number
-    of shots simulated, which is all of them.
+    of shots simulated, which is all of them, and 0 statevector kernels.
 
     One noiseless CHP run gives a reference outcome for every measurement.
     Each shot carries a Pauli frame, its difference from that run, as one
@@ -911,7 +921,7 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         mine = (faults.shot >= lo) & (faults.shot < hi)
         block = (faults.op[mine], faults.shot[mine] - lo, faults.code[mine])
         _step_frames(insts, circ.num_qubits, block, bits[:, lo:hi], reference, rng)
-    return bits.T, faults, shots
+    return bits.T, faults, shots, 0
 
 
 def _step_frames(insts, n, faults, bits, reference=None, rng=None) -> dict[int, np.ndarray]:

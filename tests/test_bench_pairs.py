@@ -80,7 +80,7 @@ def test_a_higher_failed_share_is_more_failures(monkeypatch, capsys):
 def test_json_holds_the_runs_and_the_summary(monkeypatch, tmp_path):
     runs = _stub_runs(monkeypatch, {"parent": 1, "change": 2})
     runs["change"][0]["metrics"]["pipeline_s"] = 0.5
-    args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=3, parent="HEAD~1")
+    args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=3, parent="HEAD~1", claim=None)
     path = tmp_path / "bench.json"
     bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
     out = json.loads(path.read_text())
@@ -93,3 +93,58 @@ def test_json_holds_the_runs_and_the_summary(monkeypatch, tmp_path):
     assert out["metrics"]["shots_per_s"]["wins"] == 0
     assert out["failed"]["change"] == {"failed": 6, "attempted": 39, "share": 6 / 39}
     assert out["failure_verdict"] == "more-failures"
+
+
+TEN = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]  # median 1.0, IQR 0.9925-1.0075
+
+
+def test_claim_met_when_nine_of_ten_pairs_win_by_more_than_the_iqr():
+    faster = [p * 1.25 for p in TEN]
+    c = bench_pairs.claim(HIGHER, TEN, faster)
+    assert (c["wins"], c["pairs"], c["verdict"]) == (10, 10, "claim met")
+    assert c["gain"] == pytest.approx(0.25) and c["parent_iqr"] == pytest.approx(0.015)
+    faster[3] = 0.5  # one lost pair still meets 9/10
+    assert bench_pairs.claim(HIGHER, TEN, faster)["verdict"] == "claim met"
+    # lower is better: the same rule with the sign turned
+    slower = [p / 1.25 for p in TEN]
+    assert bench_pairs.claim(LOWER, TEN, slower)["verdict"] == "claim met"
+    assert bench_pairs.claim(LOWER, TEN, faster)["verdict"] == "claim not met"
+
+
+def test_claim_not_met_below_nine_wins_or_inside_the_iqr():
+    faster = [p * 1.25 for p in TEN]
+    faster[3] = faster[5] = 0.5  # 8 of 10 wins
+    c = bench_pairs.claim(HIGHER, TEN, faster)
+    assert (c["wins"], c["verdict"]) == (8, "claim not met")
+    # 10 of 10 wins, but the median gain (0.01) is inside the IQR (0.015)
+    c = bench_pairs.claim(HIGHER, TEN, [p + 0.01 for p in TEN])
+    assert (c["wins"], c["verdict"]) == (10, "claim not met")
+    # ties count for neither side: two ties leave 8 wins
+    tied = [p * 1.25 for p in TEN]
+    tied[0], tied[1] = TEN[0], TEN[1]
+    c = bench_pairs.claim(HIGHER, TEN, tied)
+    assert (c["wins"], c["verdict"]) == (8, "claim not met")
+
+
+def test_claim_is_printed_and_written(monkeypatch, tmp_path, capsys):
+    runs = _stub_runs(monkeypatch, {"parent": 0, "change": 0})
+    for r in runs["change"]:
+        r["metrics"]["shots_per_s"] = 2.0
+    bench_pairs.report([LOWER, HIGHER], runs, "shots_per_s")
+    assert "claim shots_per_s: 3/3 pairs won" in capsys.readouterr().out
+    args = argparse.Namespace(workload="iceberg_qaoa", seed=7, pairs=3, parent="HEAD", claim="shots_per_s")
+    path = tmp_path / "bench.json"
+    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
+    out = json.loads(path.read_text())
+    assert out["claim"] == {"metric": "shots_per_s", "wins": 3, "pairs": 3, "gain": 1.0,
+                            "parent_iqr": 0.0, "verdict": "claim met"}
+    assert "claim" not in bench_pairs.summary([LOWER, HIGHER], runs)
+
+
+def test_claim_must_name_an_end_to_end_metric(capsys):
+    assert bench_pairs.parse_args(["--workload", "pcs_wide", "--seed", "1",
+                                   "--claim", "shots_per_s"]).claim == "shots_per_s"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(["--workload", "pcs_wide", "--seed", "1", "--claim", "speed"])
+    assert exc.value.code == 2
+    assert "--claim must be an end-to-end metric" in capsys.readouterr().err

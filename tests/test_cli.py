@@ -329,6 +329,19 @@ def test_non_object_noise_exits_parse(bell, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gates", ['"rx"', '["cnot"]'], ids=["string", "unknown"])
+def test_bad_noise_gate_list_exits_parse(bell, tmp_path, capsys, gates):
+    noise = tmp_path / "noise.json"
+    noise.write_text('{"p1": 0.5, "gates1": %s}' % gates)
+    out = tmp_path / "counts.json"
+    rc = main(["run", str(bell), "--noise", str(noise), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "gates1" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ['"7"', "-2", "1.5", "true"],
                          ids=["string", "negative", "fraction", "bool"])
 def test_bad_count_values_exit_parse(bell, tmp_path, capsys, bad):

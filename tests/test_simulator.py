@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import qedc.simulator as simulator
-from qedc.circuit import Circuit
+from qedc.circuit import GATE_SPECS, Circuit, Gate, Instruction
+from qedc.clifford import is_clifford
 from qedc.simulator import (
     MAX_STATEVECTOR_QUBITS,
     NoiseModel,
@@ -20,7 +21,7 @@ from qedc.simulator import (
     statevector,
 )
 from qedc.stabilizer import stabilizer_run
-from oracles import circuit_unitary, noisy_distribution
+from oracles import circuit_unitary, embed, noisy_distribution
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -86,8 +87,71 @@ def test_statevector_matches_matrix_oracle():
         n = c.num_qubits
         got = statevector(c)
         want = circuit_unitary(c.instructions, n)[:, 0]
-        overlap = abs(np.vdot(got, want))
-        assert overlap > 1 - 1e-10
+        assert np.allclose(got, want, rtol=0, atol=1e-10)  # global phase too
+
+
+_UNITARY_KINDS = sorted(g for g, (k, _, clbits) in GATE_SPECS.items()
+                        if k in (1, 2) and not clbits and g != "reset")
+
+
+@pytest.mark.parametrize("name", _UNITARY_KINDS)
+def test_kernels_match_dense_matrices(name):
+    """A gate's kernels, at random placements on 3 and 4 qubits, apply its
+    gate_matrix; in a flipped row a non-Clifford rotation applies
+    gate_matrix(-theta), and t applies tdg.  Angles are random or multiples
+    of pi/2, so rotations run both as _Rotation and in a _Permutation."""
+    k, nparams, _ = GATE_SPECS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for n in (3, 4):
+        for trial in range(6):
+            qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+            turns = rng.integers(-4, 5, nparams) * math.pi / 2
+            params = tuple(float(p) for p in (turns if trial % 2 else rng.uniform(-3, 3, nparams)))
+            inst = Instruction(Gate(name, params), qubits)
+            (op,) = simulator._program([inst], n)
+            batch = simulator._Batch(2, n)
+            batch.psi[:] = rng.normal(size=(2, 2 ** n)) + 1j * rng.normal(size=(2, 2 ** n))
+            psi = batch.psi.copy()
+            want = psi @ embed(gate_matrix(name, params), qubits, n).T
+            flip = None
+            if not is_clifford(inst):
+                flip = np.array([False, True])
+                negated = gate_matrix({"t": "tdg", "tdg": "t"}.get(name, name), tuple(-p for p in params))
+                want[1] = embed(negated, qubits, n) @ psi[1]
+            batch.apply(op.kernels, 2, flip)
+            assert np.allclose(batch.psi, want, rtol=0, atol=1e-12), (qubits, params)
+
+
+def test_fused_runs_match_the_dense_product():
+    """Random runs of Clifford monomials, broken by h and non-Clifford
+    rotations, run as one kernel per run, and statevector() equals the
+    dense product, global phase included."""
+    rng = random.Random(12)
+    runs = 0
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        c = Circuit()
+        c.add_qreg("q", n)
+        breaks = 0
+        for _ in range(rng.randrange(1, 30)):
+            quarter = rng.randrange(4) * math.pi / 2
+            if rng.random() < 0.15:
+                breaks += 1
+                g, k, p = rng.choice([("h", 1, ()), ("t", 1, ()), ("rx", 1, (0.3,)),
+                                      ("rz", 1, (-1.1,)), ("ryy", 2, (0.8,)), ("rzz", 2, (2.0,))])
+            else:
+                g, k, p = rng.choice([("x", 1, ()), ("y", 1, ()), ("z", 1, ()), ("s", 1, ()),
+                                      ("sdg", 1, ()), ("rz", 1, (quarter,)), ("cx", 2, ()),
+                                      ("cz", 2, ()), ("swap", 2, ()), ("rzz", 2, (quarter,))])
+            if k <= n:
+                c.append(g, tuple(rng.sample(range(n), k)), p)
+        ops = simulator._program(c.instructions, n)
+        # a kernel per break (two for an h) and at most one per run
+        assert sum(len(op.kernels) for op in ops) <= 2 * breaks + 1
+        runs += sum(isinstance(kern, simulator._Permutation) for op in ops for kern in op.kernels)
+        want = circuit_unitary(c.instructions, n)[:, 0]
+        assert np.allclose(statevector(c), want, rtol=0, atol=1e-10)
+    assert runs > 40
 
 
 def test_norm_preserved():
@@ -325,6 +389,25 @@ def test_noise_model_validation_and_roundtrip():
     assert NoiseModel.from_dict(nm.to_dict()) == nm
 
 
+@pytest.mark.parametrize("lists", [
+    {"gates1": "rx"}, {"gates1": ["cnot"]}, {"gates2": ["rx"]}, {"gates1": ["cx"]},
+    {"gates1": ["measure"]}, {"gates1": ["reset"]}, {"gates2": ["barrier"]},
+    {"gates2": [["cx"]]}, {"gates1": 5}, {"gates1": {"rx": 1}},
+], ids=["string", "unknown", "1q-as-2q", "2q-as-1q", "measure", "reset", "barrier",
+        "nested", "number", "dict"])
+def test_noise_gate_lists_are_validated(lists):
+    # before, "rx" became ('r', 'x') and unknown names were kept, so the
+    # noise silently never applied
+    with pytest.raises(ValueError, match="gates[12]"):
+        NoiseModel.from_dict({"p1": 0.1, "p2": 0.1, **lists})
+
+
+def test_noise_gate_lists_are_kept_as_tuples():
+    nm = NoiseModel.from_dict({"p1": 0.1, "gates1": ["rx", "h"], "gates2": []})
+    assert (nm.gates1, nm.gates2) == (("rx", "h"), ())
+    assert NoiseModel(gates2=["rzz"]) == NoiseModel(gates2=("rzz",))
+
+
 # -- fault-first statevector sampling ------------------------------------------
 
 def _measure_all(c, n):
@@ -539,7 +622,8 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
     rng = np.random.default_rng(1)
     batch.psi[:] = rng.normal(size=(2, 2 ** k)) + 1j * rng.normal(size=(2, 2 ** k))
     want = [gate @ batch.psi[0], negated @ batch.psi[1]]
-    batch.apply(next(simulator._gates(insts, k)), 2, np.array([False, True]))
+    (op,) = simulator._program(insts, k)
+    batch.apply(op.kernels, 2, np.array([False, True]))
     assert np.allclose(batch.psi, want)
 
 
@@ -547,7 +631,7 @@ def _random_ops(circ):
     """The ops before the trailing measurements that _may_be_random flags."""
     compacted, _ = simulator._compact(circ)
     insts = [i for i in compacted.instructions if i.name != "barrier"]
-    tail = simulator._terminal_start(simulator._program(compacted))
+    tail = simulator._terminal_start(simulator._program(insts, compacted.num_qubits))
     flags = simulator._may_be_random(insts[:tail], compacted.num_qubits)
     return [(i, insts[i].name) for i, flag in enumerate(flags) if flag]
 
@@ -754,9 +838,15 @@ def test_sample_logs_one_debug_record(caplog, circ, noise, backend, noisy):
     # sign pattern is: the t's X and Y faults negate the rzz after it, and
     # its Z faults negate nothing
     simulated = {"pauli-frame": shots, "statevector": 1, "noiseless": 0}[backend]
+    # the circuit's 12 gates run as 13 kernels: each h is an ry and an X,
+    # and the X of the h after the swap joins the cz-swap run while the other
+    # two are runs of their own.  The one sign pattern's row joins row 0 at
+    # the rzz, so the kernels from there run once for both
+    passes = {"pauli-frame": 0, "statevector": 13, "noiseless": 13}[backend]
     assert stats == {"backend": backend, "shots": shots,
                      "faulty_shots": shots if noisy else 0,
-                     "simulated_shots": simulated, "noisy_instructions": noisy}
+                     "simulated_shots": simulated, "statevector_passes": passes,
+                     "noisy_instructions": noisy}
 
 
 def test_sample_logs_faulty_shot_count(caplog):

@@ -11,9 +11,11 @@ BENCHMARK.json the script prints its bound, the parent's median [lower
 quartile, upper quartile], the change's median, in how many pairs the
 change did better, and a verdict (see `verdict`).  Last it prints each
 side's share of failed operations over all its runs, with the verdict
-`more-failures` if the change's share is the higher one.  With `--json PATH`
-it also writes every run's metrics, the medians, quartiles and verdicts,
-and the failed shares to PATH.
+`more-failures` if the change's share is the higher one.  With
+`--claim METRIC` it also prints whether the change's gain on that metric
+is shown (see `claim`).  With `--json PATH` it also writes every run's
+metrics, the medians, quartiles and verdicts, the failed shares and the
+claim to PATH.
 """
 from __future__ import annotations
 
@@ -36,10 +38,19 @@ def parse_args(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--json", type=Path, help="also write the runs and the summary here")
+    ap.add_argument("--claim", metavar="METRIC", help="end-to-end metric the change claims to improve")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    names = [spec["name"] for spec in load_specs()]
+    if args.claim is not None and args.claim not in names:
+        ap.error(f"--claim must be an end-to-end metric: {', '.join(names)}")
     return args
+
+
+def load_specs() -> list[dict]:
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return json.load(fh)["end_to_end"]
 
 
 def run_once(tree: Path, args) -> dict:
@@ -88,6 +99,27 @@ def verdict(spec: dict, parent: list[float], change: list[float]) -> str:
     return "ok"
 
 
+def pairs_won(spec: dict, parent: list[float], change: list[float]) -> int:
+    """Pairs in which the change did better; a tie counts for neither side."""
+    if spec["better"] == "lower":
+        return sum(c < p for p, c in zip(parent, change))
+    return sum(c > p for p, c in zip(parent, change))
+
+
+def claim(spec: dict, parent: list[float], change: list[float]) -> dict:
+    """Whether a claimed gain is shown: the change wins at least nine in ten
+    pairs, and its median is better than the parent's by more than the
+    parent's interquartile range."""
+    wins = pairs_won(spec, parent, change)
+    q1, med, q3 = quartiles(parent)
+    gain = statistics.median(change) - med
+    if spec["better"] == "lower":
+        gain = -gain
+    met = 10 * wins >= 9 * len(parent) and gain > q3 - q1
+    return {"metric": spec["name"], "wins": wins, "pairs": len(parent), "gain": gain,
+            "parent_iqr": q3 - q1, "verdict": "claim met" if met else "claim not met"}
+
+
 def failed_share(runs: list[dict]) -> tuple[int, int, float]:
     """Operations failed and attempted over all runs, and their ratio."""
     failed = sum(r["failed"] for r in runs)
@@ -102,31 +134,29 @@ def failure_verdict(runs: dict[str, list[dict]]) -> str:
     return "more-failures" if worse else "ok"
 
 
-def summary(specs: list[dict], runs: dict[str, list[dict]]) -> dict:
+def summary(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None = None) -> dict:
     """Per metric: its bound, each side's median and quartiles, the pairs
-    the change won and the verdict; then each side's failed share and the
-    failure verdict."""
-    metrics = {}
+    the change won and the verdict; then each side's failed share, the
+    failure verdict and, if a metric is `claimed`, its claim."""
+    metrics, out = {}, {}
     for spec in specs:
         name = spec["name"]
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
-        if spec["better"] == "lower":
-            wins = sum(c < p for p, c in zip(parent, change))
-        else:
-            wins = sum(c > p for p, c in zip(parent, change))
         metrics[name] = {"bound": spec["bound"], "better": spec["better"],
                          "parent": dict(zip(("q1", "median", "q3"), quartiles(parent))),
                          "change": dict(zip(("q1", "median", "q3"), quartiles(change))),
-                         "wins": wins, "pairs": len(parent),
+                         "wins": pairs_won(spec, parent, change), "pairs": len(parent),
                          "verdict": verdict(spec, parent, change)}
+        if name == claimed:
+            out["claim"] = claim(spec, parent, change)
     failed = {side: dict(zip(("failed", "attempted", "share"), failed_share(runs[side])))
               for side in ("parent", "change")}
-    return {"metrics": metrics, "failed": failed, "failure_verdict": failure_verdict(runs)}
+    return {"metrics": metrics, "failed": failed, "failure_verdict": failure_verdict(runs), **out}
 
 
-def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
-    result = summary(specs, runs)
+def report(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None = None) -> None:
+    result = summary(specs, runs, claimed)
     print(f"{'metric':18s} {'bound':>6s} {'parent median [IQR]':>36s} "
           f"{'change median':>14s}  wins  verdict")
     for name, m in result["metrics"].items():
@@ -137,19 +167,22 @@ def report(specs: list[dict], runs: dict[str, list[dict]]) -> None:
     for side, f in result["failed"].items():
         print(f"{side} failed {f['failed']} of {f['attempted']} operations ({f['share']:.4g})")
     print(f"failed share: {result['failure_verdict']}")
+    if claimed is not None:
+        c = result["claim"]
+        print(f"claim {c['metric']}: {c['wins']}/{c['pairs']} pairs won, median gain "
+              f"{c['gain']:.6g} against parent IQR {c['parent_iqr']:.6g}: {c['verdict']}")
 
 
 def write_json(path: Path, args, specs: list[dict], runs: dict[str, list[dict]]) -> None:
     """The settings, every run and the summary, as one JSON object."""
     out = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-           "parent": args.parent, "runs": runs, **summary(specs, runs)}
+           "parent": args.parent, "runs": runs, **summary(specs, runs, args.claim)}
     path.write_text(json.dumps(out, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    with open(ROOT / "BENCHMARK.json") as fh:
-        specs = json.load(fh)["end_to_end"]
+    specs = load_specs()
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         parent_tree = tmp / "parent"
@@ -161,7 +194,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
-    report(specs, runs)
+    report(specs, runs, args.claim)
     if args.json:
         write_json(args.json, args, specs, runs)
     return 0
