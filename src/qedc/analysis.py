@@ -249,15 +249,12 @@ def select_code(circ: Circuit, cfg: SelectionConfig | None = None) -> CodeChoice
     if total == 0:
         return CodeChoice("NONE", 0.0, 0.0, {})
 
-    regions = find_clifford_regions(circ)
-    if regions:
-        best = max(regions, key=lambda r: (r.two_qubit_count, r.size, -r.start))
-        in_region = sum(
-            1 for i in range(best.start, best.end)
-            if circ.instructions[i].name not in ("measure", "barrier")
-        )
-    else:
-        in_region = 0
+    try:
+        best = largest_clifford_region(circ)
+        region = circ.instructions[best.start:best.end]
+    except NoProtectableRegionError:
+        region = []
+    in_region = sum(1 for i in region if i.name not in ("measure", "barrier"))
     clifford_fraction = in_region / total
     rotation_fraction = sum(1 for g in gates if g.name in PAULI_ROTATION_2Q) / total
 

@@ -7,6 +7,7 @@ formatting measurement-count keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 # name -> (num_qubits, num_params, num_clbits); None means variable arity
 GATE_SPECS: dict[str, tuple[int | None, int, int]] = {
@@ -206,6 +207,18 @@ def counts_key(clbit_values, cregs: list[Register]) -> str:
         bits = "".join(str(clbit_values[reg.start + i]) for i in range(reg.size - 1, -1, -1))
         groups.append(bits)
     return " ".join(groups)
+
+
+def registers(sizes: list[tuple[str, int]]) -> list[Register]:
+    """Classical registers of these names and sizes, declared in this order."""
+    starts = accumulate((size for _, size in sizes), initial=0)
+    return [Register(name, size, start) for (name, size), start in zip(sizes, starts)]
+
+
+def key_positions(cregs: list[Register]) -> dict[int, int]:
+    """Index of each classical bit's character within a counts key."""
+    key = [c for reg in reversed(cregs) for c in (*range(reg.start, reg.start + reg.size)[::-1], " ")]
+    return {c: i for i, c in enumerate(key) if c != " "}
 
 
 def key_group_index(cregs: list[Register], name: str) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import transpile_to_gateset
-from .circuit import Circuit, Gate, Instruction, Register
+from .circuit import Circuit, Gate, Instruction, Register, registers
 
 
 class IcebergError(Exception):
@@ -61,12 +61,7 @@ class IcebergMeta:
         without cycles) and the n readout bits."""
         sizes = [(self.verify_register, 1), (self.cycle_register, 2 * self.layout.cycle_count),
                  (self.readout_register, self.layout.n)]
-        regs, start = [], 0
-        for name, size in sizes:
-            if size:
-                regs.append(Register(name, size, start))
-                start += size
-        return regs
+        return registers([(name, size) for name, size in sizes if size])
 
     def to_dict(self) -> dict:
         return {
@@ -233,6 +228,9 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     return out, meta
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def decode_readout(bits: str, meta: IcebergMeta) -> tuple[bool, str]:
     """Accept iff the n readout bits have even parity; logical bit i is
     bits_i XOR bits_b.
@@ -242,10 +240,9 @@ def decode_readout(bits: str, meta: IcebergMeta) -> tuple[bool, str]:
     leftmost.
     """
     n = meta.layout.n
-    if len(bits) != n:
-        raise IcebergError(f"expected {n} readout bits, got {len(bits)}")
-    values = [int(c) for c in reversed(bits)]  # values[i] = readout index i
-    accept = sum(values) % 2 == 0
-    zb = values[n - 1]
-    logical = "".join(str(values[1 + i] ^ zb) for i in range(meta.k - 1, -1, -1))
-    return accept, logical
+    if len(bits) != n or bits.strip("01"):
+        raise IcebergError(f"expected {n} readout bits, got {bits!r}")
+    logical = bits[1:-1]  # readout indices n-2 .. 1: logical k-1 .. 0
+    if bits[0] == "1":  # the bottom qubit's bit flips every logical bit
+        logical = logical.translate(_FLIP)
+    return bits.count("1") % 2 == 0, logical

@@ -3,7 +3,6 @@ fallback placement, detection-aware SWAP routing, and ASAP scheduling."""
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction, Register
@@ -357,8 +356,3 @@ def schedule(circ: Circuit) -> Schedule:
     depth = max((s + 1 for s in steps), default=0)
     idle = {q: depth - busy.get(q, 0) for q in q_free}
     return Schedule(steps, depth, idle)
-
-
-def load_coupling(path: str) -> CouplingGraph:
-    with open(path) as fh:
-        return CouplingGraph.from_dict(json.load(fh))

@@ -4,12 +4,14 @@ the error-mitigated estimate to the infinite-check limit."""
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from .circuit import Circuit, Register, key_group_index
+from .circuit import Circuit, Register, key_group_index, key_positions, registers
 from .errorprop import detector_sweep, fault_signatures
 from .iceberg import IcebergMeta, decode_readout
 from .pcs import PcsMeta
@@ -41,8 +43,53 @@ class PostselectionReport:
         }
 
 
-def _split_key(key: str) -> list[str]:
-    return key.split(" ")
+def _register(cregs: list[Register], name: str, size: int) -> Register:
+    for reg in cregs:
+        if reg.name == name and reg.size == size:
+            return reg
+    raise PostprocessError(f"the circuit has no {size}-bit classical register {name!r}")
+
+
+def detectors(meta, cregs: list[Register]) -> list[tuple[tuple[int, ...], int]]:
+    """What a detection code checks: (clbits, expected parity) pairs.
+
+    PCS: each check-ancilla clbit reads its check's bit of
+    `expected_ancilla_bits`.  Iceberg: each verification and syndrome clbit
+    reads 0, then the readout clbits read even parity.  A register missing
+    from `cregs` or of the wrong width raises PostprocessError."""
+    if isinstance(meta, PcsMeta):
+        reg = _register(cregs, meta.ancilla_register, len(meta.expected_ancilla_bits))
+        return [((reg.start + i,), int(b)) for i, b in enumerate(reversed(meta.expected_ancilla_bits))]
+    out = []
+    for want in meta.cregs():
+        reg = _register(cregs, want.name, want.size)
+        bits = tuple(range(reg.start, reg.start + reg.size))
+        out += [(bits, 0)] if want.name == meta.readout_register else [((c,), 0) for c in bits]
+    return out
+
+
+def _postselect(counts: dict[str, int], cregs: list[Register], meta) -> PostselectionReport:
+    """The shots whose key reads every detector's parity; keys are matched to the registers at once."""
+    groups = " ".join(f"[01]{{{reg.size}}}" for reg in reversed(cregs))
+    text = "\n".join(counts) + "\n"  # a key with a newline in it makes the text too long
+    if counts and (re.fullmatch(f"(?:{groups}\n)*", text) is None
+                   or len(text) != len(counts) * sum(reg.size + 1 for reg in cregs)):
+        bad = next(key for key in counts if re.fullmatch(groups, key) is None)
+        raise PostprocessError(f"key {bad!r} does not match register widths {[r.size for r in cregs][::-1]}")
+    at = key_positions(cregs)
+    dets = detectors(meta, cregs)
+    # a one-clbit detector's parity is its bit, so those are read at once
+    one = {at[bits[0]]: "01"[parity] for bits, parity in dets if len(bits) == 1}
+    read, want = itemgetter(*one), itemgetter(*one)(one)
+    many = [(itemgetter(*(at[c] for c in bits)), parity) for bits, parity in dets if len(bits) > 1]
+    total = kept = 0
+    out = {}
+    for key, cnt in counts.items():
+        total += cnt
+        if read(key) == want and (not many or all(g(key).count("1") % 2 == p for g, p in many)):
+            kept += cnt
+            out[key] = cnt
+    return PostselectionReport(total, kept, total - kept, out)
 
 
 def postselect_counts(
@@ -54,25 +101,15 @@ def postselect_counts(
     ancilla group is removed from the surviving keys.
 
     The ancilla register is declared last, hence appears as the first
-    space-separated group unless `cregs` says otherwise.
+    space-separated group unless `cregs` says otherwise; without `cregs`
+    the other groups are as wide as in the first key.
     """
-    group = key_group_index(cregs, meta.ancilla_register) if cregs is not None else 0
-    expected = meta.expected_ancilla_bits
-    total = kept = 0
-    out: dict[str, int] = {}
-    for key, cnt in counts.items():
-        total += cnt
-        parts = _split_key(key)
-        if len(parts[group]) != len(expected):
-            raise PostprocessError(
-                f"key group {parts[group]!r} does not match {len(expected)} checks"
-            )
-        if parts[group] != expected:
-            continue
-        kept += cnt
-        rest = " ".join(parts[:group] + parts[group + 1:])
-        out[rest] = out.get(rest, 0) + cnt
-    return PostselectionReport(total, kept, total - kept, out)
+    if cregs is None:
+        sizes = [("", len(g)) for g in next(iter(counts), "").split(" ")[:0:-1]]
+        cregs = registers(sizes + [(meta.ancilla_register, len(meta.expected_ancilla_bits))])
+    report = _postselect(counts, cregs, meta)
+    report.counts = marginalize_group(report.counts, key_group_index(cregs, meta.ancilla_register))
+    return report
 
 
 def postselect_counts_iceberg(
@@ -82,25 +119,13 @@ def postselect_counts_iceberg(
 ) -> PostselectionReport:
     """Keep shots with verification bit 0, all syndrome bits 0, and even
     readout parity; surviving keys are the decoded logical bitstrings."""
-    g_meas = key_group_index(cregs, meta.readout_register)
-    g_verify = key_group_index(cregs, meta.verify_register)
-    has_cycles = meta.layout.cycle_count > 0
-    g_synd = key_group_index(cregs, meta.cycle_register) if has_cycles else None
-    total = kept = 0
-    out: dict[str, int] = {}
-    for key, cnt in counts.items():
-        total += cnt
-        parts = _split_key(key)
-        if int(parts[g_verify], 2) != 0:
-            continue
-        if has_cycles and int(parts[g_synd], 2) != 0:
-            continue
-        accept, logical = decode_readout(parts[g_meas], meta)
-        if not accept:
-            continue
-        kept += cnt
-        out[logical] = out.get(logical, 0) + cnt
-    return PostselectionReport(total, kept, total - kept, out)
+    report = _postselect(counts, cregs, meta)
+    kept, report.counts = report.counts, {}
+    group = key_group_index(cregs, meta.readout_register)
+    for key, cnt in kept.items():
+        logical = decode_readout(key.split(" ")[group], meta)[1]
+        report.counts[logical] = report.counts.get(logical, 0) + cnt
+    return report
 
 
 # -- analytic keep-rate estimate ---------------------------------------------
@@ -110,33 +135,6 @@ class OverheadEstimate:
     keep_rate: float
     expected_shot_multiplier: float
     detectable_fraction_by_gate: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "keep_rate": self.keep_rate,
-            "expected_shot_multiplier": self.expected_shot_multiplier,
-        }
-
-
-def _iceberg_detectors(circ: Circuit, meta: IcebergMeta) -> list[tuple[int, ...]]:
-    """One detector per verification and syndrome clbit (each must read 0),
-    then the readout clbits, whose parity must be even."""
-    hard, parity = [], ()
-    for reg in circ.cregs:
-        bits = tuple(range(reg.start, reg.start + reg.size))
-        if reg.name in (meta.verify_register, meta.cycle_register):
-            hard += [(cb,) for cb in bits]
-        elif reg.name == meta.readout_register:
-            parity = bits
-    return hard + [parity]
-
-
-def _no_flips(detectors: int) -> np.ndarray:
-    """The signature distribution before any fault: all mass on 0.  It holds
-    2**detectors floats, so the detector count is capped."""
-    if detectors > 22:
-        raise PostprocessError(f"{detectors} detectors: a signature distribution holds at most 22")
-    return np.eye(1, 1 << detectors)[0]
 
 
 def _convolve_signature(dist: np.ndarray, p: float, sigs: list[int]) -> np.ndarray:
@@ -165,8 +163,7 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
     detectors' observables (`detector_sweep`) gives every gate's fault
     signatures, and the gate is folded in as the sweep passes it: linear in
     circuit length, times the 2**detectors entries of the distribution.
-    Iceberg detectors are each verification and syndrome bit plus the
-    readout parity, swept over the whole circuit.  PCS detectors are the
+    Iceberg sweeps its `detectors` over the whole circuit.  PCS detectors are the
     check ancillas, swept from their right checks over the sandwiched
     payload only, where check conjugation is well defined; noise on gates
     outside the sandwich counts as undetectable, so the estimate is an upper
@@ -179,7 +176,7 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
     x, z = [0] * n, [0] * n
     if isinstance(meta, IcebergMeta):
         offset, instructions = 0, circ.instructions
-        detectors = _iceberg_detectors(circ, meta)
+        sets = [bits for bits, _ in detectors(meta, circ.cregs)]
     elif isinstance(meta, PcsMeta):
         offset, end = meta.payload_span
         instructions = circ.instructions[offset:end]
@@ -195,12 +192,14 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
             for i, q in enumerate(qubits):
                 x[q] |= (c.right.x >> i & 1) << d
                 z[q] |= (c.right.z >> i & 1) << d
-        detectors = [()] * len(meta.check_pairs)
+        sets = [()] * len(meta.check_pairs)
     else:
         raise PostprocessError(f"unsupported metadata type {type(meta).__name__}")
     fractions = [0.0] * len(circ.instructions)
-    dist = _no_flips(len(detectors))
-    for idx, x, z in detector_sweep(instructions, x, z, detectors):
+    if len(sets) > 22:  # the distribution holds 2**detectors floats
+        raise PostprocessError(f"{len(sets)} detectors: a signature distribution holds at most 22")
+    dist = np.eye(1, 1 << len(sets))[0]  # before any fault, all mass on the all-clear signature
+    for idx, x, z in detector_sweep(instructions, x, z, sets):
         if idx < 0:
             break
         inst = instructions[idx]
@@ -236,8 +235,9 @@ def marginalize_group(counts: dict[str, int], group: int) -> dict[str, int]:
     """Drop one space-separated key group, summing collided keys."""
     out: dict[str, int] = {}
     for key, cnt in counts.items():
-        parts = _split_key(key)
-        rest = " ".join(parts[:group] + parts[group + 1:])
+        parts = key.split(" ", group + 1)  # the groups up to this one, then the rest
+        del parts[group]
+        rest = " ".join(parts)
         out[rest] = out.get(rest, 0) + cnt
     return out
 

@@ -47,10 +47,6 @@ class NoiseModel:
                 raise ValueError(f"{field} must be a list of gates from {sorted(unitary)}, got {names!r}")
             setattr(self, field, tuple(names))
 
-    @property
-    def is_noiseless(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0
-
     def gate_error(self, inst) -> float:
         if len(inst.qubits) == 1 and inst.name in self.gates1:
             return self.p1
@@ -431,7 +427,7 @@ class _NoiselessRun:
         return forks
 
 
-def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, float]:
+def deterministic_distribution(circ: Circuit) -> dict[str, float]:
     """Exact outcome distribution for circuits whose mid-circuit measurements
     are all deterministic (as in noiseless verification/syndrome cycles).
 
@@ -455,7 +451,7 @@ def deterministic_distribution(circ: Circuit, tol: float = 1e-9) -> dict[str, fl
     tail = _terminal_start(ops)
     measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
     dist: dict[str, float] = {}
-    runs = [(1.0, _NoiselessRun(ops, n, compacted.num_clbits, tol))]
+    runs = [(1.0, _NoiselessRun(ops, n, compacted.num_clbits, _FORK_TOL))]
     while runs:
         weight, run = runs.pop()
         run.advance(tail)
@@ -490,6 +486,8 @@ _BATCH_AMPLITUDES = 1 << 14
 # farther than this from 0 and 1 is random: the noiseless run stops there,
 # and a batch row draws one outcome per shot
 _RANDOM_TOL = 1e-12
+# the same bound for deterministic_distribution, which forks at a random reset
+_FORK_TOL = 1e-9
 
 # fault Pauli -> (x, z) bits of each factor, indexed by the code _draw_faults
 # draws, in the order of depolarizing_signatures: there, the signature of X_q
@@ -913,8 +911,7 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     reference = [r.outcome for r in stabilizer_run(circ)[0]]
     insts = [i for i in circ.instructions if i.name != "barrier"]
     faults = _draw_faults(
-        [(0.0 if i.name in ("measure", "reset") else noise.gate_error(i), len(i.qubits))
-         for i in insts], shots, rng)
+        [(noise.gate_error(i), len(i.qubits)) for i in insts], shots, rng)
     bits = np.zeros((circ.num_clbits, shots), dtype=bool)
     for lo in range(0, shots, _FRAME_SHOTS):
         hi = min(lo + _FRAME_SHOTS, shots)

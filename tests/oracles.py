@@ -519,3 +519,62 @@ def pauli_stabilizer_run(circ, injected=None, inject_before=None, seed=None):
     if injected is not None and inject_before == len(circ.instructions):
         state.apply_pauli(injected)
     return records, state
+
+
+# -- postselection -------------------------------------------------------------
+# The postselect loops as they were written before `postprocess.detectors`:
+# each code's rule spelled out by hand on the space-separated key groups.
+# They are a reference for valid keys only; they do not check key shapes.
+
+def reference_decode_readout(bits: str, meta) -> tuple[bool, str]:
+    """Accept iff the n readout bits have even parity; logical bit i is
+    bits_i XOR bits_b, leftmost logical k-1."""
+    values = [int(c) for c in reversed(bits)]  # values[i] = readout index i
+    zb = values[meta.layout.n - 1]
+    logical = "".join(str(values[1 + i] ^ zb) for i in range(meta.k - 1, -1, -1))
+    return sum(values) % 2 == 0, logical
+
+
+def reference_postselect_counts(counts, meta, cregs=None):
+    """(total, kept, discarded, counts): shots whose ancilla group equals
+    `expected_ancilla_bits`, with that group dropped from the key."""
+    from qedc.circuit import key_group_index
+
+    group = key_group_index(cregs, meta.ancilla_register) if cregs is not None else 0
+    total = kept = 0
+    out = {}
+    for key, cnt in counts.items():
+        total += cnt
+        parts = key.split(" ")
+        if parts[group] != meta.expected_ancilla_bits:
+            continue
+        kept += cnt
+        rest = " ".join(parts[:group] + parts[group + 1:])
+        out[rest] = out.get(rest, 0) + cnt
+    return total, kept, total - kept, out
+
+
+def reference_postselect_counts_iceberg(counts, meta, cregs):
+    """(total, kept, discarded, counts): shots with verification bit 0, all
+    syndrome bits 0 and even readout parity, keyed by the logical bits."""
+    from qedc.circuit import key_group_index
+
+    g_meas = key_group_index(cregs, meta.readout_register)
+    g_verify = key_group_index(cregs, meta.verify_register)
+    has_cycles = meta.layout.cycle_count > 0
+    g_synd = key_group_index(cregs, meta.cycle_register) if has_cycles else None
+    total = kept = 0
+    out = {}
+    for key, cnt in counts.items():
+        total += cnt
+        parts = key.split(" ")
+        if int(parts[g_verify], 2) != 0:
+            continue
+        if has_cycles and int(parts[g_synd], 2) != 0:
+            continue
+        accept, logical = reference_decode_readout(parts[g_meas], meta)
+        if not accept:
+            continue
+        kept += cnt
+        out[logical] = out.get(logical, 0) + cnt
+    return total, kept, total - kept, out

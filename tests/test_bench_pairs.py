@@ -1,5 +1,6 @@
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,10 +47,10 @@ def test_pairs_below_one_is_rejected_before_any_run(capsys):
 
 def _stub_runs(monkeypatch, failed):
     """run_pairs over three pairs with run_once stubbed: 13 operations per
-    run, of which `failed[side]` fail."""
+    run, of which `failed[side]` fail; every run is correct."""
     def run_once(tree, args):
         metrics = {"pipeline_s": 1.0, "shots_per_s": 1.0}
-        return {"metrics": metrics, "attempted": 13, "failed": failed[tree.name]}
+        return {"metrics": metrics, "attempted": 13, "failed": failed[tree.name], "correct": True}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     args = argparse.Namespace(pairs=3)
@@ -148,3 +149,52 @@ def test_claim_must_name_an_end_to_end_metric(capsys):
         bench_pairs.parse_args(["--workload", "pcs_wide", "--seed", "1", "--claim", "speed"])
     assert exc.value.code == 2
     assert "--claim must be an end-to-end metric" in capsys.readouterr().err
+
+
+def test_an_incorrect_run_gives_its_side_the_incorrect_verdict(monkeypatch, tmp_path, capsys):
+    runs = _stub_runs(monkeypatch, {"parent": 0, "change": 0})
+    assert bench_pairs.summary([LOWER, HIGHER], runs)["correct"]["change"]["verdict"] == "ok"
+    runs["change"][1]["correct"] = False
+    bench_pairs.report([LOWER, HIGHER], runs)
+    out = capsys.readouterr().out
+    assert "parent incorrect runs: 0 of 3: ok" in out
+    assert "change incorrect runs: 1 of 3: incorrect" in out
+    args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=3, parent="HEAD", claim=None)
+    path = tmp_path / "bench.json"
+    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
+    written = json.loads(path.read_text())
+    assert written["correct"] == {"parent": {"incorrect": 0, "runs": 3, "verdict": "ok"},
+                                  "change": {"incorrect": 1, "runs": 3, "verdict": "incorrect"}}
+    assert written["runs"]["change"][1]["correct"] is False
+
+
+def _fake_perfbench(monkeypatch, results):
+    """subprocess.run stubbed: a run in tree `t` exits with results[t.name],
+    a (return code, stdout, stderr) triple."""
+    def run(cmd, cwd, capture_output, text):
+        code, out, err = results[Path(cwd).name]
+        return subprocess.CompletedProcess(cmd, code, out, err)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def test_run_once_keeps_the_correct_flag(monkeypatch):
+    line = json.dumps({"correct": False, "attempted": 13, "failed": 1,
+                       "metrics": {"pipeline_s": {"value": 0.5, "unit": "s"}}})
+    _fake_perfbench(monkeypatch, {"tree": (0, "workload pcs_wide\n" + line + "\n", "")})
+    args = argparse.Namespace(workload="pcs_wide", seed=7)
+    assert bench_pairs.run_once(Path("tree"), args) == {
+        "metrics": {"pipeline_s": 0.5}, "attempted": 13, "failed": 1, "correct": False}
+
+
+def test_a_failed_run_names_its_side_exit_code_and_stderr(monkeypatch):
+    ok = json.dumps({"correct": True, "attempted": 13, "failed": 0, "metrics": {}})
+    err = "".join(f"line {i}\n" for i in range(30)) + "Traceback: boom\n"
+    _fake_perfbench(monkeypatch, {"parent": (0, ok, ""), "change": (3, "", err)})
+    args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=2)
+    with pytest.raises(bench_pairs.RunError) as exc:
+        bench_pairs.run_pairs({"parent": Path("parent"), "change": Path("change")}, args)
+    message = str(exc.value)
+    assert message.startswith("change run of pair 1 failed, exit code 3")
+    assert "Traceback: boom" in message and "line 29" in message
+    assert "line 10\n" not in message  # only the last lines of stderr

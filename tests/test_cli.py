@@ -376,3 +376,23 @@ def test_non_utf8_input_exits_parse(bell, tmp_path, capsys, which):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "parse"
     assert str(bad) in err["message"]
+
+
+@pytest.mark.parametrize("key", ["000 00 0", "0000 00 0 1", "0000 00 00", "0000 000 0", "0000 0x 0"],
+                         ids=["readout-3-bits", "extra-group", "verify-2-bits", "synd-3-bits",
+                              "bad-character"])
+def test_iceberg_counts_that_do_not_match_the_registers_exit_mismatch(rot, tmp_path, capsys, key):
+    meta = tmp_path / "m.json"
+    assert main(["compile", str(rot), "--code", "iceberg", "--checks", "1",
+                 "--out", str(tmp_path / "c.qasm"), "--meta-out", str(meta)]) == 0
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"counts": {"0000 00 0": 5, key: 3}}))
+    out = tmp_path / "r.json"
+    rc = main(["postselect", "--counts", str(counts), "--meta", str(meta), "--out", str(out)])
+    assert rc == EXIT_COMPILE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "mismatch"
+    assert repr(key) in err["message"]
+    assert not out.exists()

@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qedc.analysis import Region
-from qedc.circuit import Circuit, Register
-from qedc.iceberg import build_iceberg_circuit
+from qedc.circuit import Circuit, Register, registers
+from qedc.iceberg import IcebergMeta, build_iceberg_circuit
 from qedc.pcs import CheckPair, PcsMeta, insert_pcs
 from qedc.pauli import PauliString
 from qedc.layout import heavy_hex_127
@@ -15,6 +16,7 @@ from qedc.pipeline import CompilationMeta, compile_circuit
 from qedc.postprocess import (
     PostprocessError,
     counts_tvd,
+    detectors,
     estimate_overhead,
     expectation_z,
     extrapolate_checks,
@@ -25,6 +27,7 @@ from qedc.postprocess import (
     tvd,
 )
 from qedc.simulator import NoiseModel, sample
+from oracles import reference_postselect_counts, reference_postselect_counts_iceberg
 from test_acceptance import _case_study_circuit_4q
 
 
@@ -53,13 +56,14 @@ def test_postselect_rejects_wrong_width():
         postselect_counts({"000 11": 5}, simple_meta("00"))
 
 
+def iceberg_meta(k=2, cycles=1):
+    return IcebergMeta.from_dict({"code": "iceberg", "k": k, "data_qubits": list(range(k + 2)),
+                                  "ancillas": [k + 2, k + 3], "cycles": cycles})
+
+
 def test_postselect_iceberg_rules():
     cregs = [Register("verify", 1, 0), Register("synd", 2, 1), Register("meas", 4, 3)]
-    from qedc.iceberg import IcebergMeta
-    meta = IcebergMeta.from_dict({
-        "code": "iceberg", "k": 2, "data_qubits": [0, 1, 2, 3],
-        "ancillas": [4, 5], "cycles": 1,
-    })
+    meta = iceberg_meta()
     counts = {
         "0000 00 0": 50,   # accept -> logical 00
         "1111 00 0": 10,   # accept via X stabilizer -> logical 00
@@ -72,6 +76,116 @@ def test_postselect_iceberg_rules():
     assert report.total_shots == 80
     assert report.kept_shots == 68
     assert report.counts == {"00": 60, "11": 8}
+
+
+def test_detectors_state_each_codes_checks():
+    pcs_cregs = [Register("c", 3, 0), Register("anc", 2, 3)]
+    # expected bits in key order: check 1 reads 0, check 0 reads 1
+    assert detectors(simple_meta("01"), pcs_cregs) == [((3,), 1), ((4,), 0)]
+    assert detectors(iceberg_meta(), iceberg_meta().cregs()) == [
+        ((0,), 0), ((1,), 0), ((2,), 0), ((3, 4, 5, 6), 0)]
+    assert detectors(iceberg_meta(cycles=0), iceberg_meta(cycles=0).cregs()) == [
+        ((0,), 0), ((1, 2, 3, 4), 0)]
+
+
+@pytest.mark.parametrize("meta, cregs", [
+    (simple_meta(), [Register("c", 3, 0)]),
+    (simple_meta(), [Register("c", 3, 0), Register("anc", 3, 3)]),
+    (iceberg_meta(), iceberg_meta(cycles=0).cregs()),
+    (iceberg_meta(), registers([("verify", 1), ("synd", 2), ("meas", 3)])),
+], ids=["pcs-no-ancilla", "pcs-ancilla-width", "iceberg-no-synd", "iceberg-readout-width"])
+def test_detectors_reject_registers_that_do_not_match_the_code(meta, cregs):
+    with pytest.raises(PostprocessError, match="no .*-bit classical register"):
+        detectors(meta, cregs)
+
+
+PCS_CREGS = [Register("c", 3, 0), Register("anc", 2, 3)]
+
+
+@pytest.mark.parametrize("key", [
+    "00 011 1", "00", "00011", " 00 011", "00  011",  # groups
+    "000 011", "0 011", "00 0011", "00 01",           # widths
+    "0x 011", "00 0_0", "00 01\n", "00 011\n00 011",   # characters
+])
+@pytest.mark.parametrize("with_cregs", [True, False])
+def test_pcs_keys_that_do_not_match_the_registers_raise(key, with_cregs):
+    counts = {"00 011": 4, key: 1}
+    with pytest.raises(PostprocessError, match="does not match register widths"):
+        postselect_counts(counts, simple_meta("00"), PCS_CREGS if with_cregs else None)
+
+
+@pytest.mark.parametrize("key", [
+    "0000 00 0 1", "0000 000", "0000000",   # groups
+    "000 00 0", "00000 00 0",               # readout width
+    "0000 000 0", "0000 0 0",               # syndrome width
+    "0000 00 00", "0000 00 ",               # verification width
+    "0000 0x 0", "0_00 00 0", "0000 00 -",  # characters
+])
+def test_iceberg_keys_that_do_not_match_the_registers_raise(key):
+    meta = iceberg_meta()
+    with pytest.raises(PostprocessError, match="does not match register widths"):
+        postselect_counts_iceberg({"0000 00 0": 4, key: 1}, meta, meta.cregs())
+
+
+def test_empty_counts_give_the_all_zero_report():
+    zero = {"total": 0, "kept": 0, "discarded": 0, "keep_rate": 0.0, "counts": {}}
+    assert postselect_counts({}, simple_meta()).to_dict() == zero
+    assert postselect_counts({}, simple_meta(), PCS_CREGS).to_dict() == zero
+    for cycles in (0, 2):
+        meta = iceberg_meta(cycles=cycles)
+        assert postselect_counts_iceberg({}, meta, meta.cregs()).to_dict() == zero
+
+
+@st.composite
+def pcs_counts(draw):
+    """(counts, meta, cregs or None): PCS keys of random registers, about
+    half of them with the expected ancilla bits."""
+    checks = draw(st.integers(1, 4))
+    expected = draw(st.text("01", min_size=checks, max_size=checks))
+    others = [(f"c{i}", draw(st.integers(1, 4))) for i in range(draw(st.integers(0, 2)))]
+    with_cregs = draw(st.booleans())
+    at = draw(st.integers(0, len(others))) if with_cregs else len(others)
+    cregs = registers(others[:at] + [("anc", checks)] + others[at:])
+    groups = [st.one_of(st.just(expected), bit_strings(checks)) if reg.name == "anc"
+              else bit_strings(reg.size) for reg in reversed(cregs)]
+    counts = draw(st.dictionaries(st.tuples(*groups).map(" ".join), weights(), max_size=24))
+    return counts, PcsMeta("anc", [], expected, (0, 0), ()), cregs if with_cregs else None
+
+
+def bit_strings(width):
+    return st.text("01", min_size=width, max_size=width)
+
+
+def weights():
+    """Shot counts, or the float weights of an exact distribution."""
+    return st.one_of(st.integers(1, 50), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def iceberg_counts(draw):
+    """(counts, meta, cregs): Iceberg keys, about half of them with clear
+    verification and syndrome bits."""
+    meta = iceberg_meta(k=draw(st.sampled_from([2, 4])), cycles=draw(st.sampled_from([0, 2, 3])))
+    groups = [bit_strings(reg.size) if reg.name == meta.readout_register
+              else st.one_of(st.just("0" * reg.size), bit_strings(reg.size))
+              for reg in reversed(meta.cregs())]
+    counts = draw(st.dictionaries(st.tuples(*groups).map(" ".join), weights(), max_size=24))
+    return counts, meta, meta.cregs()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(pcs_counts(), iceberg_counts()))
+def test_postselect_matches_the_hand_written_rules(case):
+    counts, meta, cregs = case
+    if isinstance(meta, PcsMeta):
+        report = postselect_counts(counts, meta, cregs)
+        want = reference_postselect_counts(counts, meta, cregs)
+    else:
+        report = postselect_counts_iceberg(counts, meta, cregs)
+        want = reference_postselect_counts_iceberg(counts, meta, cregs)
+    got = (report.total_shots, report.kept_shots, report.discarded_shots, report.counts)
+    assert got == want
+    assert list(report.counts) == list(want[3])
 
 
 def test_tvd_and_normalize():

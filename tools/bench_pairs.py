@@ -13,9 +13,12 @@ change did better, and a verdict (see `verdict`).  Last it prints each
 side's share of failed operations over all its runs, with the verdict
 `more-failures` if the change's share is the higher one.  With
 `--claim METRIC` it also prints whether the change's gain on that metric
-is shown (see `claim`).  With `--json PATH` it also writes every run's
-metrics, the medians, quartiles and verdicts, the failed shares and the
-claim to PATH.
+is shown (see `claim`).  Each side whose runs include one that
+`perfbench/run.py` reports as not correct gets the verdict `incorrect`.
+A run that exits non-zero stops the script with its side, its exit code
+and the last lines of its stderr.  With `--json PATH` it also writes every
+run's metrics and correct flag, the medians, quartiles and verdicts, the
+failed shares, the correctness verdicts and the claim to PATH.
 """
 from __future__ import annotations
 
@@ -53,15 +56,27 @@ def load_specs() -> list[dict]:
         return json.load(fh)["end_to_end"]
 
 
+# stderr lines of a failed run that are reported
+STDERR_TAIL = 20
+
+
+class RunError(Exception):
+    """A benchmark run that exited non-zero."""
+
+
 def run_once(tree: Path, args) -> dict:
-    """Metric values, operations attempted and operations failed of one
-    `perfbench/run.py --trace 0` run in `tree`."""
+    """Metric values, operations attempted and failed, and the correct flag
+    of one `perfbench/run.py --trace 0` run in `tree`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        raise RunError(f"exit code {proc.returncode}; last lines of stderr:\n{tail}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "attempted": result["attempted"], "failed": result["failed"]}
+            "attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"]}
 
 
 def run_pairs(trees: dict[str, Path], args) -> dict[str, list[dict]]:
@@ -70,7 +85,10 @@ def run_pairs(trees: dict[str, Path], args) -> dict[str, list[dict]]:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(trees[side], args))
+            try:
+                runs[side].append(run_once(trees[side], args))
+            except RunError as exc:
+                raise RunError(f"{side} run of pair {i + 1} failed, {exc}") from None
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
     return runs
 
@@ -134,10 +152,18 @@ def failure_verdict(runs: dict[str, list[dict]]) -> str:
     return "more-failures" if worse else "ok"
 
 
+def correctness(runs: list[dict]) -> dict:
+    """How many of one side's runs were not correct, and the verdict
+    `incorrect` if any was, else `ok`."""
+    bad = sum(not r["correct"] for r in runs)
+    return {"incorrect": bad, "runs": len(runs), "verdict": "incorrect" if bad else "ok"}
+
+
 def summary(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None = None) -> dict:
     """Per metric: its bound, each side's median and quartiles, the pairs
     the change won and the verdict; then each side's failed share, the
-    failure verdict and, if a metric is `claimed`, its claim."""
+    failure verdict, each side's correctness and, if a metric is `claimed`,
+    its claim."""
     metrics, out = {}, {}
     for spec in specs:
         name = spec["name"]
@@ -152,7 +178,9 @@ def summary(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None 
             out["claim"] = claim(spec, parent, change)
     failed = {side: dict(zip(("failed", "attempted", "share"), failed_share(runs[side])))
               for side in ("parent", "change")}
-    return {"metrics": metrics, "failed": failed, "failure_verdict": failure_verdict(runs), **out}
+    correct = {side: correctness(runs[side]) for side in ("parent", "change")}
+    return {"metrics": metrics, "failed": failed, "failure_verdict": failure_verdict(runs),
+            "correct": correct, **out}
 
 
 def report(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None = None) -> None:
@@ -167,6 +195,8 @@ def report(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None =
     for side, f in result["failed"].items():
         print(f"{side} failed {f['failed']} of {f['attempted']} operations ({f['share']:.4g})")
     print(f"failed share: {result['failure_verdict']}")
+    for side, c in result["correct"].items():
+        print(f"{side} incorrect runs: {c['incorrect']} of {c['runs']}: {c['verdict']}")
     if claimed is not None:
         c = result["claim"]
         print(f"claim {c['metric']}: {c['wins']}/{c['pairs']} pairs won, median gain "
@@ -191,6 +221,9 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         runs = run_pairs({"parent": parent_tree, "change": ROOT}, args)
+    except RunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
