@@ -8,8 +8,10 @@ held as per-qubit int rows, one bit per detector: bit d of x[q] (z[q]) is
 set iff detector d's observable has X (Z) at qubit q.  They are walked from
 the end of the circuit to the start, starting from the identity or from a
 Pauli check measured after the circuit (a PCS right check): measuring qubit
-q into one of detector d's clbits XORs Z_q into d, a reset of q clears both
-of q's rows, and a Clifford gate steps the rows with `clifford.step_xz`
+q clears x[q], since Z_q on the collapsed state is only a phase, and XORs
+Z_q into detector d if the measurement is the last one into a clbit of d (a
+later measurement overwrites the clbit); a reset of q clears both of q's
+rows, and a Clifford gate steps the rows with `clifford.step_xz`
 over its named gates in reverse (every named gate's symplectic map is an
 involution, so g and g† move the x/z bits alike).  Pauli rotations at
 generic angles and t/tdg pass through, which is exact whenever the
@@ -43,7 +45,9 @@ def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Seq
     are disjoint sets of clbits.  Yields (i, x, z) for
     i = len(instructions) - 1 down to -1, where the rows hold the
     observables just after instruction i (i = -1: before the first
-    instruction).  The same two lists are updated in place between yields.
+    instruction).  The same two lists are updated in place between yields;
+    a caller that XORs a Pauli's bits into them adds it as an observable at
+    that point.
     """
     of_clbit = {cb: d for d, clbits in enumerate(detectors) for cb in clbits}
     x, z = list(x), list(z)
@@ -52,9 +56,10 @@ def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Seq
         inst = instructions[i]
         name = inst.name
         if name == "measure":
-            d = of_clbit.get(inst.clbits[0])
+            q, d = inst.qubits[0], of_clbit.pop(inst.clbits[0], None)
+            x[q] = 0
             if d is not None:
-                z[inst.qubits[0]] ^= 1 << d
+                z[q] ^= 1 << d
         elif name == "reset":
             x[inst.qubits[0]] = z[inst.qubits[0]] = 0
         elif is_clifford(inst):

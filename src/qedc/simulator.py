@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key
 from .clifford import clifford_gate_sequence, is_clifford, step_xz
-from .errorprop import depolarizing_signatures
+from .errorprop import depolarizing_signatures, detector_sweep
 from .stabilizer import stabilizer_run
 
 MAX_STATEVECTOR_QUBITS = 14
@@ -505,24 +505,78 @@ _FAULT_XZ = {
 _ROTATION_XZ = {"rz": (0, 1), "t": (0, 1), "tdg": (0, 1), "rzz": (0, 1),
                 "rx": (1, 0), "rxx": (1, 0), "ry": (1, 1), "ryy": (1, 1)}
 
-def _anticommuting(inst, x, z, acc):
-    """`acc` XOR the rows, of x and z at the rotation's qubits, that mark
-    the Paulis anticommuting with its Pauli (see _ROTATION_XZ).  Rows are
-    Python ints or numpy bool arrays, as for `clifford.step_xz`."""
+def _anticommuting(inst, x, z) -> int:
+    """The bits, of the int rows x and z at the rotation's qubits, of the
+    Paulis that anticommute with its Pauli (see _ROTATION_XZ)."""
     px, pz = _ROTATION_XZ[inst.name]
+    acc = 0
     for q in inst.qubits:
         if pz:
-            acc = acc ^ x[q]
+            acc ^= x[q]
         if px:
-            acc = acc ^ z[q]
+            acc ^= z[q]
     return acc
+
+
+def _words(values, width: int) -> np.ndarray:
+    """Python ints as rows of `width` little-endian uint64 words."""
+    data = b"".join(v.to_bytes(8 * width, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, width)
+
+
+def _signatures(insts, n: int, nc: int, noisy, rotations=()):
+    """Every fault's flip signature, from one backward `detector_sweep` with
+    a detector per clbit: bit c is set iff the fault flips clbit c's record,
+    and bit nc + r iff it anticommutes with the Pauli of the rotation at op
+    rotations[r], XORed into the rows there after that op's faults are read.
+    A signature is a row of W = ceil(bits / 64) little-endian uint64 words.
+
+    Returns the (ops, 15, W) table of the signatures of each noisy op's
+    fault codes (see _FAULT_XZ), from fault_signatures's rule, X_q gives
+    z[q] and Z_q gives x[q], and the signatures of a Z on each qubit at the
+    start and on the measured or reset qubit after each measurement and
+    reset, in circuit order: such a Z flips the records of x[q] there."""
+    width = max(1, -(-(nc + len(rotations)) // 64))
+    bit = {i: 1 << nc + r for r, i in enumerate(rotations)}
+    rows, where, draws = [], [], []
+    for i, x, z in detector_sweep(insts, [0] * n, [0] * n, [(c,) for c in range(nc)]):
+        qubits = insts[i].qubits if i >= 0 else range(n - 1, -1, -1)
+        if i < 0 or insts[i].name in ("measure", "reset"):
+            draws += [x[q] for q in qubits]
+            continue
+        if noisy[i]:
+            rows += [s for q in qubits for s in (z[q], x[q])] + [0, 0] * (2 - len(qubits))
+            where.append(i)
+        if i in bit:
+            px, pz = _ROTATION_XZ[insts[i].name]
+            for q in qubits:
+                x[q] ^= bit[i] * px
+                z[q] ^= bit[i] * pz
+    words = _words(rows + draws[::-1], width)
+    basis, where = words[:len(rows)].reshape(-1, 4, width), np.array(where, dtype=np.intp)
+    table = np.zeros((len(insts), 15, width), dtype="<u8")
+    for k, xz in _FAULT_XZ.items():
+        mine = np.array([len(insts[i].qubits) == k for i in where], dtype=bool)
+        chosen = np.where(xz.reshape(-1, 2 * k, 1), basis[mine, None, :2 * k], 0)
+        table[where[mine], :len(xz)] = np.bitwise_xor.reduce(chosen, axis=2)
+    return table, words[len(rows):]
+
+
+def _fault_flips(table: np.ndarray, faults) -> tuple[np.ndarray, np.ndarray]:
+    """The faulty shots, ascending, and each one's XOR of the signatures of
+    its faults: one gather from `table` and one reduceat over the faults
+    sorted by shot."""
+    order = np.argsort(faults.shot, kind="stable")
+    shot = faults.shot[order]
+    starts = np.flatnonzero(np.diff(shot, prepend=-1))
+    sigs = table[faults.op[order], faults.code[order]]
+    return shot[starts], np.bitwise_xor.reduceat(sigs, starts, axis=0)
 
 
 # the widest Clifford circuit sample() runs as Pauli frames
 MAX_STABILIZER_QUBITS = 64
 
-# shots whose Pauli frames step together, so the X and Z rows of a Clifford
-# sample() take at most 2 * qubits * _FRAME_SHOTS bytes at any shot count
+# shots whose Z draws are made together, as in earlier versions of sample()
 _FRAME_SHOTS = 1 << 16
 
 logger = logging.getLogger(__name__)
@@ -578,7 +632,7 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
     run = _frame_records if frames else _sample_records
-    records, faults, simulated, passes = run(compacted, noise, shots, rng)
+    keys, faults, simulated, passes = run(compacted, noise, shots, rng)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({
             "backend": "pauli-frame" if frames else "statevector" if noisy else "noiseless",
@@ -588,25 +642,21 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             "statevector_passes": passes,
             "noisy_instructions": faults.noisy_instructions,
         }))
-    return _counts(records, compacted.cregs)
+    return _counts(keys, compacted.num_clbits, compacted.cregs)
 
 
-def _counts(records: np.ndarray, cregs: list[Register]) -> dict[str, int]:
-    """Counts of the records, one row of clbits per shot.  Each row is
-    packed into whole 64-bit words and read as one key, so the tally is a
-    1-D np.unique.  One word is read as a uint64: np.unique sorts those
-    about ten times faster than raw bytes (on pcs_heavyhex raw-byte keys
-    cost 12% of shots_per_s).  The distinct rows are then written out as
-    counts_key characters, a space between register groups, and decoded
-    in one pass."""
-    shots, nc = records.shape
+def _counts(keys: np.ndarray, nc: int, cregs: list[Register]) -> dict[str, int]:
+    """Counts of the keys, one row of little-endian uint64 words per shot
+    with bit c for clbit c, so the tally is a 1-D np.unique.  One word is
+    read as a uint64: np.unique sorts those about ten times faster than raw
+    bytes (on pcs_heavyhex raw-byte keys cost 12% of shots_per_s).  The
+    distinct rows are then written out as counts_key characters, a space
+    between register groups, and decoded in one pass."""
+    shots, width = keys.shape
     if nc == 0:
         return {counts_key([], cregs): shots}
-    width = -(-nc // 64) * 8
-    packed = np.zeros((shots, width), dtype=np.uint8)
-    packed[:, :-(-nc // 8)] = np.packbits(records, axis=1, bitorder="little")
-    keys = packed.view(np.uint64 if width == 8 else np.dtype((np.void, width))).ravel()
-    uniq, freq = np.unique(keys, return_counts=True)
+    uniq, freq = np.unique(keys.view(np.uint64 if width == 1 else np.dtype((np.void, 8 * width))).ravel(),
+                           return_counts=True)
     rows = np.unpackbits(uniq.view(np.uint8).reshape(len(uniq), -1), axis=1,
                          count=nc, bitorder="little")
     # counts_key's column order: registers last-declared first, high bit
@@ -673,33 +723,35 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     trajectories with Pauli frames through Pauli rotations, the faults drawn
     for them, the number of batch rows simulated and of kernels run.
 
-    A shot's state is F |phi>: F is its Pauli frame, stepped through every
-    op by _step_frames, and phi the noiseless circuit with the rotations F
-    anticommutes with negated.  Those rotations are the shot's sign
-    pattern.  A measurement of F |phi> reads phi's outcome XOR the frame's
-    X bit, and leaves F on the collapsed phi.
+    A shot's state is F |phi>: F is its Pauli frame, the product of its
+    faults carried to the current op, and phi the noiseless circuit with
+    the rotations F anticommutes with negated.  Those rotations are the
+    shot's sign pattern.  A measurement of F |phi> reads phi's outcome XOR
+    the frame's X bit, and leaves F on the collapsed phi.  Both the pattern
+    and the records' X bits are bits of the XOR of the shot's faults'
+    _signatures.
     """
     n, nc = circ.num_qubits, circ.num_clbits
     insts = [i for i in circ.instructions if i.name != "barrier"]
     ops = _program(insts, n, noise)
     tail = _terminal_start(ops)
 
-    # 1. every shot's faults; the faulty shots' frames give the rotations
-    # each one negates, and the X bit each of its measurements reads
+    # 1. every shot's faults; the faulty shots' signatures give the
+    # rotations each one negates, and the X bit each of its records reads
     faults = _draw_faults([(op.error, len(op.qubits)) for op in ops], shots, rng)
-    faulty, column = np.unique(faults.shot, return_inverse=True)
-    xbits = np.zeros((nc, len(faulty)), dtype=bool)
-    negated = {}
-    if len(faulty):
-        negated = _step_frames(insts, circ.num_qubits, (faults.op, column, faults.code), xbits)
+    rotations = [i for i, inst in enumerate(insts) if inst.name in _ROTATION_XZ and not is_clifford(inst)]
+    faulty, words = np.zeros(0, dtype=np.intp), np.zeros((0, 1), dtype="<u8")
+    if len(faults.op):
+        table, _ = _signatures(insts, n, nc, [op.error > 0 for op in ops], rotations)
+        faulty, words = _fault_flips(table, faults)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=nc + len(rotations), bitorder="little")
     rotation = np.full(len(ops), -1)
-    rotation[list(negated)] = np.arange(len(negated))
+    rotation[rotations] = np.arange(len(rotations))
 
     # 2. the distinct sign patterns; the empty one, which every fault-free
     # shot has, is row 0 of np.unique's sorted output
-    flips = np.zeros((1 + len(faulty), len(negated)), dtype=bool)
-    for k, anti in enumerate(negated.values()):
-        flips[1:, k] = anti
+    flips = np.zeros((1 + len(faulty), len(rotations)), dtype=bool)
+    flips[1:] = bits[:, nc:]
     patterns, which = np.unique(flips, axis=0, return_inverse=True)
     pattern_of = np.zeros(shots, dtype=np.intp)
     pattern_of[faulty] = which.ravel()[1:]
@@ -707,7 +759,7 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
                        np.cumsum(np.bincount(pattern_of, minlength=len(patterns)))[:-1])
     # each pattern's first negated op; the tail for the empty pattern
     ends = np.column_stack([patterns, np.ones(len(patterns), dtype=bool)])
-    first = np.append(np.array(list(negated), dtype=int), tail)[ends.argmax(axis=1)]
+    first = np.append(np.array(rotations, dtype=int), tail)[ends.argmax(axis=1)]
     pending = [(int(first[u]), patterns[u], members[u])
                for u in np.argsort(first, kind="stable") if len(members[u])]
 
@@ -741,8 +793,16 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         cum = np.cumsum(np.abs(run.psi[0]) ** 2)
         idx = np.searchsorted(cum, rng.random(len(free)) * cum[-1], side="right")
         _read_out(records, free, np.minimum(idx, len(cum) - 1), plan.measures)
-    records[faulty] ^= xbits.T
-    return records, faults, simulated, run.batch.passes + work.passes
+    records[faulty] ^= bits[:, :nc]
+    return _pack(records), faults, simulated, run.batch.passes + work.passes
+
+
+def _pack(records: np.ndarray) -> np.ndarray:
+    """Records, one byte per clbit per shot, as count keys (see _counts)."""
+    shots, nc = records.shape
+    keys = np.zeros((shots, max(1, -(-nc // 64)) * 8), dtype=np.uint8)
+    keys[:, :-(-nc // 8)] = np.packbits(records, axis=1, bitorder="little")
+    return keys.view("<u8")
 
 
 def _may_be_random(insts, n: int) -> list[bool]:
@@ -766,7 +826,7 @@ def _may_be_random(insts, n: int) -> list[bool]:
             bit[i] = 1 << len(bit)
             x[q], z[q] = 0, bit[i]
         elif inst.name in _ROTATION_XZ and not is_clifford(inst):
-            lost |= _anticommuting(inst, x, z, 0)
+            lost |= _anticommuting(inst, x, z)
         else:
             for name, qs in reversed(clifford_gate_sequence(inst)):
                 step_xz(x, z, name, qs)
@@ -894,79 +954,46 @@ def _is_clifford_circuit(circ: Circuit) -> bool:
 
 
 def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
-    """Classical records, one row of clbits per shot, of a Clifford circuit
-    sampled with Pauli frames (Gidney, "Stim: a fast stabilizer circuit
-    simulator", arXiv:2103.02202), the faults drawn for them and the number
-    of shots simulated, which is all of them, and 0 statevector kernels.
+    """Count keys (see _counts) of a Clifford circuit sampled with Pauli
+    frames (Gidney, "Stim: a fast stabilizer circuit simulator",
+    arXiv:2103.02202), the faults drawn for them and the number of shots
+    simulated, which is all of them, and 0 statevector kernels.
 
     One noiseless CHP run gives a reference outcome for every measurement.
-    Each shot carries a Pauli frame, its difference from that run, as one
-    column of the (n, shots) bool rows X and Z, and the shots of a block of
-    at most _FRAME_SHOTS step through the gates together, signs ignored.
-    A measurement reads the reference outcome flipped by the frame's X bit.
-    Z starts random and is randomised again after each measurement and
-    reset: such a Z stabilizes the reference state there, so it changes no
-    deterministic outcome, and it makes a random outcome come out random.
+    Each shot's frame is its difference from that run, and a record reads
+    the reference outcome flipped by the frame's X bit at the clbit's last
+    measurement.  That bit is linear in the shot's faults and in random Z
+    draws: Z starts random and is drawn again after each measurement and
+    reset, since such a Z stabilizes the reference state there, so it
+    changes no deterministic outcome, and it makes a random outcome come
+    out random.  So a shot's key is the reference XOR the _signatures of
+    its faults and of its Z draws.  The Z draws are made as bools in
+    blocks of _FRAME_SHOTS shots, and those that flip some record are
+    packed 8 to a byte and XORed through a 256-entry table per byte.
     """
-    reference = [r.outcome for r in stabilizer_run(circ)[0]]
+    n, nc = circ.num_qubits, circ.num_clbits
     insts = [i for i in circ.instructions if i.name != "barrier"]
-    faults = _draw_faults(
-        [(noise.gate_error(i), len(i.qubits)) for i in insts], shots, rng)
-    bits = np.zeros((circ.num_clbits, shots), dtype=bool)
+    errors = [noise.gate_error(i) for i in insts]
+    faults = _draw_faults([(p, len(i.qubits)) for p, i in zip(errors, insts)], shots, rng)
+    table, draws = _signatures(insts, n, nc, [p > 0 for p in errors])
+    reference = 0
+    for record in stabilizer_run(circ)[0]:
+        reference = reference & ~(1 << record.clbit) | record.outcome << record.clbit
+    keys = np.repeat(_words([reference], table.shape[2]), shots, axis=0)
+    faulty, flips = _fault_flips(table, faults)
+    keys[faulty] ^= flips
+
+    live = draws.any(axis=1)
+    rows = np.zeros((-(-int(live.sum()) // 8) * 8, table.shape[2]), dtype="<u8")
+    rows[:live.sum()] = draws[live]
+    per_byte = np.zeros((len(rows) // 8, 256, table.shape[2]), dtype="<u8")
+    for j in range(8):
+        per_byte[:, 1 << j:2 << j] = per_byte[:, :1 << j] ^ rows[j::8, None]
     for lo in range(0, shots, _FRAME_SHOTS):
         hi = min(lo + _FRAME_SHOTS, shots)
-        mine = (faults.shot >= lo) & (faults.shot < hi)
-        block = (faults.op[mine], faults.shot[mine] - lo, faults.code[mine])
-        _step_frames(insts, circ.num_qubits, block, bits[:, lo:hi], reference, rng)
-    return bits.T, faults, shots, 0
-
-
-def _step_frames(insts, n, faults, bits, reference=None, rng=None) -> dict[int, np.ndarray]:
-    """Step one frame per column of `bits` through the instructions, writing
-    each measurement's X bits into its row of `bits`, XORed with the next
-    `reference` outcome if one is given.  The frame is the per-qubit bool
-    rows x[q] and z[q], stepped through each Clifford gate by
-    `clifford.step_xz`.  `faults` holds (op index, column, Pauli code)
-    arrays sorted by op, and is the only place faults enter any sampler.
-
-    A reset clears X.  Z starts random and is drawn again after each
-    measurement and reset if `rng` is given, and is 0 and cleared there
-    otherwise.  A non-Clifford rotation (see _ROTATION_XZ) leaves the
-    frames as they are; returned by its op index is the row of frames that
-    anticommute with its Pauli."""
-    fault_op, fault_col, fault_code = faults
-    edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
-    outcomes = iter(reference or ())
-    shots = bits.shape[1]
-
-    def fresh_z(shape):
-        if rng is None:
-            return np.zeros(shape, dtype=bool)
-        return rng.integers(2, size=shape, dtype=bool)
-
-    # one array per qubit, so h and swap exchange rows without copying
-    x = list(np.zeros((n, shots), dtype=bool))
-    z = list(fresh_z((n, shots)))
-    negated = {}
-    for i, inst in enumerate(insts):
-        if inst.name in ("measure", "reset"):
-            q = inst.qubits[0]
-            if inst.name == "measure":
-                bits[inst.clbits[0]] = x[q] ^ bool(next(outcomes, False))
-            else:
-                x[q][:] = False
-            z[q] = fresh_z(shots)
-            continue
-        if inst.name in _ROTATION_XZ and not is_clifford(inst):
-            negated[i] = _anticommuting(inst, x, z, np.zeros(shots, dtype=bool))
-        else:
-            for name, qs in clifford_gate_sequence(inst):
-                step_xz(x, z, name, qs)
-        a, b = edges[i], edges[i + 1]
-        if a < b:
-            hit = fault_col[a:b]
-            xz = _FAULT_XZ[len(inst.qubits)][fault_code[a:b]]
-            for k, q in enumerate(inst.qubits):
-                x[q][hit[xz[:, k, 0]]] ^= True
-                z[q][hit[xz[:, k, 1]]] ^= True
-    return negated
+        coins = np.concatenate([rng.integers(2, size=(n, hi - lo), dtype=bool)]
+                               + [rng.integers(2, size=(1, hi - lo), dtype=bool)
+                                  for i in insts if i.name in ("measure", "reset")])
+        for b, byte in enumerate(np.packbits(coins[live], axis=0, bitorder="little")):
+            keys[lo:hi] ^= per_byte[b, byte]
+    return keys, faults, shots, 0

@@ -276,8 +276,14 @@ def forward_propagate_flips(instructions, start, error) -> set[int]:
         if name == "barrier":
             continue
         if name == "measure":
-            if (p.x >> inst.qubits[0]) & 1:
-                flips.symmetric_difference_update(inst.clbits)
+            # the clbit keeps its last measurement, and Z on the collapsed
+            # qubit is only a phase
+            q = inst.qubits[0]
+            if (p.x >> q) & 1:
+                flips.update(inst.clbits)
+            else:
+                flips.difference_update(inst.clbits)
+            p = PauliString(p.n, p.x, p.z & ~(1 << q), p.phase)
             continue
         if name == "reset":
             mask = ~(1 << inst.qubits[0])
@@ -291,6 +297,60 @@ def forward_propagate_flips(instructions, start, error) -> set[int]:
             continue
         raise ValueError(f"cannot propagate an error through gate {name!r}")
     return flips
+
+
+def step_frames(insts, n: int, nc: int, faults, draws):
+    """Pauli frames stepped forward: the sampler's frame stepper before the
+    backward signature sweep replaced it, the reference that
+    `qedc.simulator._signatures` is held to.
+
+    One frame per column, held as per-qubit numpy bool rows x[q] and z[q]
+    and stepped through each Clifford gate by `clifford.step_xz`.  `faults`
+    holds (op index, column, fault code) arrays sorted by op; a fault
+    strikes after its op.  `draws` is a bool array of Z rows, one per qubit
+    at the start and then one after each measurement and reset, in circuit
+    order.  A measurement writes its X bits into its clbit's row, and a
+    reset clears X.  Returns the (nc, columns) rows of each clbit's last X
+    bits and, per non-Clifford rotation's op index, the columns whose frame
+    anticommutes with its Pauli just before it."""
+    from qedc.clifford import clifford_gate_sequence, is_clifford, step_xz
+    from qedc.simulator import _FAULT_XZ, _ROTATION_XZ
+
+    fault_op, fault_col, fault_code = faults
+    edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
+    shots = draws.shape[1]
+    bits = np.zeros((nc, shots), dtype=bool)
+    draws = iter(draws.copy())
+    # one array per qubit, so h and swap exchange rows without copying
+    x = list(np.zeros((n, shots), dtype=bool))
+    z = [next(draws) for _ in range(n)]
+    negated = {}
+    for i, inst in enumerate(insts):
+        if inst.name in ("measure", "reset"):
+            q = inst.qubits[0]
+            if inst.name == "measure":
+                bits[inst.clbits[0]] = x[q]
+            else:
+                x[q] = np.zeros(shots, dtype=bool)
+            z[q] = next(draws)
+            continue
+        if inst.name in _ROTATION_XZ and not is_clifford(inst):
+            px, pz = _ROTATION_XZ[inst.name]
+            anti = np.zeros(shots, dtype=bool)
+            for q in inst.qubits:
+                anti = anti ^ (x[q] if pz else False) ^ (z[q] if px else False)
+            negated[i] = anti
+        else:
+            for name, qs in clifford_gate_sequence(inst):
+                step_xz(x, z, name, qs)
+        a, b = edges[i], edges[i + 1]
+        if a < b:
+            hit = fault_col[a:b]
+            xz = _FAULT_XZ[len(inst.qubits)][fault_code[a:b]]
+            for k, q in enumerate(inst.qubits):
+                x[q][hit[xz[:, k, 0]]] ^= True
+                z[q][hit[xz[:, k, 1]]] ^= True
+    return bits, negated
 
 
 def forward_iceberg_estimate(circ, meta, noise) -> tuple[float, list[float]]:

@@ -590,8 +590,9 @@ def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
 @pytest.mark.parametrize("name", sorted(simulator._ROTATION_XZ))
 def test_frames_pass_rotations_with_the_sign_rule(name):
     """gate(theta) F = phase F gate(±theta) for every Pauli F on the gate's
-    qubits, with - where _step_frames reports that F anticommutes with the
-    rotation's Pauli; and _Batch.apply with `flip` runs gate(-theta)."""
+    qubits, with - where _signatures marks F, a fault on the gate before,
+    as anticommuting with the rotation's Pauli; and _Batch.apply with
+    `flip` runs gate(-theta)."""
     from qedc.circuit import Instruction
 
     from oracles import pauli_matrix
@@ -606,8 +607,8 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
     c.append("cz" if k == 2 else "z", tuple(range(k)))
     c.append(name, tuple(range(k)), params)
     codes = np.arange(4 ** k - 1)
-    faults = (np.zeros_like(codes), codes, codes)
-    (anti,) = simulator._step_frames(c.instructions, k, faults, np.zeros((0, len(codes)), dtype=bool)).values()
+    table, _ = simulator._signatures(c.instructions, k, 0, [True, False], [1])
+    anti = table[0, codes, 0] & 1
     for code in codes:
         label = "".join("IZXY"[x * 2 + z] for x, z in simulator._FAULT_XZ[k][code])
         f = pauli_matrix(label)
@@ -625,6 +626,68 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
     (op,) = simulator._program(insts, k)
     batch.apply(op.kernels, 2, np.array([False, True]))
     assert np.allclose(batch.psi, want)
+
+
+def _random_frame_circuit(rng: random.Random, n: int, nc: int, length: int) -> Circuit:
+    """Measurements (clbits measured more than once), resets, Clifford
+    gates and rotations at Clifford and generic angles."""
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", nc)
+    names = ["h", "s", "sdg", "x", "y", "z", "t", "tdg", "rz", "rx", "ry",
+             "cx", "cz", "swap", "rzz", "rxx", "ryy"]
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.15:
+            c.append("measure", (rng.randrange(n),), clbits=(rng.randrange(nc),))
+        elif roll < 0.22:
+            c.append("reset", (rng.randrange(n),))
+        else:
+            name = rng.choice(names)
+            qubits = tuple(rng.sample(range(n), GATE_SPECS[name][0]))
+            params = (rng.choice([1, 2, 3, 0.37, 1.9]) * math.pi / 2,) if name[0] == "r" else ()
+            c.append(name, qubits, params)
+    return c
+
+
+@pytest.mark.parametrize("n, nc, length", [(2, 2, 12), (3, 3, 30), (4, 3, 40), (5, 40, 200)])
+def test_signatures_match_the_forward_frame_stepper(n, nc, length):
+    """Each shot's flips, the XOR of its faults' and its Z draws'
+    signatures, are exactly the X bits of the clbits' last measurements and
+    the sign pattern that stepping the frames forward gives."""
+    from oracles import step_frames
+
+    rng = random.Random(n * 1000 + length)
+    shots, kinds = 300, set()
+    for trial in range(6):
+        circ = _random_frame_circuit(rng, n, nc, length)
+        insts = circ.instructions
+        rotations = [i for i, inst in enumerate(insts)
+                     if inst.name in simulator._ROTATION_XZ and not is_clifford(inst)]
+        if n == 5:
+            assert nc + len(rotations) > 64  # signatures span more than one word
+        errors = [(0.0, 1) if inst.name in ("measure", "reset")
+                  else (rng.choice([0.0, 0.05, 0.3]), len(inst.qubits)) for inst in insts]
+        gen = np.random.default_rng(trial)
+        faults = simulator._draw_faults(errors, shots, gen)
+        kinds.update(len(insts[i].qubits) for i in faults.op)
+        draws = gen.integers(2, size=(n + sum(i.name in ("measure", "reset") for i in insts), shots),
+                             dtype=bool)
+        want_bits, want_negated = step_frames(insts, n, nc, (faults.op, faults.shot, faults.code), draws)
+
+        table, zsigs = simulator._signatures(insts, n, nc, [p > 0 for p, _ in errors], rotations)
+        assert len(zsigs) == len(draws)
+        faulty, words = simulator._fault_flips(table, faults)
+        keys = np.zeros((shots, table.shape[2]), dtype="<u8")
+        keys[faulty] = words
+        for row, sig in zip(draws, zsigs):
+            keys[row] ^= sig
+        bits = np.unpackbits(keys.view(np.uint8), axis=1, count=nc + len(rotations), bitorder="little")
+        assert np.array_equal(bits[:, :nc].T, want_bits)
+        assert list(want_negated) == rotations
+        for r, anti in enumerate(want_negated.values()):
+            assert np.array_equal(bits[:, nc + r], anti)
+    assert kinds == {1, 2}  # 1q and 2q faults
 
 
 def _random_ops(circ):
@@ -888,4 +951,4 @@ def test_counts_match_a_row_by_row_tally(width):
     records = (rng.random((3000, width)) < 0.02).astype(np.uint8)
     cregs = [Register("a", width // 2, 0), Register("b", width - width // 2, width // 2)]
     want = Counter(counts_key(row, cregs) for row in records.tolist())
-    assert simulator._counts(records, cregs) == dict(want)
+    assert simulator._counts(simulator._pack(records), width, cregs) == dict(want)
