@@ -489,76 +489,65 @@ _RANDOM_TOL = 1e-12
 # the same bound for deterministic_distribution, which forks at a random reset
 _FORK_TOL = 1e-9
 
-# fault Pauli -> (x, z) bits of each factor, indexed by the code _draw_faults
-# draws, in the order of depolarizing_signatures: there, the signature of X_q
-# is bit 2q and that of Z_q bit 2q + 1, so a Pauli's signature is its bits
-_FAULT_XZ = {
-    k: np.array([[(s >> 2 * q & 1, s >> 2 * q + 1 & 1) for q in range(k)]
-                 for s in depolarizing_signatures([(1 << 2 * q, 2 << 2 * q) for q in range(k)])],
-                dtype=bool)
-    for k in (1, 2)
-}
-
 # the Pauli P of each rotation exp(-i theta P / 2) that sample() runs on
 # statevectors, as its (x, z) bits on each of the gate's qubits; t and tdg
 # are rz(pi/4) and rz(-pi/4) up to a global phase
 _ROTATION_XZ = {"rz": (0, 1), "t": (0, 1), "tdg": (0, 1), "rzz": (0, 1),
                 "rx": (1, 0), "rxx": (1, 0), "ry": (1, 1), "ryy": (1, 1)}
 
-def _anticommuting(inst, x, z) -> int:
-    """The bits, of the int rows x and z at the rotation's qubits, of the
-    Paulis that anticommute with its Pauli (see _ROTATION_XZ)."""
+def _anticommuting(inst, x, z, acc):
+    """`acc` XOR the rows, of x and z at the rotation's qubits, that mark
+    the Paulis anticommuting with its Pauli (see _ROTATION_XZ)."""
     px, pz = _ROTATION_XZ[inst.name]
-    acc = 0
     for q in inst.qubits:
         if pz:
-            acc ^= x[q]
+            acc = acc ^ x[q]
         if px:
-            acc ^= z[q]
+            acc = acc ^ z[q]
     return acc
 
 
 def _words(values, width: int) -> np.ndarray:
     """Python ints as rows of `width` little-endian uint64 words."""
+    if width == 1:  # about five times faster than joining bytes
+        return np.array(values, dtype="<u8").reshape(-1, 1)
     data = b"".join(v.to_bytes(8 * width, "little") for v in values)
     return np.frombuffer(data, dtype="<u8").reshape(-1, width)
 
 
 def _signatures(insts, n: int, nc: int, noisy, rotations=()):
-    """Every fault's flip signature, from one backward `detector_sweep` with
-    a detector per clbit: bit c is set iff the fault flips clbit c's record,
-    and bit nc + r iff it anticommutes with the Pauli of the rotation at op
-    rotations[r], XORed into the rows there after that op's faults are read.
-    A signature is a row of W = ceil(bits / 64) little-endian uint64 words.
-
-    Returns the (ops, 15, W) table of the signatures of each noisy op's
-    fault codes (see _FAULT_XZ), from fault_signatures's rule, X_q gives
-    z[q] and Z_q gives x[q], and the signatures of a Z on each qubit at the
-    start and on the measured or reset qubit after each measurement and
-    reset, in circuit order: such a Z flips the records of x[q] there."""
+    """Flip signatures from one backward `detector_sweep` with a detector
+    per clbit, as rows of W = ceil(bits / 64) little-endian uint64 words:
+    bit c flips clbit c's record, and bit nc + r marks anticommuting with
+    the Pauli of the rotation at op rotations[r], XORed into the rows there
+    after that op's faults are read.  Returns the (ops, 15, W) table of the
+    noisy ops' fault_signatures by fault code, and the signatures of a Z on
+    each qubit at the start and after each measurement and reset of its
+    qubit, in circuit order: such a Z flips x[q] there."""
     width = max(1, -(-(nc + len(rotations)) // 64))
     bit = {i: 1 << nc + r for r, i in enumerate(rotations)}
     rows, where, draws = [], [], []
     for i, x, z in detector_sweep(insts, [0] * n, [0] * n, [(c,) for c in range(nc)]):
-        qubits = insts[i].qubits if i >= 0 else range(n - 1, -1, -1)
-        if i < 0 or insts[i].name in ("measure", "reset"):
-            draws += [x[q] for q in qubits]
+        if i < 0:
+            draws += reversed(x)
+            break
+        name, qubits = insts[i].name, insts[i].qubits
+        if name in ("measure", "reset"):
+            draws.append(x[qubits[0]])
             continue
-        if noisy[i]:
-            rows += [s for q in qubits for s in (z[q], x[q])] + [0, 0] * (2 - len(qubits))
+        if noisy[i]:  # a 1q op as the second of two, so its codes come first
+            rows += [0, 0] * (2 - len(qubits)) + [s for q in qubits for s in (z[q], x[q])]
             where.append(i)
         if i in bit:
-            px, pz = _ROTATION_XZ[insts[i].name]
+            px, pz = _ROTATION_XZ[name]
             for q in qubits:
                 x[q] ^= bit[i] * px
                 z[q] ^= bit[i] * pz
     words = _words(rows + draws[::-1], width)
-    basis, where = words[:len(rows)].reshape(-1, 4, width), np.array(where, dtype=np.intp)
+    basis = words[:len(rows)].reshape(-1, 4, width)
     table = np.zeros((len(insts), 15, width), dtype="<u8")
-    for k, xz in _FAULT_XZ.items():
-        mine = np.array([len(insts[i].qubits) == k for i in where], dtype=bool)
-        chosen = np.where(xz.reshape(-1, 2 * k, 1), basis[mine, None, :2 * k], 0)
-        table[where[mine], :len(xz)] = np.bitwise_xor.reduce(chosen, axis=2)
+    per_qubit = [basis[:, :2].swapaxes(0, 1), basis[:, 2:].swapaxes(0, 1)]
+    table[where] = np.stack(depolarizing_signatures(per_qubit), axis=1)
     return table, words[len(rows):]
 
 
@@ -576,9 +565,6 @@ def _fault_flips(table: np.ndarray, faults) -> tuple[np.ndarray, np.ndarray]:
 # the widest Clifford circuit sample() runs as Pauli frames
 MAX_STABILIZER_QUBITS = 64
 
-# shots whose Z draws are made together, as in earlier versions of sample()
-_FRAME_SHOTS = 1 << 16
-
 logger = logging.getLogger(__name__)
 
 
@@ -588,18 +574,17 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
 
     Every random draw comes from one ``np.random.default_rng(seed)``, so the
     same (circuit, noise, shots, seed) gives byte-identical counts.  Every
-    shot's faults are drawn up front and pushed through the circuit as a
-    Pauli frame (Gidney, arXiv:2103.02202).  Clifford circuits run as
-    frames alone, in blocks of up to _FRAME_SHOTS shots.  In other circuits
-    every gate is a Clifford or a Pauli rotation exp(-i theta P / 2), and a
-    frame passes through a rotation with theta negated where it
-    anticommutes with P.  So a noisy shot is its frame applied to the
-    noiseless circuit with some rotations negated (its sign pattern), and
-    its outcomes are that circuit's XOR the frame's X bits.  Shots with the
-    empty pattern read the shared noiseless final state; each other
-    pattern is one statevector row, simulated from its first negated
-    rotation, and a row splits where its outcome is random.  Both backends
-    keep one byte per clbit per shot until the counts are tallied.
+    shot's faults are drawn up front, and its Pauli frame (Gidney,
+    arXiv:2103.02202) is read as the XOR of their flip signatures, from one
+    backward sweep (_signatures).  Clifford circuits run as frames alone.
+    In other circuits every gate is a Clifford or a Pauli rotation
+    exp(-i theta P / 2), and a frame passes through a rotation with theta
+    negated where it anticommutes with P.  So a noisy shot is its frame
+    applied to the noiseless circuit with some rotations negated (its sign
+    pattern), and its outcomes are that circuit's XOR the frame's X bits.
+    Shots with the empty pattern read the shared noiseless final state;
+    each other pattern is one statevector row, simulated from its first
+    negated rotation, and a row splits where its outcome is random.
 
     With the ``qedc.simulator`` logger at DEBUG, each call logs one JSON
     object: the backend ("noiseless", "statevector" or "pauli-frame"), the
@@ -679,7 +664,7 @@ class _Faults(NamedTuple):
 
     op: np.ndarray  # index of the op the fault follows
     shot: np.ndarray
-    code: np.ndarray  # the fault Pauli, a row of _FAULT_XZ[len(op qubits)]
+    code: np.ndarray  # the fault Pauli, in the order of depolarizing_signatures
     noisy_instructions: int
 
 
@@ -696,7 +681,7 @@ def _draw_faults(errors: list[tuple[float, int]], shots: int, rng) -> _Faults:
         row, shot = np.divmod(_bernoulli_hits(len(ops) * shots, p, rng), shots)
         cells.append(ops[row] * shots + shot)
     op, shot = np.divmod(np.sort(np.concatenate(cells), kind="stable"), shots)
-    paulis = np.array([4 ** k - 1 for _, k in errors])  # len(_FAULT_XZ[k])
+    paulis = np.array([4 ** k - 1 for _, k in errors])
     return _Faults(op, shot, rng.integers(paulis[op]), int(np.count_nonzero(rates)))
 
 
@@ -723,13 +708,11 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     trajectories with Pauli frames through Pauli rotations, the faults drawn
     for them, the number of batch rows simulated and of kernels run.
 
-    A shot's state is F |phi>: F is its Pauli frame, the product of its
-    faults carried to the current op, and phi the noiseless circuit with
-    the rotations F anticommutes with negated.  Those rotations are the
-    shot's sign pattern.  A measurement of F |phi> reads phi's outcome XOR
-    the frame's X bit, and leaves F on the collapsed phi.  Both the pattern
-    and the records' X bits are bits of the XOR of the shot's faults'
-    _signatures.
+    A shot's state is F |phi>: F is its Pauli frame, its faults carried to
+    the current op, and phi the noiseless circuit with the rotations F
+    anticommutes with negated, the shot's sign pattern.  A measurement of
+    F |phi> reads phi's outcome XOR the frame's X bit, and leaves F on the
+    collapsed phi.  The XOR of its faults' _signatures gives both.
     """
     n, nc = circ.num_qubits, circ.num_clbits
     insts = [i for i in circ.instructions if i.name != "barrier"]
@@ -740,18 +723,16 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     # rotations each one negates, and the X bit each of its records reads
     faults = _draw_faults([(op.error, len(op.qubits)) for op in ops], shots, rng)
     rotations = [i for i, inst in enumerate(insts) if inst.name in _ROTATION_XZ and not is_clifford(inst)]
-    faulty, words = np.zeros(0, dtype=np.intp), np.zeros((0, 1), dtype="<u8")
-    if len(faults.op):
-        table, _ = _signatures(insts, n, nc, [op.error > 0 for op in ops], rotations)
-        faulty, words = _fault_flips(table, faults)
+    table = (_signatures(insts, n, nc, [op.error > 0 for op in ops], rotations)[0] if len(faults.op)
+             else np.zeros((len(ops), 15, 1), dtype="<u8"))  # no sweep without a fault
+    faulty, words = _fault_flips(table, faults)
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=nc + len(rotations), bitorder="little")
     rotation = np.full(len(ops), -1)
     rotation[rotations] = np.arange(len(rotations))
 
     # 2. the distinct sign patterns; the empty one, which every fault-free
     # shot has, is row 0 of np.unique's sorted output
-    flips = np.zeros((1 + len(faulty), len(rotations)), dtype=bool)
-    flips[1:] = bits[:, nc:]
+    flips = np.vstack([np.zeros((1, len(rotations)), dtype=bool), bits[:, nc:].astype(bool)])
     patterns, which = np.unique(flips, axis=0, return_inverse=True)
     pattern_of = np.zeros(shots, dtype=np.intp)
     pattern_of[faulty] = which.ravel()[1:]
@@ -826,7 +807,7 @@ def _may_be_random(insts, n: int) -> list[bool]:
             bit[i] = 1 << len(bit)
             x[q], z[q] = 0, bit[i]
         elif inst.name in _ROTATION_XZ and not is_clifford(inst):
-            lost |= _anticommuting(inst, x, z)
+            lost |= _anticommuting(inst, x, z, 0)
         else:
             for name, qs in reversed(clifford_gate_sequence(inst)):
                 step_xz(x, z, name, qs)
@@ -962,38 +943,30 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     One noiseless CHP run gives a reference outcome for every measurement.
     Each shot's frame is its difference from that run, and a record reads
     the reference outcome flipped by the frame's X bit at the clbit's last
-    measurement.  That bit is linear in the shot's faults and in random Z
-    draws: Z starts random and is drawn again after each measurement and
-    reset, since such a Z stabilizes the reference state there, so it
-    changes no deterministic outcome, and it makes a random outcome come
-    out random.  So a shot's key is the reference XOR the _signatures of
-    its faults and of its Z draws.  The Z draws are made as bools in
-    blocks of _FRAME_SHOTS shots, and those that flip some record are
-    packed 8 to a byte and XORed through a 256-entry table per byte.
+    measurement.  Z starts random and is random again after each
+    measurement and reset: such a Z stabilizes the reference state there,
+    so it changes no deterministic outcome, and it makes a random outcome
+    come out random.  A shot's key is the reference XOR the _signatures of
+    its faults and Z draws.  Only the Z draws that flip some record are
+    made, as random bytes, 8 to a byte, each byte XORed in through a
+    256-entry table of the XORs of its draws' signatures.
     """
     n, nc = circ.num_qubits, circ.num_clbits
     insts = [i for i in circ.instructions if i.name != "barrier"]
     errors = [noise.gate_error(i) for i in insts]
     faults = _draw_faults([(p, len(i.qubits)) for p, i in zip(errors, insts)], shots, rng)
     table, draws = _signatures(insts, n, nc, [p > 0 for p in errors])
-    reference = 0
-    for record in stabilizer_run(circ)[0]:
-        reference = reference & ~(1 << record.clbit) | record.outcome << record.clbit
-    keys = np.repeat(_words([reference], table.shape[2]), shots, axis=0)
+    width = table.shape[2]
+    last = {record.clbit: record.outcome for record in stabilizer_run(circ)[0]}
+    keys = np.repeat(_words([sum(bit << c for c, bit in last.items())], width), shots, axis=0)
     faulty, flips = _fault_flips(table, faults)
     keys[faulty] ^= flips
 
-    live = draws.any(axis=1)
-    rows = np.zeros((-(-int(live.sum()) // 8) * 8, table.shape[2]), dtype="<u8")
-    rows[:live.sum()] = draws[live]
-    per_byte = np.zeros((len(rows) // 8, 256, table.shape[2]), dtype="<u8")
+    live = draws[draws.any(axis=1)]
+    rows = np.vstack([live, np.zeros((-len(live) % 8, width), dtype="<u8")])
+    per_byte = np.zeros((len(rows) // 8, 256, width), dtype="<u8")
     for j in range(8):
         per_byte[:, 1 << j:2 << j] = per_byte[:, :1 << j] ^ rows[j::8, None]
-    for lo in range(0, shots, _FRAME_SHOTS):
-        hi = min(lo + _FRAME_SHOTS, shots)
-        coins = np.concatenate([rng.integers(2, size=(n, hi - lo), dtype=bool)]
-                               + [rng.integers(2, size=(1, hi - lo), dtype=bool)
-                                  for i in insts if i.name in ("measure", "reset")])
-        for b, byte in enumerate(np.packbits(coins[live], axis=0, bitorder="little")):
-            keys[lo:hi] ^= per_byte[b, byte]
+    for lookup, coins in zip(per_byte, rng.integers(256, size=(len(per_byte), shots), dtype=np.uint8)):
+        keys ^= lookup[coins]
     return keys, faults, shots, 0

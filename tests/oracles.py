@@ -299,6 +299,17 @@ def forward_propagate_flips(instructions, start, error) -> set[int]:
     return flips
 
 
+def _fault_xz(k: int) -> np.ndarray:
+    """(x, z) bits on each qubit of the fault code c that the samplers draw
+    for a k-qubit op: c + 1 in base 4, the first qubit its high digit, each
+    digit one of I, X, Y, Z."""
+    digits = [[(c + 1) // 4 ** (k - 1 - j) % 4 for j in range(k)] for c in range(4 ** k - 1)]
+    return np.array([[(d in (1, 2), d in (2, 3)) for d in row] for row in digits], dtype=bool)
+
+
+FAULT_XZ = {k: _fault_xz(k) for k in (1, 2)}
+
+
 def step_frames(insts, n: int, nc: int, faults, draws):
     """Pauli frames stepped forward: the sampler's frame stepper before the
     backward signature sweep replaced it, the reference that
@@ -314,7 +325,7 @@ def step_frames(insts, n: int, nc: int, faults, draws):
     bits and, per non-Clifford rotation's op index, the columns whose frame
     anticommutes with its Pauli just before it."""
     from qedc.clifford import clifford_gate_sequence, is_clifford, step_xz
-    from qedc.simulator import _FAULT_XZ, _ROTATION_XZ
+    from qedc.simulator import _ROTATION_XZ
 
     fault_op, fault_col, fault_code = faults
     edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
@@ -346,7 +357,7 @@ def step_frames(insts, n: int, nc: int, faults, draws):
         a, b = edges[i], edges[i + 1]
         if a < b:
             hit = fault_col[a:b]
-            xz = _FAULT_XZ[len(inst.qubits)][fault_code[a:b]]
+            xz = FAULT_XZ[len(inst.qubits)][fault_code[a:b]]
             for k, q in enumerate(inst.qubits):
                 x[q][hit[xz[:, k, 0]]] ^= True
                 z[q][hit[xz[:, k, 1]]] ^= True

@@ -595,7 +595,7 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
     `flip` runs gate(-theta)."""
     from qedc.circuit import Instruction
 
-    from oracles import pauli_matrix
+    from oracles import FAULT_XZ, pauli_matrix
 
     k = 2 if name in ("rzz", "rxx", "ryy") else 1
     params = () if name in ("t", "tdg") else (0.7,)
@@ -610,7 +610,7 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
     table, _ = simulator._signatures(c.instructions, k, 0, [True, False], [1])
     anti = table[0, codes, 0] & 1
     for code in codes:
-        label = "".join("IZXY"[x * 2 + z] for x, z in simulator._FAULT_XZ[k][code])
+        label = "".join("IZXY"[x * 2 + z] for x, z in FAULT_XZ[k][code])
         f = pauli_matrix(label)
         lhs, rhs = gate @ f, f @ (negated if anti[code] else gate)
         phase = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
@@ -716,8 +716,8 @@ _PINNED_COUNTS = {
     "terminal": "be5f2215bb2b92c4348ec9c6a0241640319143ac80f4fc7261f6a74704c432eb",
     "midcircuit": "4c48ea2cbec92ae2736897a7ae8d4a3ec3d6fc6ba6d3a02c31def3b5e53badb7",
     "first-last": "ed50a32a5f6d76dd03c7e8804dae796e5d574a99e6241fcfc17c0a8dd15fd2bd",
-    "clifford-terminal": "58d382338f667565d01969a809371a0446497d546d365248d1bcb066cd3c84c9",
-    "clifford-midcircuit": "fc595bc267d1ec6427e3069188aece5a344376296f65b405f744f1a38c0d8fd2",
+    "clifford-terminal": "1332746e7fcb65886d1f11bcffb0ec71380162a93d063eab70e81e1a2f6c1d3a",
+    "clifford-midcircuit": "b161c71cf651454cc3fe940a36174aefca1a11d678c0bc0abcf2b5cf218eaf2a",
     "iceberg-qaoa": "aa4063255a299a3e0048f208ee46ba9a5e5bec579b290f11e21ff3e472ecc9b1",
     "split": "d69d1eaf6192340f5aa5954ba04adde8aeaf5798edd6181c8ea592d5f168f359",
 }
@@ -868,13 +868,33 @@ def test_pauli_frame_determinism_and_shot_sum():
     assert a != sample(circ, noise=noise, shots=3000, seed=43)
 
 
-def test_pauli_frame_blocks_match_the_oracle(monkeypatch):
-    # many blocks of shots, the last one short, all on one reference run
-    monkeypatch.setattr(simulator, "_FRAME_SHOTS", 997)
-    for circ in (_clifford_terminal_circuit(), _clifford_midcircuit_circuit()):
-        noise, shots = NoiseModel(p1=0.05, p2=0.05), 30000
-        _assert_matches(sample(circ, noise=noise, shots=shots, seed=5),
-                        noisy_distribution(circ, noise), shots)
+def _bell_round(c: Circuit, first: int) -> None:
+    c.append("h", (0,))
+    c.append("cx", (0, 1))
+    c.append("measure", (0,), clbits=(first,))
+    c.append("measure", (1,), clbits=(first + 1,))
+    c.append("reset", (0,))
+    c.append("reset", (1,))
+
+
+def test_pauli_frames_with_wide_keys_and_many_random_z_match_the_oracle():
+    # 35 Bell rounds: 70 clbits, two words a key, and 35 Z draws that reach
+    # a record, five bytes of them a shot; each round matches one on its own
+    rounds, noise, shots = 35, NoiseModel(p1=0.05, p2=0.05), 20000
+    wide, one = Circuit(), Circuit()
+    for c, k in ((wide, rounds), (one, 1)):
+        c.add_qreg("q", 2)
+        c.add_creg("c", 2 * k)
+        for r in range(k):
+            _bell_round(c, 2 * r)
+    counts = sample(wide, noise=noise, shots=shots, seed=5)
+    dist = noisy_distribution(one, noise)
+    for r in range(rounds):
+        marginal = {}
+        for key, cnt in counts.items():
+            bits = key[::-1][2 * r:2 * r + 2][::-1]
+            marginal[bits] = marginal.get(bits, 0) + cnt
+        _assert_matches(marginal, dist, shots)
 
 
 def _logged_sample(caplog, circ, noise, shots):
