@@ -166,7 +166,7 @@ def cmd_postselect(args) -> int:
         raise CliError("parse", f"bad meta file: {exc}", EXIT_PARSE) from exc
     try:
         if isinstance(meta.code_meta, PcsMeta):
-            report = postselect_counts(counts, meta.code_meta)
+            report = postselect_counts(counts, meta.code_meta, meta.code_meta.cregs())
         elif isinstance(meta.code_meta, IcebergMeta):
             report = postselect_counts_iceberg(counts, meta.code_meta, meta.code_meta.cregs())
         else:

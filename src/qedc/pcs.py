@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Region
-from .circuit import Circuit, Gate, Instruction
+from .circuit import Circuit, Gate, Instruction, Register, registers
 from .clifford import clifford_gate_sequence, is_clifford, step_signed
 from .pauli import PauliString
 
@@ -61,10 +61,16 @@ class PcsMeta:
     payload_region: tuple[int, int]       # region in the input circuit
     payload_qubits: tuple[int, ...]       # global indices, ascending; local i = payload_qubits[i]
     payload_span: tuple[int, int] = (0, 0)  # payload position in the output circuit
+    creg_sizes: tuple[tuple[str, int], ...] = ()  # the output circuit's, in declaration order
 
     @property
     def num_checks(self) -> int:
         return len(self.check_pairs)
+
+    def cregs(self) -> list[Register] | None:
+        """The output circuit's classical registers; None for metadata
+        written before they were recorded."""
+        return registers(list(self.creg_sizes)) if self.creg_sizes else None
 
     def to_dict(self) -> dict:
         return {
@@ -75,17 +81,25 @@ class PcsMeta:
             "payload": list(self.payload_region),
             "payload_qubits": list(self.payload_qubits),
             "payload_span": list(self.payload_span),
+            "cregs": [list(reg) for reg in self.creg_sizes],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcsMeta":
+        checks, bits = [CheckPair.from_dict(c) for c in d["checks"]], d["expected_ancilla_bits"]
+        if not (isinstance(bits, str) and len(bits) == len(checks) and set(bits) <= {"0", "1"}):
+            raise ValueError(f"expected_ancilla_bits must be {len(checks)} characters 0 or 1, got {bits!r}")
+        cregs = tuple((name, size) for name, size in d.get("cregs", ()))
+        if not all(isinstance(name, str) and type(size) is int and size > 0 for name, size in cregs):
+            raise ValueError(f"cregs must be [name, positive size] pairs, got {d['cregs']!r}")
         return cls(
             d["ancilla_register"],
-            [CheckPair.from_dict(c) for c in d["checks"]],
-            d["expected_ancilla_bits"],
+            checks,
+            bits,
             tuple(d["payload"]),
             tuple(d["payload_qubits"]),
             tuple(d.get("payload_span", (0, 0))),
+            cregs,
         )
 
 
@@ -257,6 +271,7 @@ def insert_pcs(circ: Circuit, region: Region, checks: list[CheckPair]) -> tuple[
         payload_region=(region.start, region.end),
         payload_qubits=payload_qubits,
         payload_span=(payload_start, payload_end),
+        creg_sizes=tuple((reg.name, reg.size) for reg in out.cregs),
     )
     return out, meta
 

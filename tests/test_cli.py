@@ -396,3 +396,51 @@ def test_iceberg_counts_that_do_not_match_the_registers_exit_mismatch(rot, tmp_p
     assert err["error"] == "mismatch"
     assert repr(key) in err["message"]
     assert not out.exists()
+
+
+def _bell_pcs_meta(bell, tmp_path):
+    meta = tmp_path / "m.json"
+    assert main(["compile", str(bell), "--code", "pcs", "--checks", "1",
+                 "--out", str(tmp_path / "c.qasm"), "--meta-out", str(meta)]) == 0
+    return meta
+
+
+@pytest.mark.parametrize("counts", [{"0 000": 3, "0 111": 4}, {"0 00": 3, "0 111": 4}],
+                         ids=["every-key", "second-key"])
+def test_pcs_counts_that_do_not_match_the_registers_exit_mismatch(bell, tmp_path, capsys, counts):
+    meta = _bell_pcs_meta(bell, tmp_path)
+    path, out = tmp_path / "counts.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"counts": counts}))
+    rc = main(["postselect", "--counts", str(path), "--meta", str(meta), "--out", str(out)])
+    assert rc == EXIT_COMPILE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "mismatch"
+    assert "register widths [1, 2]" in err["message"]
+    assert not out.exists()
+
+
+def test_pcs_meta_without_registers_still_postselects(bell, tmp_path):
+    meta = _bell_pcs_meta(bell, tmp_path)
+    data = json.loads(meta.read_text())
+    del data["meta"]["cregs"]
+    meta.write_text(json.dumps(data))
+    path, out = tmp_path / "counts.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"counts": {"0 00": 3, "1 11": 4}}))
+    assert main(["postselect", "--counts", str(path), "--meta", str(meta), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["counts"] == {"00": 3}
+
+
+@pytest.mark.parametrize("bits", ["2", "01", "x"])
+def test_bad_expected_ancilla_bits_exit_parse(bell, tmp_path, capsys, bits):
+    meta = _bell_pcs_meta(bell, tmp_path)
+    data = json.loads(meta.read_text())
+    data["meta"]["expected_ancilla_bits"] = bits
+    meta.write_text(json.dumps(data))
+    path, out = tmp_path / "counts.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"counts": {"0 00": 3}}))
+    rc = main(["postselect", "--counts", str(path), "--meta", str(meta), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "expected_ancilla_bits" in err["message"]
+    assert not out.exists()

@@ -10,7 +10,7 @@ from qedc.layout import CouplingGraph
 from qedc.pauli import PauliString
 from qedc.pipeline import compile_circuit
 from qedc.postprocess import estimate_overhead
-from qedc.simulator import NoiseModel
+from qedc.simulator import NoiseModel, sample
 from test_iceberg import logical_circuit
 
 _ONE_QUBIT = ["h", "s", "sdg", "x", "y", "z", "t", "tdg", "rz", "rx", "ry"]
@@ -51,6 +51,33 @@ def test_propagate_flips_matches_forward_walk_on_random_circuits():
             err = PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n))
             want = forward_propagate_flips(circ.instructions, start, err)
             assert propagate_flips(circ.instructions, start, err) == want
+
+
+def test_propagate_flips_reads_a_clbits_last_measurement_as_sample_does():
+    # x; measure q[0] -> c[0]; measure q[0] -> c[0]: an X or Y fault after
+    # the x flips both measurements, and c[0] keeps the second
+    c = Circuit()
+    c.add_qreg("q", 1)
+    c.add_creg("c", 1)
+    c.append("x", (0,))
+    c.append("measure", (0,), clbits=(0,))
+    c.append("measure", (0,), clbits=(0,))
+    assert propagate_flips(c.instructions, 1, PauliString(1, 1, 0)) == {0}
+    assert propagate_flips(c.instructions, 1, PauliString(1, 1, 1)) == {0}
+    assert propagate_flips(c.instructions, 1, PauliString(1, 0, 1)) == set()
+    shots = 4000
+    counts = sample(c, NoiseModel(p1=1.0, gates1=("x",)), shots=shots, seed=3)
+    assert abs(counts.get("0", 0) - shots * 2 / 3) < 5 * math.sqrt(shots * 2 / 9)
+    # h; measure; h; measure: Z on the collapsed qubit is only a phase
+    c = Circuit()
+    c.add_qreg("q", 1)
+    c.add_creg("c", 2)
+    for clbit in (0, 1):
+        c.append("h", (0,))
+        c.append("measure", (0,), clbits=(clbit,))
+    assert propagate_flips(c.instructions, 1, PauliString(1, 0, 1)) == set()
+    assert propagate_flips(c.instructions, 1, PauliString(1, 1, 0)) == {0}
+    assert propagate_flips(c.instructions, 2, PauliString(1, 0, 1)) == {1}
 
 
 @pytest.mark.parametrize("cycles", [0, 1, 2, 3])

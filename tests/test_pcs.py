@@ -223,3 +223,35 @@ def test_meta_roundtrip():
     region = Region(0, 1, frozenset({0, 1}), 1, True)
     sand, meta = insert_pcs(circ, region, checks)
     assert PcsMeta.from_dict(meta.to_dict()).to_dict() == meta.to_dict()
+
+
+def test_meta_records_the_output_registers():
+    payload = Circuit()
+    payload.add_qreg("q", 2)
+    payload.add_creg("c", 2)
+    payload.append("cx", (0, 1))
+    checks = synthesize_checks(payload.instructions, (0, 1), 2)
+    sand, meta = insert_pcs(payload.copy(), Region(0, 1, frozenset({0, 1}), 1, True), checks)
+    assert meta.cregs() == sand.cregs
+    assert meta.to_dict()["cregs"] == [["c", 2], ["anc", 2]]
+    # metadata written before the registers were recorded still loads
+    old = meta.to_dict()
+    del old["cregs"]
+    assert PcsMeta.from_dict(old).cregs() is None
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("expected_ancilla_bits", "2"), ("expected_ancilla_bits", "0"), ("expected_ancilla_bits", "012"),
+    ("expected_ancilla_bits", "0a"), ("expected_ancilla_bits", 10), ("cregs", [["c", 0]]),
+    ("cregs", [["c", "2"]]), ("cregs", [[3, 2]]), ("cregs", [["c", 2, 1]]),
+])
+def test_meta_from_dict_rejects_bad_bits_and_registers(field, bad):
+    payload = Circuit()
+    payload.add_qreg("q", 2)
+    payload.append("cx", (0, 1))
+    checks = synthesize_checks(payload.instructions, (0, 1), 2)
+    _, meta = insert_pcs(payload.copy(), Region(0, 1, frozenset({0, 1}), 1, True), checks)
+    d = meta.to_dict()
+    d[field] = bad
+    with pytest.raises(ValueError):
+        PcsMeta.from_dict(d)
