@@ -529,7 +529,7 @@ def _signatures(insts, n: int, nc: int, noisy, rotations=()):
     rows, where, draws = [], [], []
     for i, x, z in detector_sweep(insts, [0] * n, [0] * n, [(c,) for c in range(nc)]):
         if i < 0:
-            draws += reversed(x)
+            draws += reversed(x)  # reversed again below
             break
         name, qubits = insts[i].name, insts[i].qubits
         if name in ("measure", "reset"):
@@ -704,9 +704,9 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
 
 
 def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
-    """Classical records, one row of clbits per shot, of statevector
-    trajectories with Pauli frames through Pauli rotations, the faults drawn
-    for them, the number of batch rows simulated and of kernels run.
+    """Count keys (see _counts) of statevector trajectories with Pauli
+    frames through Pauli rotations, the faults drawn for them, the number
+    of batch rows simulated and of kernels run.
 
     A shot's state is F |phi>: F is its Pauli frame, its faults carried to
     the current op, and phi the noiseless circuit with the rotations F
