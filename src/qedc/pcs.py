@@ -86,7 +86,8 @@ class PcsMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcsMeta":
-        checks, bits = [CheckPair.from_dict(c) for c in d["checks"]], d["expected_ancilla_bits"]
+        checks = [CheckPair.from_dict(c) for c in d["checks"]]
+        bits = d["expected_ancilla_bits"]
         if not (isinstance(bits, str) and len(bits) == len(checks) and set(bits) <= {"0", "1"}):
             raise ValueError(f"expected_ancilla_bits must be {len(checks)} characters 0 or 1, got {bits!r}")
         cregs = tuple((name, size) for name, size in d.get("cregs", ()))

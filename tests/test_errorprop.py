@@ -17,16 +17,16 @@ _ONE_QUBIT = ["h", "s", "sdg", "x", "y", "z", "t", "tdg", "rz", "rx", "ry"]
 _TWO_QUBIT = ["cx", "cz", "swap", "rzz", "rxx", "ryy"]
 
 
-def _random_circuit(rng: random.Random, n: int, length: int) -> Circuit:
+def _random_circuit(rng: random.Random, n: int, length: int, nc: int = 3) -> Circuit:
     """Every gate kind the sweep handles, rotations at Clifford and generic
     angles, and mid-circuit measurements (several into one clbit) and resets."""
     c = Circuit()
     c.add_qreg("q", n)
-    c.add_creg("c", 3)
+    c.add_creg("c", nc)
     for _ in range(length):
         roll = rng.random()
         if roll < 0.12:
-            c.append("measure", (rng.randrange(n),), clbits=(rng.randrange(3),))
+            c.append("measure", (rng.randrange(n),), clbits=(rng.randrange(nc),))
         elif roll < 0.18:
             c.append("reset", (rng.randrange(n),))
         elif roll < 0.22:

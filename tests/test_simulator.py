@@ -628,40 +628,18 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
     assert np.allclose(batch.psi, want)
 
 
-def _random_frame_circuit(rng: random.Random, n: int, nc: int, length: int) -> Circuit:
-    """Measurements (clbits measured more than once), resets, Clifford
-    gates and rotations at Clifford and generic angles."""
-    c = Circuit()
-    c.add_qreg("q", n)
-    c.add_creg("c", nc)
-    names = ["h", "s", "sdg", "x", "y", "z", "t", "tdg", "rz", "rx", "ry",
-             "cx", "cz", "swap", "rzz", "rxx", "ryy"]
-    for _ in range(length):
-        roll = rng.random()
-        if roll < 0.15:
-            c.append("measure", (rng.randrange(n),), clbits=(rng.randrange(nc),))
-        elif roll < 0.22:
-            c.append("reset", (rng.randrange(n),))
-        else:
-            name = rng.choice(names)
-            qubits = tuple(rng.sample(range(n), GATE_SPECS[name][0]))
-            params = (rng.choice([1, 2, 3, 0.37, 1.9]) * math.pi / 2,) if name[0] == "r" else ()
-            c.append(name, qubits, params)
-    return c
-
-
-@pytest.mark.parametrize("n, nc, length", [(2, 2, 12), (3, 3, 30), (4, 3, 40), (5, 40, 200)])
+@pytest.mark.parametrize("n, nc, length", [(2, 2, 12), (3, 3, 30), (4, 3, 40), (5, 40, 260)])
 def test_signatures_match_the_forward_frame_stepper(n, nc, length):
     """Each shot's flips, the XOR of its faults' and its Z draws'
     signatures, are exactly the X bits of the clbits' last measurements and
     the sign pattern that stepping the frames forward gives."""
     from oracles import step_frames
+    from test_errorprop import _random_circuit
 
     rng = random.Random(n * 1000 + length)
     shots, kinds = 300, set()
     for trial in range(6):
-        circ = _random_frame_circuit(rng, n, nc, length)
-        insts = circ.instructions
+        insts = [i for i in _random_circuit(rng, n, length, nc).instructions if i.name != "barrier"]
         rotations = [i for i, inst in enumerate(insts)
                      if inst.name in simulator._ROTATION_XZ and not is_clifford(inst)]
         if n == 5:
