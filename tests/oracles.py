@@ -311,9 +311,9 @@ FAULT_XZ = {k: _fault_xz(k) for k in (1, 2)}
 
 
 def step_frames(insts, n: int, nc: int, faults, draws):
-    """Pauli frames stepped forward: the sampler's frame stepper before the
-    backward signature sweep replaced it, the reference that
-    `qedc.simulator._signatures` is held to.
+    """Pauli frames stepped forward through every instruction, the
+    reference that the backward sweep of `qedc.simulator._signatures` is
+    held to.
 
     One frame per column, held as per-qubit numpy bool rows x[q] and z[q]
     and stepped through each Clifford gate by `clifford.step_xz`.  `faults`
