@@ -7,6 +7,7 @@ Basis convention: bit q of a computational-basis index is qubit q
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -121,9 +122,11 @@ class SimulationError(Exception):
 
 
 def _compact(circ: Circuit) -> tuple[Circuit, dict[int, int]]:
-    """Restrict a circuit to the qubits its instructions actually touch."""
+    """Restrict a circuit to the qubits its instructions touch (itself if they are all of them)."""
     used = sorted({q for inst in circ.instructions for q in inst.qubits})
     remap = {q: i for i, q in enumerate(used)}
+    if len(used) == circ.num_qubits:
+        return circ, remap
     out = Circuit([Register("q", len(used), 0)], list(circ.cregs), [])
     for inst in circ.instructions:
         out.instructions.append(
@@ -155,38 +158,55 @@ class _Rotation(NamedTuple):
 
 
 class _Batch:
-    """A (rows, 2**n) batch of states, one state per row (bit q of a column
-    index is qubit q), with the spare arrays kernels run through, so its
-    memory is not handed back to the system and faulted in again between
-    kernels.  `passes` counts the kernels run."""
+    """A batch of states, one state per row (bit q of a column index is
+    qubit q), with the spare arrays kernels run through, so its memory is
+    not handed back to the system and faulted in again between kernels.
+    Rows are contiguous, of 2**width amplitudes in buffers sized for 2**n:
+    qubits from `width` up are |0>.  `passes` counts the kernels run, and
+    `amplitudes` the rows times 2**width they ran over."""
 
     def __init__(self, rows: int, n: int):
-        self.psi, self._out, self._scale = (np.zeros((rows, 1 << n), dtype=complex) for _ in range(3))
-        self._coef = np.zeros((2, 1 << n), dtype=complex)
-        self.passes = 0
+        self.psi, self._out, self._scale = (np.zeros(rows << n, dtype=complex).reshape(rows, -1)
+                                            for _ in range(3))
+        self._coef = np.zeros(2 << n, dtype=complex)
+        self.width, self.passes, self.amplitudes = n, 0, 0
+
+    def fit(self, width: int, active: int) -> None:
+        """Lay the first `active` rows out at 2**width amplitudes, filling a
+        new top half with zeros or dropping a top half that must be zero."""
+        if width != self.width:
+            rows, keep = len(self.psi), 1 << min(width, self.width)
+            psi, out, scale = (a.base[:rows << width].reshape(rows, -1) for a in (self._out, self.psi, self._scale))
+            psi[:active, :keep] = self.psi[:active, :keep]
+            psi[:active, keep:] = 0
+            self.psi, self._out, self._scale, self.width = psi, out, scale, width
 
     def apply(self, kernels, active: int, flip: np.ndarray | None = None) -> None:
         """Run the kernels on the first `active` rows; `flip` marks the rows
         that run a rotation at -theta.  A kernel that moves amplitudes reads
         whole rows, so its inner loops run over contiguous memory whichever
-        qubits it acts on."""
+        qubits it acts on.  A kernel on qubits below `width` maps the first
+        2**width states onto themselves, so it runs on them alone."""
         f = None if flip is None else flip.astype(np.intp)
+        m = 1 << self.width
         for kernel in kernels:
             self.passes += 1
+            self.amplitudes += active * m
             psi, out = self.psi[:active], self._out[:active]
             if isinstance(kernel, _Permutation):
-                scale = kernel.phase
+                scale = None if kernel.phase is None else kernel.phase[:m]
             elif kernel.parity is None:  # one coefficient for every state
                 scale = kernel.coef[0, 0] if f is None else kernel.coef[f, :1]
             else:  # a coefficient per state, then a row of them per batch row
-                np.take(kernel.coef, kernel.parity, axis=1, out=self._coef)
-                scale = self._coef[0] if f is None else np.take(self._coef, f, axis=0, out=self._scale[:active])
+                coef = self._coef[:2 * m].reshape(2, m)
+                np.take(kernel.coef, kernel.parity[:m], axis=1, out=coef)
+                scale = coef[0] if f is None else np.take(coef, f, axis=0, out=self._scale[:active])
             if kernel.perm is None:  # diagonal: scale in place
                 if scale is not None:
                     psi *= scale
                 continue
             # mode="clip" writes straight into out; "raise" buffers
-            np.take(psi, kernel.perm, axis=1, out=out, mode="clip")
+            np.take(psi, kernel.perm[:m], axis=1, out=out, mode="clip")
             if scale is not None:
                 out *= scale
             if isinstance(kernel, _Rotation):
@@ -203,6 +223,8 @@ class _Op(NamedTuple):
     clbit: int = -1
     kernels: tuple | None = None  # None for measure and reset
     error: float = 0.0  # depolarizing probability after the gate
+    width: int = 0  # qubits from this one up are |0> while the op runs
+    rotation: int = -1  # a non-Clifford rotation's column in the sign patterns
 
 
 def _monomial(name: str, params: tuple[float, ...]):
@@ -242,7 +264,9 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
     X ry(pi/2) and ry(-pi/2) X, puts its X into one; any other gate is one
     _Rotation.  A run is one _Permutation on the op where it starts (the
     other ops of the run have none), and it stops at every op where a batch
-    of sample() can start or stop: rotations, measurements and resets."""
+    of sample() can start or stop: rotations, measurements and resets.  An
+    op's width is 1 + its highest qubit touched since that qubit's last
+    reset, and every op of a run takes the run's width, its last op's."""
     insts = [i for i in insts if i.name != "barrier"]
     index = np.arange(1 << n)
     bits = [(index >> q) & 1 for q in range(n)]
@@ -250,10 +274,12 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
     parity = functools.cache(lambda mask: sum(bits[q] for q in range(n) if mask >> q & 1) & 1)
     moved = functools.cache(lambda mask: index ^ mask)
     kernels, run, start = [[] for _ in insts], [], 0  # run: the open run's (qubits, _monomial)
+    widths, columns, counter, live = [], [-1] * len(insts), itertools.count(), 0
 
     def close():
         if run:
             kernels[start].append(_fuse(run, bits))
+            widths[start:start + len(run)] = [widths[start + len(run) - 1]] * len(run)
             run.clear()
 
     def rotation(i, qubits, pauli, a, b):  # a, b: P's phases if it is diagonal, else cos, sin
@@ -270,6 +296,9 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
 
     for i, inst in enumerate(insts):
         name, qubits = inst.name, inst.qubits
+        mask = sum(1 << q for q in qubits)
+        widths.append((live | mask).bit_length())
+        live = live & ~mask if name == "reset" else live | mask
         if name in ("measure", "reset"):
             close()
         elif name == "h" and run:
@@ -278,20 +307,20 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
         elif name == "h":
             rotation(i, qubits, (1, 1), _SQ2, _SQ2)
             run[:], start = [(qubits, monomial("x", ()))], i
-        elif is_clifford(inst) and (mono := monomial(name, inst.params)) is not None:
+        elif (clifford := is_clifford(inst)) and (mono := monomial(name, inst.params)) is not None:
             start = start if run else i
             run.append((qubits, mono))
         elif _ROTATION_XZ[name][0]:
-            half = inst.params[0] / 2
+            half, columns[i] = inst.params[0] / 2, -1 if clifford else next(counter)
             rotation(i, qubits, _ROTATION_XZ[name], math.cos(half), math.sin(half))
         else:
-            mat = gate_matrix(name, inst.params)
+            mat, columns[i] = gate_matrix(name, inst.params), -1 if clifford else next(counter)
             rotation(i, qubits, _ROTATION_XZ[name], mat[0, 0], mat[1, 1])
     close()
     return [_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1,
                 None if inst.name in ("measure", "reset") else tuple(ks),
-                noise.gate_error(inst) if noise is not None else 0.0)
-            for inst, ks in zip(insts, kernels)]
+                noise.gate_error(inst) if noise is not None else 0.0, width, column)
+            for inst, ks, width, column in zip(insts, kernels, widths, columns)]
 
 
 def _terminal_start(ops: list[_Op]) -> int:
@@ -300,13 +329,6 @@ def _terminal_start(ops: list[_Op]) -> int:
     while tail and ops[tail - 1].name == "measure":
         tail -= 1
     return tail
-
-
-def _zero_state(n: int) -> _Batch:
-    """|0...0> as a batch of one."""
-    batch = _Batch(1, n)
-    batch.psi[0, 0] = 1.0
-    return batch
 
 
 def _halves(psi: np.ndarray, q: int) -> np.ndarray:
@@ -351,9 +373,10 @@ def statevector(circ: Circuit) -> np.ndarray:
         raise SimulationError("reset is not supported by statevector()")
     if any(op.kernels is None for op in ops[:tail]):
         raise SimulationError("mid-circuit measurement is not supported by statevector()")
-    batch = _zero_state(n)
-    batch.apply([kernel for op in ops[:tail] for kernel in op.kernels], 1)
-    return batch.psi[0]
+    run = _NoiselessRun(ops, n, 0, _RANDOM_TOL)
+    run.advance(tail)
+    run.batch.fit(n, 1)
+    return run.psi[0]
 
 
 def ideal_distribution(circ: Circuit) -> dict[str, float]:
@@ -378,7 +401,8 @@ class _NoiselessRun:
 
     def __init__(self, ops: list[_Op], n: int, clbits: int, tol: float):
         self.ops, self.n, self.tol = ops, n, tol
-        self.batch = _zero_state(n)
+        self.batch = _Batch(1, n)  # |0...0>
+        self.batch.psi[0, 0] = 1.0
         self.index = 0
         self.record = np.zeros(clbits, dtype=np.uint8)
         self.random = False
@@ -391,6 +415,10 @@ class _NoiselessRun:
         """Step to the state before ops[end], or before a random outcome."""
         while self.index < end and not self.random:
             op = self.ops[self.index]
+            if op.kernels == ():  # a fused run's op: the run's kernel ran at its start
+                self.index += 1
+                continue
+            self.batch.fit(op.width, 1)
             if op.kernels is not None:
                 self.batch.apply(op.kernels, 1)
                 self.index += 1
@@ -411,6 +439,7 @@ class _NoiselessRun:
     def rejoin(self, index: int, psi: np.ndarray, record: np.ndarray, random: bool = False) -> None:
         """Take over the noiseless state before ops[index], stepped there
         elsewhere, with its outcomes so far."""
+        self.batch.fit(len(psi).bit_length() - 1, 0)
         self.psi[0] = psi
         self.index, self.record, self.random = index, record.copy(), random
 
@@ -592,7 +621,8 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
     statevector backends, the rows simulated rather than read from the
     shared noiseless state: one per sign pattern and outcome branch; every
     shot as Pauli frames), the kernels run on statevector batches (the
-    noiseless run's too; 0 as Pauli frames) and the noisy instructions.
+    noiseless run's too; 0 as Pauli frames), the amplitudes they ran over
+    (rows times 2**width per kernel, see _program) and the noisy instructions.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -617,7 +647,7 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
     run = _frame_records if frames else _sample_records
-    keys, faults, simulated, passes = run(compacted, noise, shots, rng)
+    keys, faults, simulated, passes, amplitudes = run(compacted, noise, shots, rng)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({
             "backend": "pauli-frame" if frames else "statevector" if noisy else "noiseless",
@@ -625,6 +655,7 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             "faulty_shots": len(np.unique(faults.shot)),
             "simulated_shots": simulated,
             "statevector_passes": passes,
+            "statevector_amplitudes": amplitudes,
             "noisy_instructions": faults.noisy_instructions,
         }))
     return _counts(keys, compacted.num_clbits, compacted.cregs)
@@ -706,7 +737,7 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
 def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """Count keys (see _counts) of statevector trajectories with Pauli
     frames through Pauli rotations, the faults drawn for them, the number
-    of batch rows simulated and of kernels run.
+    of batch rows simulated, of kernels run and of amplitudes they ran over.
 
     A shot's state is F |phi>: F is its Pauli frame, its faults carried to
     the current op, and phi the noiseless circuit with the rotations F
@@ -722,13 +753,11 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     # 1. every shot's faults; the faulty shots' signatures give the
     # rotations each one negates, and the X bit each of its records reads
     faults = _draw_faults([(op.error, len(op.qubits)) for op in ops], shots, rng)
-    rotations = [i for i, inst in enumerate(insts) if inst.name in _ROTATION_XZ and not is_clifford(inst)]
+    rotations = [i for i, op in enumerate(ops) if op.rotation >= 0]
     table = (_signatures(insts, n, nc, [op.error > 0 for op in ops], rotations)[0] if len(faults.op)
              else np.zeros((len(ops), 15, 1), dtype="<u8"))  # no sweep without a fault
     faulty, words = _fault_flips(table, faults)
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=nc + len(rotations), bitorder="little")
-    rotation = np.full(len(ops), -1)
-    rotation[rotations] = np.arange(len(rotations))
 
     # 2. the distinct sign patterns; the empty one, which every fault-free
     # shot has, is row 0 of np.unique's sorted output
@@ -748,8 +777,8 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     # one noiseless run, carried on as row 0 of each batch, hands each row
     # its state
     records = np.zeros((shots, nc), dtype=np.uint8)
-    random = _may_be_random(insts[:tail], n)
-    plan = _Plan(ops, tail, rotation, np.cumsum([0] + random[::-1])[::-1],
+    random = _may_be_random(insts[:tail], ops, n)
+    plan = _Plan(ops, tail, np.cumsum([0] + random[::-1])[::-1].tolist(),
                  [(op.qubits[0], op.clbit) for op in ops[tail:]])
     run = _NoiselessRun(ops, n, nc, _RANDOM_TOL)
     size = min(max(1, _BATCH_AMPLITUDES >> n), shots)
@@ -775,7 +804,8 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         idx = np.searchsorted(cum, rng.random(len(free)) * cum[-1], side="right")
         _read_out(records, free, np.minimum(idx, len(cum) - 1), plan.measures)
     records[faulty] ^= bits[:, :nc]
-    return _pack(records), faults, simulated, run.batch.passes + work.passes
+    return (_pack(records), faults, simulated, run.batch.passes + work.passes,
+            run.batch.amplitudes + work.amplitudes)
 
 
 def _pack(records: np.ndarray) -> np.ndarray:
@@ -786,9 +816,9 @@ def _pack(records: np.ndarray) -> np.ndarray:
     return keys.view("<u8")
 
 
-def _may_be_random(insts, n: int) -> list[bool]:
+def _may_be_random(insts, ops: list[_Op], n: int) -> list[bool]:
     """Per instruction, whether it is a measurement or reset whose outcome
-    some sign pattern could make random.
+    some sign pattern over the rotations of `ops` could make random.
 
     One backward sweep of the measured Z_q, one bit per measurement or
     reset in per-qubit int rows, proves the others deterministic in every
@@ -806,7 +836,7 @@ def _may_be_random(insts, n: int) -> list[bool]:
             lost |= x[q]
             bit[i] = 1 << len(bit)
             x[q], z[q] = 0, bit[i]
-        elif inst.name in _ROTATION_XZ and not is_clifford(inst):
+        elif ops[i].rotation >= 0:
             lost |= _anticommuting(inst, x, z, 0)
         else:
             for name, qs in reversed(clifford_gate_sequence(inst)):
@@ -828,8 +858,7 @@ class _Plan(NamedTuple):
 
     ops: list[_Op]
     tail: int  # the first of the trailing measurements
-    rotation: np.ndarray  # per op, its column in the sign patterns, or -1
-    splits: np.ndarray  # per op, the possibly random outcomes from it to the tail
+    splits: list[int]  # per op, the possibly random outcomes from it to the tail
     measures: list[tuple[int, int]]  # (qubit, clbit) of the trailing ones
 
 
@@ -857,12 +886,16 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
     if run.random:
         rows = [(start, pattern, shots) for _, pattern, shots in rows]
     noiseless = not run.random  # row 0 is the noiseless state, not yet handed back
+    work.fit(run.batch.width, 0)
     work.psi[0] = run.psi[0]
     sizes = []  # shots per row, from row 1
     active, joined, nxt = 1, 0, 0
     back = []
     for i in range(start, plan.tail):
-        most = 1 << min(int(plan.splits[i]), 62)
+        op = plan.ops[i]
+        if op.kernels == ():  # a fused run's op, where no row joins
+            continue
+        most = 1 << min(plan.splits[i], 62)
         while nxt < len(rows) and rows[nxt][0] <= i:
             first, pattern, shots = rows[nxt]
             room = len(work.psi) - 1 - sum(min(s, most) for s in sizes)
@@ -881,9 +914,9 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
         if noiseless and (back or i == resume):
             run.rejoin(i, work.psi[0], record)
             noiseless = False
-        op = plan.ops[i]
+        work.fit(op.width, active)
         if op.kernels is not None:
-            k = plan.rotation[i]
+            k = op.rotation
             work.apply(op.kernels, active, signs[:active, k] if k >= 0 and any_negated[k] else None)
             continue
         p1 = _prob_one(work.psi[:active], op.qubits[0])
@@ -938,7 +971,7 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     """Count keys (see _counts) of a Clifford circuit sampled with Pauli
     frames (Gidney, "Stim: a fast stabilizer circuit simulator",
     arXiv:2103.02202), the faults drawn for them and the number of shots
-    simulated, which is all of them, and 0 statevector kernels.
+    simulated, which is all of them, and 0 statevector kernels and amplitudes.
 
     One noiseless CHP run gives a reference outcome for every measurement.
     Each shot's frame is its difference from that run, and a record reads
@@ -969,4 +1002,4 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
         per_byte[:, 1 << j:2 << j] = per_byte[:, :1 << j] ^ rows[j::8, None]
     for lookup, coins in zip(per_byte, rng.integers(256, size=(len(per_byte), shots), dtype=np.uint8)):
         keys ^= lookup[coins]
-    return keys, faults, shots, 0
+    return keys, faults, shots, 0, 0

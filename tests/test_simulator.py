@@ -154,6 +154,105 @@ def test_fused_runs_match_the_dense_product():
     assert runs > 40
 
 
+def _ancilla_rounds(rng, data, low, resets=True):
+    """Three rounds of random gates on the data qubits, each followed by two
+    ancillas entangled with them and then reset (with `resets`) for reuse.
+    The ancillas are the top two qubits, or with `low` qubit 0 and the top
+    one; every qubit is measured at the end."""
+    n = data + 2
+    ancillas = (0, n - 1) if low else (n - 2, n - 1)
+    dq = [q for q in range(n) if q not in ancillas]
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", n)
+
+    def add(g, qubits):  # rotations take a random angle
+        c.append(g, qubits, (rng.uniform(-3, 3),) if g[0] == "r" else ())
+
+    for _ in range(3):
+        for _ in range(rng.randrange(2, 7)):
+            g, k = rng.choice([("h", 1), ("t", 1), ("s", 1), ("rx", 1), ("ry", 1), ("cx", 2),
+                               ("cz", 2), ("rzz", 2), ("ryy", 2)])
+            add(g, tuple(rng.sample(dq, k)))
+        for a in ancillas:
+            add(rng.choice(["h", "ry"]), (a,))
+            add(rng.choice(["cx", "cz", "rzz", "rxx"]), (a, rng.choice(dq)))
+        for a in ancillas if resets else ():
+            c.append("reset", (a,))
+    return _measure_all(c, n)
+
+
+def test_trimmed_widths_match_the_oracles():
+    """Qubits not known to be |0> set an op's width: ancillas on the top
+    qubits are left out of every batch row between their reset and their
+    next use, and the results match the dense oracles."""
+    rng = random.Random(15)
+    for trial in range(12):
+        data, low = rng.randrange(2, 5), trial % 3 == 0
+        c = _ancilla_rounds(rng, data, low)
+        n = c.num_qubits
+        ops = simulator._program(c.instructions, n)
+        widths = [op.width for op in ops if op.kernels]
+        assert min(widths[len(widths) // 3:]) < (n if low else n - 1)  # the top ancilla left out
+        want = noisy_distribution(c, NoiseModel())
+        got = deterministic_distribution(c)
+        assert set(got) <= set(want)
+        assert all(abs(got.get(key, 0.0) - p) < 1e-9 for key, p in want.items()), (trial, got, want)
+        # without resets the ancillas are only reused: rows grow as qubits
+        # come into use
+        u = _ancilla_rounds(random.Random(trial), data, low, resets=False)
+        unitary = u.instructions[:-n]
+        assert np.allclose(statevector(u), circuit_unitary(unitary, n)[:, 0], rtol=0, atol=1e-10)
+
+
+def test_batch_fit_grows_with_zeros_and_shrinks_exactly():
+    rng = np.random.default_rng(5)
+    batch = simulator._Batch(3, 4)
+    batch.psi[:], batch._out[:] = 7, 7  # what earlier kernels left behind
+    batch.fit(2, 0)
+    rows = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    batch.psi[:] = rows
+    batch.fit(4, 2)
+    assert batch.psi.shape == (3, 16) and batch.psi.flags.c_contiguous
+    assert np.array_equal(batch.psi[:2, :4], rows[:2]) and not batch.psi[:2, 4:].any()
+    batch.fit(3, 2)
+    batch.fit(2, 2)
+    assert batch.psi.shape == (3, 4) and np.array_equal(batch.psi[:2], rows[:2])
+    # a kernel on the low qubits runs on the low block alone, as it would
+    # on the whole row
+    inst = Instruction(Gate("ryy", (0.8,)), (1, 0))
+    (op,) = simulator._program([inst], 4)
+    batch.apply(op.kernels, 2, np.array([False, True]))
+    full = simulator._Batch(2, 4)
+    full.psi[:, :4] = rows[:2]
+    full.apply(op.kernels, 2, np.array([False, True]))
+    assert np.array_equal(batch.psi[:2], full.psi[:, :4]) and not full.psi[:, 4:].any()
+    assert (batch.amplitudes, full.amplitudes) == (2 * 4, 2 * 16)
+
+
+def test_iceberg_ancillas_leave_the_rows_after_each_reset_round():
+    from qedc.pipeline import compile_circuit
+
+    c = Circuit()
+    c.add_qreg("q", 2)
+    c.add_creg("c", 2)
+    c.append("rzz", (0, 1), (0.7,))
+    c.append("rx", (0,), (0.4,))
+    c.append("rz", (1,), (0.3,))
+    compiled, _ = compile_circuit(_measure_all(c, 2), code="iceberg", checks=1)
+    insts = [i for i in compiled.instructions if i.name != "barrier"]
+    ops = simulator._program(insts, compiled.num_qubits)
+    # data qubits 0-3, ancillas 4 and 5.  The encoding is one fused run up
+    # to the verification on ancilla 4, measured and reset; two logical
+    # rotations run on the data alone; the syndrome round brings both
+    # ancillas back until their resets; the last rotation and the readout
+    # leave them out again
+    names = [op.name for op in ops]
+    assert names[6:8] == ["measure", "reset"] and names[20:24] == ["measure"] * 2 + ["reset"] * 2
+    assert [op.width for op in ops] == [5] * 8 + [4] * 2 + [6] * 14 + [4] * 5
+    assert simulator._compact(compiled)[0] is compiled  # nothing to compact
+
+
 def test_norm_preserved():
     rng = random.Random(8)
     c = Circuit()
@@ -564,6 +663,29 @@ def _split_circuit():
     return c
 
 
+def _ancilla_reuse_circuit():
+    """An ancilla on the top qubit, entangled with the data qubits 0 and 1,
+    measured (a random outcome) and reset, twice: between its reset and its
+    next use it is left out of the rows, which split at its measurements."""
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.add_creg("m", 2)
+    c.add_creg("c", 2)
+    c.append("ry", (0,), (0.8,))
+    c.append("rzz", (0, 1), (0.6,))
+    for r in range(2):
+        c.append("h", (2,))
+        c.append("rzz", (2, r), (0.9,))
+        c.append("rx", (2,), (0.5,))
+        c.append("measure", (2,), clbits=(r,))
+        c.append("reset", (2,))
+        c.append("rx", (1,), (0.7,))
+        c.append("rzz", (0, 1), (1.1,))
+    c.append("measure", (0,), clbits=(2,))
+    c.append("measure", (1,), clbits=(3,))
+    return c
+
+
 def _assert_matches(counts, dist, shots):
     assert sum(counts.values()) == shots
     for key in set(counts) | set(dist):
@@ -579,8 +701,9 @@ def _assert_matches(counts, dist, shots):
     (_clifford_terminal_circuit(), NoiseModel(p1=0.1, p2=0.05)),
     (_clifford_midcircuit_circuit(), NoiseModel(p1=0.05, p2=0.05)),
     (_split_circuit(), NoiseModel(p1=0.2, p2=0.1, gates1=("rz",), gates2=("cx",))),
+    (_ancilla_reuse_circuit(), NoiseModel(p1=0.05, p2=0.05)),
 ], ids=["terminal", "midcircuit", "first-last", "clifford-terminal", "clifford-midcircuit",
-        "split"])
+        "split", "ancilla-reuse"])
 def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
     shots = 100000
     _assert_matches(sample(circ, noise=noise, shots=shots, seed=11),
@@ -672,8 +795,9 @@ def _random_ops(circ):
     """The ops before the trailing measurements that _may_be_random flags."""
     compacted, _ = simulator._compact(circ)
     insts = [i for i in compacted.instructions if i.name != "barrier"]
-    tail = simulator._terminal_start(simulator._program(insts, compacted.num_qubits))
-    flags = simulator._may_be_random(insts[:tail], compacted.num_qubits)
+    ops = simulator._program(insts, compacted.num_qubits)
+    tail = simulator._terminal_start(ops)
+    flags = simulator._may_be_random(insts[:tail], ops, compacted.num_qubits)
     return [(i, insts[i].name) for i, flag in enumerate(flags) if flag]
 
 
@@ -904,10 +1028,14 @@ def test_sample_logs_one_debug_record(caplog, circ, noise, backend, noisy):
     # two are runs of their own.  The one sign pattern's row joins row 0 at
     # the rzz, so the kernels from there run once for both
     passes = {"pauli-frame": 0, "statevector": 13, "noiseless": 13}[backend]
+    # qubits 0 to 3 come into use one by one, so a row's kernels run over 2
+    # (the ry), 4 (the h and t), 8 (the cx and rzz) and then 16 amplitudes:
+    # 142 for row 0, and the 120 from the rzz once more for the other row
+    amplitudes = {"pauli-frame": 0, "statevector": 262, "noiseless": 142}[backend]
     assert stats == {"backend": backend, "shots": shots,
                      "faulty_shots": shots if noisy else 0,
                      "simulated_shots": simulated, "statevector_passes": passes,
-                     "noisy_instructions": noisy}
+                     "statevector_amplitudes": amplitudes, "noisy_instructions": noisy}
 
 
 def test_sample_logs_faulty_shot_count(caplog):
