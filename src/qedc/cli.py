@@ -1,9 +1,10 @@
-"""Command-line pipeline driver: analyze, compile, run, postselect,
-extrapolate, exchanging OpenQASM and JSON files between stages."""
+"""Command-line pipeline driver: analyze, compile, run, estimate,
+postselect, extrapolate, exchanging OpenQASM and JSON files between stages."""
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -14,6 +15,7 @@ from .pcs import PcsMeta
 from .pipeline import CompilationMeta, CompileError, compile_circuit
 from .postprocess import (
     PostprocessError,
+    estimate_overhead,
     extrapolate_checks,
     postselect_counts,
     postselect_counts_iceberg,
@@ -128,17 +130,26 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _read_noise(path: str) -> NoiseModel:
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise CliError("parse", "noise file must hold a noise model object", EXIT_PARSE)
+    try:
+        return NoiseModel.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError("parse", f"bad noise file: {exc}", EXIT_PARSE) from exc
+
+
+def _read_meta(path: str) -> CompilationMeta:
+    try:
+        return CompilationMeta.from_dict(_read_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError("parse", f"bad meta file: {exc}", EXIT_PARSE) from exc
+
+
 def cmd_run(args) -> int:
     circ = _parse_circuit(args.input)
-    noise = NoiseModel()
-    if args.noise:
-        data = _read_json(args.noise)
-        if not isinstance(data, dict):
-            raise CliError("parse", "noise file must hold a noise model object", EXIT_PARSE)
-        try:
-            noise = NoiseModel.from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError("parse", f"bad noise file: {exc}", EXIT_PARSE) from exc
+    noise = _read_noise(args.noise) if args.noise else NoiseModel()
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         counts = sample(circ, shots=args.shots, noise=noise, seed=seed)
@@ -147,6 +158,27 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise CliError("bad-parameters", str(exc), EXIT_SIM) from exc
     out = {"shots": args.shots, "counts": dict(sorted(counts.items()))}
+    _write_text(args.out, _dump_json(out))
+    return 0
+
+
+def cmd_estimate(args) -> int:
+    circ = _parse_circuit(args.input)
+    meta, noise = _read_meta(args.meta), _read_noise(args.noise)
+    if meta.code_meta is None:
+        raise CliError("no-detection-code", "meta carries no detection code", EXIT_COMPILE)
+    try:
+        est = estimate_overhead(circ, meta, noise)
+    except (PostprocessError, ValueError, IndexError) as exc:
+        raise CliError("mismatch", f"circuit does not match meta: {exc}", EXIT_COMPILE) from exc
+    multiplier = est.expected_shot_multiplier
+    out = {
+        "keep_rate": est.keep_rate,
+        "expected_shot_multiplier": multiplier if math.isfinite(multiplier) else None,
+        "detectable_fraction_by_gate": est.detectable_fraction_by_gate,
+    }
+    if isinstance(meta.code_meta, PcsMeta):
+        out["scope"] = "upper bound: faults outside the PCS payload count as undetected"
     _write_text(args.out, _dump_json(out))
     return 0
 
@@ -160,10 +192,7 @@ def cmd_postselect(args) -> int:
         if type(cnt) is not int or cnt < 0:
             raise CliError("parse", f"count of {key!r} is {cnt!r}, not a non-negative integer",
                            EXIT_PARSE)
-    try:
-        meta = CompilationMeta.from_dict(_read_json(args.meta))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError("parse", f"bad meta file: {exc}", EXIT_PARSE) from exc
+    meta = _read_meta(args.meta)
     try:
         if isinstance(meta.code_meta, PcsMeta):
             report = postselect_counts(counts, meta.code_meta, meta.code_meta.cregs())
@@ -235,6 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_run)
+
+    m = sub.add_parser("estimate", help="predict the keep rate under depolarizing noise")
+    m.add_argument("input")
+    m.add_argument("--meta", required=True)
+    m.add_argument("--noise", required=True, help="noise model JSON file")
+    m.add_argument("--out", default=None)
+    m.set_defaults(func=cmd_estimate)
 
     s = sub.add_parser("postselect", help="filter counts on detection outcomes")
     s.add_argument("--counts", required=True)

@@ -17,8 +17,9 @@ involution, so g and g† move the x/z bits alike).  Pauli rotations at
 generic angles and t/tdg pass through, which is exact whenever the
 generator cannot itself flip a detector: Iceberg logical generators commute
 with both stabilizers and touch syndrome ancillas an even number of times.
-One sweep gives every fault's signature at every instruction, a few integer
-XORs per gate, where walking each fault forward is quadratic.
+One sweep gives the signatures of X_q and Z_q, whose XORs are every
+Pauli's, at every instruction in a few integer XORs per gate, where walking
+each fault forward is quadratic.
 """
 from __future__ import annotations
 
@@ -77,14 +78,6 @@ def depolarizing_signatures(xz: Sequence[tuple[int, int]]) -> list[int]:
     I, X, Y, Z per qubit, the first qubit slowest, identity left out."""
     per_qubit = [(0, sx, sx ^ sz, sz) for sx, sz in xz]
     return [reduce(xor, combo) for combo in product(*per_qubit)][1:]
-
-
-def fault_signatures(x: Sequence[int], z: Sequence[int], qubits: tuple[int, ...]) -> list[int]:
-    """Signature of each depolarizing Pauli on `qubits`, given the detector
-    observables' rows at the fault: bit d is set iff the fault flips detector
-    d.  X_q flips the detectors whose observable has Z at q, so its
-    signature is z[q], and that of Z_q is x[q]."""
-    return depolarizing_signatures([(z[q], x[q]) for q in qubits])
 
 
 def propagate_flips(instructions: list[Instruction], start: int, error: PauliString) -> set[int]:

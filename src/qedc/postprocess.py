@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
 from .circuit import Circuit, Register, key_group_index, key_positions, registers
-from .errorprop import detector_sweep, fault_signatures
+from .errorprop import detector_sweep
 from .iceberg import IcebergMeta, decode_readout
 from .pcs import PcsMeta
 from .simulator import NoiseModel
@@ -137,32 +136,20 @@ class OverheadEstimate:
     detectable_fraction_by_gate: list[float] = field(default_factory=list)
 
 
-def _convolve_signature(dist: np.ndarray, p: float, sigs: list[int]) -> np.ndarray:
-    """Fold one gate's error channel into the signature distribution.
-
-    dist[s] is the probability that the faults so far flip exactly the
-    detectors in bitmask s.  Flip sets of simultaneous faults compose by XOR,
-    so a fault with signature t moves mass from s to s ^ t; each distinct
-    signature is folded in once, weighted by how many Paulis share it."""
-    mult = Counter(sigs)
-    w = p / len(sigs)
-    out = dist * (1.0 - p + w * mult.pop(0, 0))
-    index = np.arange(dist.size)
-    for sig, m in mult.items():
-        out += (w * m) * dist[index ^ sig]
-    return out
-
-
 def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimate:
     """Analytic keep-rate under independent per-gate depolarizing faults.
 
-    Fault flip sets compose by XOR, so the joint detection outcome is tracked
-    exactly (to all orders, including cancellations between faults) as a
-    distribution over signature bitmasks, one bit per detector; the keep rate
-    is the probability of the all-clear signature.  One backward sweep of the
-    detectors' observables (`detector_sweep`) gives every gate's fault
-    signatures, and the gate is folded in as the sweep passes it: linear in
-    circuit length, times the 2**detectors entries of the distribution.
+    A fault on a k-qubit gate g of error rate p is a uniformly random Pauli,
+    identity included, with probability lam_g = p * 4**k / (4**k - 1): its
+    detector signature is uniform over V_g, the span of the signatures of
+    X_q and Z_q on g's qubits, and these add under XOR.  So the keep rate is
+    keep = 2**-D * sum_chi prod_{g : chi . V_g != 0} (1 - lam_g), a Walsh sum
+    over detector patterns chi.  One backward sweep of the detectors'
+    observables (`detector_sweep`) gives every gate's rows; gates with the
+    same rows multiply their factors, so the sum costs about (distinct rows)
+    x 2**D parity tests, for D <= 22.  2**(D - rank(V_g)) patterns are
+    orthogonal to V_g, and all but 4**k / 2**rank(V_g) Paulis flip a
+    detector: g detects (4**k - 4**k / 2**rank(V_g)) / (4**k - 1) of faults.
     Iceberg sweeps its `detectors` over the whole circuit.  PCS detectors are the
     check ancillas, swept from their right checks over the sandwiched
     payload only, where check conjugation is well defined; noise on gates
@@ -196,9 +183,9 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
     else:
         raise PostprocessError(f"unsupported metadata type {type(meta).__name__}")
     fractions = [0.0] * len(circ.instructions)
-    if len(sets) > 22:  # the distribution holds 2**detectors floats
-        raise PostprocessError(f"{len(sets)} detectors: a signature distribution holds at most 22")
-    dist = np.eye(1, 1 << len(sets))[0]  # before any fault, all mass on the all-clear signature
+    if len(sets) > 22:  # the Walsh sum runs over 2**detectors patterns
+        raise PostprocessError(f"{len(sets)} detectors: the keep-rate estimate takes at most 22")
+    gates, factors = [], {}  # factors: rows -> the product of 1 - lam over the gates with them
     for idx, x, z in detector_sweep(instructions, x, z, sets):
         if idx < 0:
             break
@@ -206,10 +193,26 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
         p = noise.gate_error(inst)
         if p == 0.0:
             continue
-        sigs = fault_signatures(x, z, inst.qubits)
-        fractions[offset + idx] = sum(1 for s in sigs if s) / len(sigs)
-        dist = _convolve_signature(dist, p, sigs)
-    keep = float(dist[0])
+        paulis = 4 ** len(inst.qubits)
+        rows = tuple([r for q in inst.qubits for r in (z[q], x[q])] + [0, 0] * (2 - len(inst.qubits)))
+        factors[rows] = factors.get(rows, 1.0) * (1.0 - p * paulis / (paulis - 1))
+        gates.append((offset + idx, paulis, rows))
+    spans = list(factors)  # by their generating rows
+    gens, f = np.array(spans, dtype=np.int64).reshape(-1, 4), np.array([factors[v] for v in spans])
+    parity = np.zeros(1 << len(sets), dtype=bool)
+    for b in range(len(sets)):
+        parity[1 << b:2 << b] = ~parity[:1 << b]
+    keep, orthogonal = 0.0, np.zeros(len(spans), dtype=np.int64)  # the chi orthogonal to each V
+    step = max(1, (1 << 20) // max(1, len(spans)))  # chi per block, so memory stays bounded
+    for lo in range(0, parity.size, step):
+        chi = np.arange(lo, min(lo + step, parity.size))
+        hit = np.logical_or.reduce([parity[chi & gens[:, j:j + 1]] for j in range(4)])
+        keep += float(np.where(hit, f[:, None], 1.0).prod(axis=0).sum())  # a factor may be <= 0
+        orthogonal += (~hit).sum(axis=1)
+    keep /= parity.size
+    blind = dict(zip(spans, orthogonal.tolist()))
+    for i, paulis, rows in gates:
+        fractions[i] = (paulis - (paulis * blind[rows] >> len(sets))) / (paulis - 1)
     return OverheadEstimate(keep, 1.0 / keep if keep > 0 else math.inf, fractions)
 
 

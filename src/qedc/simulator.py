@@ -550,9 +550,9 @@ def _signatures(insts, n: int, nc: int, noisy, rotations=()):
     bit c flips clbit c's record, and bit nc + r marks anticommuting with
     the Pauli of the rotation at op rotations[r], XORed into the rows there
     after that op's faults are read.  Returns the (ops, 15, W) table of the
-    noisy ops' fault_signatures by fault code, and the signatures of a Z on
-    each qubit at the start and after each measurement and reset of its
-    qubit, in circuit order: such a Z flips x[q] there."""
+    noisy ops' `depolarizing_signatures` by fault code, and the signatures
+    of a Z on each qubit at the start and after each measurement and reset
+    of its qubit, in circuit order: such a Z flips x[q] there."""
     width = max(1, -(-(nc + len(rotations)) // 64))
     bit = {i: 1 << nc + r for r, i in enumerate(rotations)}
     rows, where, draws = [], [], []

@@ -4,9 +4,12 @@ import math
 import pytest
 
 from qedc.cli import EXIT_COMPILE, EXIT_IO, EXIT_PARSE, EXIT_SIM, main
+from qedc.layout import heavy_hex_127
 from qedc.pipeline import CompilationMeta
-from qedc.postprocess import postselect_counts_iceberg
-from qedc.qasm import parse_qasm
+from qedc.postprocess import estimate_overhead, postselect_counts_iceberg
+from qedc.qasm import emit_qasm, parse_qasm
+from qedc.simulator import NoiseModel
+from test_acceptance import _case_study_circuit_4q
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -444,3 +447,54 @@ def test_bad_expected_ancilla_bits_exit_parse(bell, tmp_path, capsys, bits):
     assert err["error"] == "parse"
     assert "expected_ancilla_bits" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("code", ["iceberg", "pcs"])
+def test_estimate_prints_the_librarys_estimate(bell, rot, tmp_path, capsys, code):
+    compiled, meta, noise = tmp_path / "c.qasm", tmp_path / "m.json", tmp_path / "noise.json"
+    assert main(["compile", str(rot if code == "iceberg" else bell), "--code", code, "--checks", "1",
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    noise.write_text(json.dumps({"p1": 0.001, "p2": 0.01}))
+    capsys.readouterr()
+    assert main(["estimate", str(compiled), "--meta", str(meta), "--noise", str(noise)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    est = estimate_overhead(parse_qasm(compiled.read_text()),
+                            CompilationMeta.from_dict(json.loads(meta.read_text())),
+                            NoiseModel(p1=0.001, p2=0.01))
+    want = {"keep_rate": est.keep_rate, "expected_shot_multiplier": est.expected_shot_multiplier,
+            "detectable_fraction_by_gate": est.detectable_fraction_by_gate}
+    if code == "pcs":
+        want["scope"] = "upper bound: faults outside the PCS payload count as undetected"
+    assert out == want
+    assert 0 < out["keep_rate"] < 1 and any(out["detectable_fraction_by_gate"])
+
+
+def test_estimate_of_routed_pcs_meta_exits_mismatch(tmp_path, capsys):
+    src, coupling = tmp_path / "in.qasm", tmp_path / "cg.json"
+    src.write_text(emit_qasm(_case_study_circuit_4q()))
+    coupling.write_text(json.dumps(heavy_hex_127().to_dict()))
+    compiled, meta, noise = tmp_path / "c.qasm", tmp_path / "m.json", tmp_path / "noise.json"
+    assert main(["compile", str(src), "--code", "pcs", "--checks", "2", "--coupling", str(coupling),
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    noise.write_text(json.dumps({"p1": 3e-5, "p2": 0.002}))
+    out = tmp_path / "e.json"
+    rc = main(["estimate", str(compiled), "--meta", str(meta), "--noise", str(noise), "--out", str(out)])
+    assert rc == EXIT_COMPILE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "mismatch"
+    assert "outside the payload qubits" in err["message"]
+    assert not out.exists()
+
+
+def test_estimate_without_a_detection_code_exits_compile(bell, tmp_path, capsys):
+    compiled, meta, noise = tmp_path / "c.qasm", tmp_path / "m.json", tmp_path / "noise.json"
+    assert main(["compile", str(bell), "--code", "none",
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    noise.write_text(json.dumps({"p2": 0.01}))
+    capsys.readouterr()
+    assert main(["estimate", str(compiled), "--meta", str(meta), "--noise", str(noise)]) == EXIT_COMPILE
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "no-detection-code"
+    assert captured.out == ""

@@ -128,3 +128,25 @@ def test_pcs_estimate_matches_suffix_tableau_oracle():
         keep, fractions = tableau_pcs_estimate(sand, meta.code_meta, noise)
         assert abs(est.keep_rate - keep) < 1e-12
         assert est.detectable_fraction_by_gate == fractions
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(p1=1.0, p2=1.0), NoiseModel(p1=0.75, p2=0.05)],
+                         ids=["p-1", "p1-0.75"])
+def test_estimate_matches_the_oracles_where_a_walsh_factor_is_not_positive(noise):
+    # 1 - lam is -1/3 (one qubit) and -1/15 (two) at p = 1, and 0 for one qubit
+    # at p1 = 0.75: the sum must take its products as they are, not in logs
+    rng = random.Random(61)
+    for cycles in (0, 1, 2, 3):
+        logical = logical_circuit(rng, rng.choice([2, 4]) if cycles < 2 else 2, rng.randrange(2, 6))
+        enc, meta = compile_circuit(logical, code="iceberg", checks=cycles)
+        est = estimate_overhead(enc, meta, noise)
+        keep, fractions = forward_iceberg_estimate(enc, meta.code_meta, noise)
+        assert abs(est.keep_rate - keep) < 1e-12
+        assert est.detectable_fraction_by_gate == fractions
+    for _ in range(10):
+        circ = _pcs_input(rng, rng.randrange(2, 5))
+        sand, meta = compile_circuit(circ, code="pcs", checks=rng.randrange(1, 4))
+        est = estimate_overhead(sand, meta, noise)
+        keep, fractions = tableau_pcs_estimate(sand, meta.code_meta, noise)
+        assert abs(est.keep_rate - keep) < 1e-12
+        assert est.detectable_fraction_by_gate == fractions

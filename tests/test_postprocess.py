@@ -28,7 +28,7 @@ from qedc.postprocess import (
 )
 from qedc.simulator import NoiseModel, sample
 from oracles import reference_postselect_counts, reference_postselect_counts_iceberg
-from test_acceptance import _case_study_circuit_4q
+from test_acceptance import _case_study_circuit_4q, _qaoa6
 
 
 def simple_meta(expected="00"):
@@ -295,6 +295,24 @@ def test_overhead_rejects_hand_edited_pcs_metadata():
     edited["checks"][0]["right"] = "XZ"
     with pytest.raises(PostprocessError, match="does not span the 4 payload qubits"):
         estimate_overhead(sand, PcsMeta.from_dict(edited), noise)
+
+
+@pytest.mark.parametrize("routed, want", [(False, 0.7732301811462718), (True, 0.2150080364763084)],
+                         ids=["unrouted", "heavy-hex"])
+def test_overhead_at_14_detectors_keeps_the_convolved_keep_rate(routed, want):
+    # the wanted rates were computed by the estimate this one replaced, which
+    # convolved a distribution over the 2**14 detector signatures gate by gate
+    enc, meta = compile_circuit(_qaoa6(), code="iceberg", checks=6,
+                                coupling=heavy_hex_127() if routed else None)
+    assert len(detectors(meta.code_meta, enc.cregs)) == 14
+    assert routed == (meta.swap_count > 0)
+    assert abs(estimate_overhead(enc, meta, NoiseModel(p1=3e-5, p2=0.002)).keep_rate - want) < 1e-12
+
+
+def test_overhead_takes_at_most_22_detectors():
+    enc, meta = compile_circuit(_qaoa6(), code="iceberg", checks=11)
+    with pytest.raises(PostprocessError, match="24 detectors: the keep-rate estimate takes at most 22"):
+        estimate_overhead(enc, meta, NoiseModel(p2=0.002))
 
 
 def test_iceberg_prediction_matches_simulation():
