@@ -5,7 +5,7 @@ noise, and postprocesses counts via postselection and check extrapolation."""
 
 __version__ = "0.1.0"
 
-from .circuit import Circuit, Gate, Instruction, Register, validate
+from .circuit import Circuit, Instruction, Register, validate
 from .qasm import QasmError, emit_qasm, parse_qasm
 from .pauli import PauliString, pauli_mul
 from .clifford import CliffordTableau, conjugate, is_clifford, tableau_from_circuit

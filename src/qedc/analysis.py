@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Instruction, PAULI_ROTATION_2Q
-from .clifford import is_clifford
+from .circuit import Circuit, Instruction
+from .clifford import PAULI_AXES, is_clifford
 
 GATESETS = {
     "pcs-default": frozenset(
@@ -256,7 +256,7 @@ def select_code(circ: Circuit, cfg: SelectionConfig | None = None) -> CodeChoice
         region = []
     in_region = sum(1 for i in region if i.name not in ("measure", "barrier"))
     clifford_fraction = in_region / total
-    rotation_fraction = sum(1 for g in gates if g.name in PAULI_ROTATION_2Q) / total
+    rotation_fraction = sum(1 for g in gates if g.name in PAULI_AXES and len(g.qubits) == 2) / total
 
     overhead = {"pcs": 2, "iceberg": 4}  # ancillas for a typical 2-check / 2-cycle setup
     if clifford_fraction >= cfg.clifford_min:

@@ -37,15 +37,17 @@ ONE_QUBIT_GATES = frozenset(
     n for n, (q, _, _) in GATE_SPECS.items() if q == 1 and n not in ("measure", "reset")
 )
 TWO_QUBIT_GATES = frozenset(n for n, (q, _, _) in GATE_SPECS.items() if q == 2)
-PAULI_ROTATION_2Q = frozenset(("rzz", "rxx", "ryy"))
 
 
 @dataclass(frozen=True)
-class Gate:
-    """A gate kind plus its real parameters (radians)."""
+class Instruction:
+    """A gate kind applied to qubits, with its real parameters (radians) and
+    the clbits it writes."""
 
     name: str
+    qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
+    clbits: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.name not in GATE_SPECS:
@@ -55,21 +57,6 @@ class Gate:
             raise ValueError(
                 f"gate {self.name!r} takes {nparams} parameter(s), got {len(self.params)}"
             )
-
-
-@dataclass(frozen=True)
-class Instruction:
-    gate: Gate
-    qubits: tuple[int, ...]
-    clbits: tuple[int, ...] = ()
-
-    @property
-    def name(self) -> str:
-        return self.gate.name
-
-    @property
-    def params(self) -> tuple[float, ...]:
-        return self.gate.params
 
 
 @dataclass(frozen=True)
@@ -123,8 +110,8 @@ class Circuit:
         return reg
 
     def append(self, name: str, qubits, params=(), clbits=()) -> None:
-        gate = Gate(name, tuple(float(p) for p in params))
-        self.instructions.append(Instruction(gate, tuple(qubits), tuple(clbits)))
+        params = tuple(float(p) for p in params)
+        self.instructions.append(Instruction(name, tuple(qubits), params, tuple(clbits)))
 
     def copy_empty(self) -> "Circuit":
         """A circuit with the same registers and no instructions."""

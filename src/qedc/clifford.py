@@ -1,4 +1,5 @@
-"""Clifford gate recognition, `step_xz` (the one table of named-gate
+"""`PAULI_AXES` (the one table of rotation axes) and the Clifford gate
+sequences derived from it, `step_xz` (the one table of named-gate
 symplectic maps, which moves Pauli X/Z rows for the frame sampler, the
 detector sweep and check scoring), `step_signed` (the same step plus a sign
 row, the one table of signed conjugation), and the tableau of a Clifford U
@@ -17,8 +18,15 @@ from .circuit import Circuit, Instruction
 from .pauli import PauliString
 
 CLIFFORD_NAMED = frozenset(("x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"))
-_ROTATIONS = frozenset(("rz", "rx", "ry"))
-_ROTATIONS_2Q = frozenset(("rzz", "rxx", "ryy"))
+# the one table of rotation axes: the Pauli P of each rotation
+# exp(-i theta P / 2), as its (x, z) bits on each of the gate's qubits; t and
+# tdg are rz(pi/4) and rz(-pi/4) up to a global phase
+PAULI_AXES = {"rz": (0, 1), "t": (0, 1), "tdg": (0, 1), "rzz": (0, 1),
+              "rx": (1, 0), "rxx": (1, 0), "ry": (1, 1), "ryy": (1, 1)}
+# the named gates, in circuit order, before and after rz or rzz that turn its
+# Z into each axis: rx = h rz h, ry = s rx sdg
+_BASIS_CHANGE = {(0, 1): ((), ()), (1, 0): (("h",), ("h",)), (1, 1): (("sdg", "h"), ("h", "s"))}
+_RZ_STEPS = {0: (), 1: ("s",), 2: ("z",), 3: ("sdg",)}
 
 _HALF_PI_TOL = 1e-9
 
@@ -33,56 +41,30 @@ def _half_pi_steps(angle: float) -> int | None:
 
 
 def is_clifford(inst: Instruction) -> bool:
-    name = inst.name
-    if name in CLIFFORD_NAMED:
-        return True
-    if name in _ROTATIONS or name in _ROTATIONS_2Q:
-        return _half_pi_steps(inst.params[0]) is not None
-    return False
+    return clifford_gate_sequence(inst) is not None
 
 
-_RZ_STEPS = {0: [], 1: ["s"], 2: ["z"], 3: ["sdg"]}
+def clifford_gate_sequence(inst: Instruction) -> list[tuple[str, tuple[int, ...]]] | None:
+    """A Clifford instruction as named Clifford gates in circuit order, or
+    None for any other instruction.
 
-
-def clifford_gate_sequence(inst: Instruction) -> list[tuple[str, tuple[int, ...]]]:
-    """Rewrite a Clifford instruction into named Clifford gates.
-
-    rz(k*pi/2) maps onto {I, s, z, sdg}; rx and ry are obtained by basis
-    conjugation (rx = h rz h, ry = sdg-side conjugation of rx).
+    A rotation about `PAULI_AXES` at k*pi/2 is rz or rzz at that angle,
+    {I, s, z, sdg} on each qubit plus a cz for odd k on two (rzz(pi/2) =
+    cz (s x s) up to a global phase), conjugated by its axis' basis change.
     """
-    name = inst.name
+    name, qubits = inst.name, inst.qubits
     if name in CLIFFORD_NAMED:
-        return [(name, inst.qubits)]
-    if name not in _ROTATIONS and name not in _ROTATIONS_2Q:
-        raise ValueError(f"non-Clifford instruction: {name}")
+        return [(name, qubits)]
+    if name not in PAULI_AXES or not inst.params:
+        return None
     steps = _half_pi_steps(inst.params[0])
     if steps is None:
-        raise ValueError(f"non-Clifford rotation angle: {inst.params[0]}")
-    if name in _ROTATIONS_2Q:
-        a, b = inst.qubits
-        # rzz(pi/2) = CZ (S x S) up to global phase; rzz(pi) = Z x Z
-        core = {
-            0: [],
-            1: [("s", (a,)), ("s", (b,)), ("cz", (a, b))],
-            2: [("z", (a,)), ("z", (b,))],
-            3: [("cz", (a, b)), ("sdg", (a,)), ("sdg", (b,))],
-        }[steps]
-        if name == "rzz":
-            return core
-        if name == "rxx":
-            wrap = [("h", (a,)), ("h", (b,))]
-            return wrap + core + wrap
-        pre = [("sdg", (a,)), ("sdg", (b,)), ("h", (a,)), ("h", (b,))]
-        post = [("h", (a,)), ("h", (b,)), ("s", (a,)), ("s", (b,))]
-        return pre + core + post
-    q = inst.qubits
-    core = [(g, q) for g in _RZ_STEPS[steps]]
-    if name == "rz":
-        return core
-    if name == "rx":
-        return [("h", q)] + core + [("h", q)]
-    # ry(theta) = s . rx(theta) . sdg  (circuit order sdg first)
-    return [("sdg", q), ("h", q)] + core + [("h", q), ("s", q)]
+        return None
+    core = [(g, (q,)) for g in _RZ_STEPS[steps] for q in qubits]
+    if len(qubits) == 2 and steps % 2:
+        core = core + [("cz", qubits)] if steps == 1 else [("cz", qubits)] + core
+    pre, post = _BASIS_CHANGE[PAULI_AXES[name]]
+    return [(g, (q,)) for g in pre for q in qubits] + core + [(g, (q,)) for g in post for q in qubits]
 
 
 def step_xz(x: list, z: list, name: str, qubits: tuple[int, ...]) -> None:
@@ -163,9 +145,10 @@ class CliffordTableau:
         self.r = step_signed(self.x, self.z, self.r, name, qubits)
 
     def apply_instruction(self, inst: Instruction) -> None:
-        if not is_clifford(inst):
+        sequence = clifford_gate_sequence(inst)
+        if sequence is None:
             raise ValueError(f"non-Clifford instruction: {inst.name}")
-        for name, qubits in clifford_gate_sequence(inst):
+        for name, qubits in sequence:
             self.apply_named(name, qubits)
 
     def _product(self, chosen: int) -> tuple[int, int, int]:

@@ -13,10 +13,11 @@ Z_q into detector d if the measurement is the last one into a clbit of d (a
 later measurement overwrites the clbit); a reset of q clears both of q's
 rows, and a Clifford gate steps the rows with `clifford.step_xz`
 over its named gates in reverse (every named gate's symplectic map is an
-involution, so g and g† move the x/z bits alike).  Pauli rotations at
-generic angles and t/tdg pass through, which is exact whenever the
-generator cannot itself flip a detector: Iceberg logical generators commute
-with both stabilizers and touch syndrome ancillas an even number of times.
+involution, so g and g† move the x/z bits alike).  The other rotations of
+`clifford.PAULI_AXES` (generic angles, t and tdg) pass through, which is
+exact whenever the generator cannot itself flip a detector: Iceberg logical
+generators commute with both stabilizers and touch syndrome ancillas an
+even number of times.
 One sweep gives the signatures of X_q and Z_q, whose XORs are every
 Pauli's, at every instruction in a few integer XORs per gate, where walking
 each fault forward is quadratic.
@@ -29,10 +30,8 @@ from operator import xor
 from typing import Iterator, Sequence
 
 from .circuit import Instruction
-from .clifford import clifford_gate_sequence, is_clifford, step_xz
+from .clifford import PAULI_AXES, clifford_gate_sequence, step_xz
 from .pauli import PauliString
-
-_ROTATION_LIKE = frozenset(("rz", "rx", "ry", "rzz", "rxx", "ryy", "t", "tdg"))
 
 
 def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Sequence[int],
@@ -63,10 +62,10 @@ def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Seq
                 z[q] ^= 1 << d
         elif name == "reset":
             x[inst.qubits[0]] = z[inst.qubits[0]] = 0
-        elif is_clifford(inst):
-            for gname, qubits in reversed(clifford_gate_sequence(inst)):
+        elif (sequence := clifford_gate_sequence(inst)) is not None:
+            for gname, qubits in reversed(sequence):
                 step_xz(x, z, gname, qubits)
-        elif name not in _ROTATION_LIKE and name != "barrier":
+        elif name not in PAULI_AXES and name != "barrier":
             raise ValueError(f"cannot propagate an error through gate {name!r}")
     yield -1, x, z
 

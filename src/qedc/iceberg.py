@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import transpile_to_gateset
-from .circuit import Circuit, Gate, Instruction, Register, registers
+from .circuit import Circuit, Instruction, Register, registers
 
 
 class IcebergError(Exception):
@@ -97,7 +97,7 @@ class IcebergMeta:
 
 
 def _inst(name, qubits, params=(), clbits=()):
-    return Instruction(Gate(name, tuple(params)), tuple(qubits), tuple(clbits))
+    return Instruction(name, tuple(qubits), tuple(params), tuple(clbits))
 
 
 def iceberg_encode_init(k: int) -> tuple[list[Instruction], IcebergLayout]:

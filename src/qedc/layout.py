@@ -317,10 +317,10 @@ def route(
                 pa, pb = phi[a], phi[b]
                 if not cg.has_edge(pa, pb):
                     raise LayoutError("routing failed to make the gate local")
-            out.instructions.append(Instruction(inst.gate, (pa, pb), inst.clbits))
+            out.instructions.append(Instruction(inst.name, (pa, pb), inst.params, inst.clbits))
         else:
             out.instructions.append(
-                Instruction(inst.gate, tuple(phi[q] for q in inst.qubits), inst.clbits)
+                Instruction(inst.name, tuple(phi[q] for q in inst.qubits), inst.params, inst.clbits)
             )
     return RoutingResult(out, list(layout.map), phi, swaps)
 

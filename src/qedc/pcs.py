@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Region
-from .circuit import Circuit, Gate, Instruction, Register, registers
-from .clifford import clifford_gate_sequence, is_clifford, step_signed
+from .circuit import Circuit, Instruction, Register, registers
+from .clifford import clifford_gate_sequence, step_signed
 from .pauli import PauliString
 
 ANCILLA_QREG = "anc_q"
@@ -109,7 +109,7 @@ class PcsMeta:
 def _localize(instructions: list[Instruction], payload_qubits: tuple[int, ...]):
     remap = {g: i for i, g in enumerate(payload_qubits)}
     return [
-        Instruction(inst.gate, tuple(remap[q] for q in inst.qubits), inst.clbits)
+        Instruction(inst.name, tuple(remap[q] for q in inst.qubits), inst.params, inst.clbits)
         for inst in instructions
         if inst.name != "barrier"
     ]
@@ -159,11 +159,12 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
         raise PcsError("payload touches no qubits")
     if num_checks < 1:
         raise PcsError("num_checks must be >= 1")
-    local = _localize(list(payload), payload_qubits)
-    for inst in local:
+    sequences = []
+    for inst in _localize(list(payload), payload_qubits):
         if inst.name in ("measure", "reset"):
             raise PcsError("payload may not contain measurements or resets")
-        if not is_clifford(inst):
+        sequences.append(clifford_gate_sequence(inst))
+        if sequences[-1] is None:
             raise PcsError(f"payload instruction {inst.name!r} is not Clifford")
 
     lefts = _candidate_rows(k)
@@ -173,9 +174,9 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
 
     x, z = list(lefts[0].copy()), list(lefts[1].copy())
     sign = np.zeros(count, dtype=bool)
-    coverage = np.empty((len(local), 3, k, count), dtype=bool)
-    for f, inst in enumerate(local):
-        for name, qubits in clifford_gate_sequence(inst):
+    coverage = np.empty((len(sequences), 3, k, count), dtype=bool)
+    for f, sequence in enumerate(sequences):
+        for name, qubits in sequence:
             sign = step_signed(x, z, sign, name, qubits)
         coverage[f, 0] = z
         coverage[f, 2] = x
@@ -248,21 +249,21 @@ def insert_pcs(circ: Circuit, region: Region, checks: list[CheckPair]) -> tuple[
     body = out.instructions
     body.extend(circ.instructions[: region.start])
     for i in range(m):
-        body.append(Instruction(Gate("h"), (ancillas[i],)))
+        body.append(Instruction("h", (ancillas[i],)))
     for i in range(m - 1, -1, -1):  # nesting order L_m .. L_1
         for name, qubits in _controlled_pauli(ancillas[i], placed[i].left, payload_qubits):
-            body.append(Instruction(Gate(name), qubits))
+            body.append(Instruction(name, qubits))
     payload_start = len(body)
     body.extend(circ.instructions[region.start:region.end])
     payload_end = len(body)
     for i in range(m):  # R_1 .. R_m
         for name, qubits in _controlled_pauli(ancillas[i], placed[i].right, payload_qubits):
-            body.append(Instruction(Gate(name), qubits))
+            body.append(Instruction(name, qubits))
     for i in range(m):
-        body.append(Instruction(Gate("h"), (ancillas[i],)))
+        body.append(Instruction("h", (ancillas[i],)))
     body.extend(circ.instructions[region.end:])
     for i in range(m):
-        body.append(Instruction(Gate("measure"), (ancillas[i],), (anc_creg.start + i,)))
+        body.append(Instruction("measure", (ancillas[i],), clbits=(anc_creg.start + i,)))
 
     expected = "".join(str(placed[i].expected_bit) for i in range(m - 1, -1, -1))
     meta = PcsMeta(

@@ -156,7 +156,8 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
     outside the sandwich counts as undetectable, so the estimate is an upper
     bound on the keep rate there.  PCS metadata whose payload span acts on
     qubits outside its payload qubits (for example, taken from before
-    routing) raises PostprocessError.
+    routing), whose span or payload qubits lie outside the circuit, or whose
+    ancilla register the circuit lacks at its width raises PostprocessError.
     """
     meta = getattr(meta, "code_meta", meta)
     n = circ.num_qubits
@@ -173,6 +174,12 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
             raise PostprocessError(
                 f"payload span {offset}..{end} acts on qubits {stray} outside the payload "
                 f"qubits {list(qubits)}: the PCS metadata does not describe this circuit")
+        if not (0 <= offset <= end <= len(circ.instructions) and all(0 <= q < n for q in qubits)):
+            raise PostprocessError(
+                f"payload span {offset}..{end} or payload qubits {list(qubits)} lie outside the "
+                f"circuit's {len(circ.instructions)} instructions and {n} qubits: the PCS metadata "
+                "does not describe this circuit")
+        _register(circ.cregs, meta.ancilla_register, meta.num_checks)
         if any(c.right.n != len(qubits) for c in meta.check_pairs):
             raise PostprocessError(f"a right check does not span the {len(qubits)} payload qubits")
         for d, c in enumerate(meta.check_pairs):

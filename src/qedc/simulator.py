@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key
-from .clifford import clifford_gate_sequence, is_clifford, step_xz
+from .circuit import GATE_SPECS, ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key
+from .clifford import PAULI_AXES, clifford_gate_sequence, is_clifford, step_xz
 from .errorprop import depolarizing_signatures, detector_sweep
 from .stabilizer import stabilizer_run
 
@@ -25,8 +25,8 @@ MAX_STATEVECTOR_QUBITS = 14
 
 _SQ2 = 1 / math.sqrt(2)
 
-DEFAULT_GATES_1Q = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "rz", "rx", "ry")
-DEFAULT_GATES_2Q = ("cx", "cz", "swap", "rzz", "rxx", "ryy")
+DEFAULT_GATES_1Q = tuple(g for g in GATE_SPECS if g in ONE_QUBIT_GATES)
+DEFAULT_GATES_2Q = tuple(g for g in GATE_SPECS if g in TWO_QUBIT_GATES)
 
 
 @dataclass
@@ -121,18 +121,18 @@ class SimulationError(Exception):
     pass
 
 
-def _compact(circ: Circuit) -> tuple[Circuit, dict[int, int]]:
+def _compact(circ: Circuit) -> Circuit:
     """Restrict a circuit to the qubits its instructions touch (itself if they are all of them)."""
     used = sorted({q for inst in circ.instructions for q in inst.qubits})
-    remap = {q: i for i, q in enumerate(used)}
     if len(used) == circ.num_qubits:
-        return circ, remap
+        return circ
+    remap = {q: i for i, q in enumerate(used)}
     out = Circuit([Register("q", len(used), 0)], list(circ.cregs), [])
     for inst in circ.instructions:
         out.instructions.append(
-            Instruction(inst.gate, tuple(remap[q] for q in inst.qubits), inst.clbits)
+            Instruction(inst.name, tuple(remap[q] for q in inst.qubits), inst.params, inst.clbits)
         )
-    return out, remap
+    return out
 
 
 class _Permutation(NamedTuple):
@@ -310,12 +310,12 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
         elif (clifford := is_clifford(inst)) and (mono := monomial(name, inst.params)) is not None:
             start = start if run else i
             run.append((qubits, mono))
-        elif _ROTATION_XZ[name][0]:
+        elif PAULI_AXES[name][0]:
             half, columns[i] = inst.params[0] / 2, -1 if clifford else next(counter)
-            rotation(i, qubits, _ROTATION_XZ[name], math.cos(half), math.sin(half))
+            rotation(i, qubits, PAULI_AXES[name], math.cos(half), math.sin(half))
         else:
             mat, columns[i] = gate_matrix(name, inst.params), -1 if clifford else next(counter)
-            rotation(i, qubits, _ROTATION_XZ[name], mat[0, 0], mat[1, 1])
+            rotation(i, qubits, PAULI_AXES[name], mat[0, 0], mat[1, 1])
     close()
     return [_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1,
                 None if inst.name in ("measure", "reset") else tuple(ks),
@@ -465,7 +465,7 @@ def deterministic_distribution(circ: Circuit) -> dict[str, float]:
     measurement has a genuinely random outcome.  Trailing measurements are
     enumerated exactly.
     """
-    compacted, _ = _compact(circ)
+    compacted = _compact(circ)
     n = compacted.num_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
@@ -518,16 +518,11 @@ _RANDOM_TOL = 1e-12
 # the same bound for deterministic_distribution, which forks at a random reset
 _FORK_TOL = 1e-9
 
-# the Pauli P of each rotation exp(-i theta P / 2) that sample() runs on
-# statevectors, as its (x, z) bits on each of the gate's qubits; t and tdg
-# are rz(pi/4) and rz(-pi/4) up to a global phase
-_ROTATION_XZ = {"rz": (0, 1), "t": (0, 1), "tdg": (0, 1), "rzz": (0, 1),
-                "rx": (1, 0), "rxx": (1, 0), "ry": (1, 1), "ryy": (1, 1)}
 
 def _anticommuting(inst, x, z, acc):
     """`acc` XOR the rows, of x and z at the rotation's qubits, that mark
-    the Paulis anticommuting with its Pauli (see _ROTATION_XZ)."""
-    px, pz = _ROTATION_XZ[inst.name]
+    the Paulis anticommuting with its Pauli (see `clifford.PAULI_AXES`)."""
+    px, pz = PAULI_AXES[inst.name]
     for q in inst.qubits:
         if pz:
             acc = acc ^ x[q]
@@ -568,7 +563,7 @@ def _signatures(insts, n: int, nc: int, noisy, rotations=()):
             rows += [0, 0] * (2 - len(qubits)) + [s for q in qubits for s in (z[q], x[q])]
             where.append(i)
         if i in bit:
-            px, pz = _ROTATION_XZ[name]
+            px, pz = PAULI_AXES[name]
             for q in qubits:
                 x[q] ^= bit[i] * px
                 z[q] ^= bit[i] * pz
@@ -630,7 +625,7 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
         return {}
     if noise is None:
         noise = NoiseModel()
-    compacted, _ = _compact(circ)
+    compacted = _compact(circ)
     n = compacted.num_qubits
     noisy = any(noise.gate_error(i) > 0 for i in compacted.instructions)
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ Everything here is built from first principles with numpy kron products so
 the package's own Pauli/Clifford/statevector code is never trusted to verify
 itself.
 """
+import dataclasses
 import itertools
 import math
 
@@ -324,8 +325,7 @@ def step_frames(insts, n: int, nc: int, faults, draws):
     reset clears X.  Returns the (nc, columns) rows of each clbit's last X
     bits and, per non-Clifford rotation's op index, the columns whose frame
     anticommutes with its Pauli just before it."""
-    from qedc.clifford import clifford_gate_sequence, is_clifford, step_xz
-    from qedc.simulator import _ROTATION_XZ
+    from qedc.clifford import PAULI_AXES, clifford_gate_sequence, is_clifford, step_xz
 
     fault_op, fault_col, fault_code = faults
     edges = np.searchsorted(fault_op, np.arange(len(insts) + 1))
@@ -345,8 +345,8 @@ def step_frames(insts, n: int, nc: int, faults, draws):
                 x[q] = np.zeros(shots, dtype=bool)
             z[q] = next(draws)
             continue
-        if inst.name in _ROTATION_XZ and not is_clifford(inst):
-            px, pz = _ROTATION_XZ[inst.name]
+        if inst.name in PAULI_AXES and not is_clifford(inst):
+            px, pz = PAULI_AXES[inst.name]
             anti = np.zeros(shots, dtype=bool)
             for q in inst.qubits:
                 anti = anti ^ (x[q] if pz else False) ^ (z[q] if px else False)
@@ -480,7 +480,7 @@ def tableau_pcs_estimate(circ, meta, noise) -> tuple[float, list[float]]:
     start, end = meta.payload_span
     k = len(meta.payload_qubits)
     local_of = {g: i for i, g in enumerate(meta.payload_qubits)}
-    payload = [inst.__class__(inst.gate, tuple(local_of[q] for q in inst.qubits), inst.clbits)
+    payload = [dataclasses.replace(inst, qubits=tuple(local_of[q] for q in inst.qubits))
                for inst in circ.instructions[start:end]]
     suffix = _suffix_tableaux(payload, k)
     rights = [c.right for c in meta.check_pairs]

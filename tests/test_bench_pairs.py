@@ -83,8 +83,9 @@ def test_json_holds_the_runs_and_the_summary(monkeypatch, tmp_path):
     runs["change"][0]["metrics"]["pipeline_s"] = 0.5
     args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=3, parent="HEAD~1", claim=None)
     path = tmp_path / "bench.json"
-    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
+    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs, {"parent": 120, "change": 100})
     out = json.loads(path.read_text())
+    assert out["source_lines"] == {"parent": 120, "change": 100}
     assert (out["workload"], out["seed"], out["pairs"], out["parent"]) == ("pcs_wide", 7, 3, "HEAD~1")
     assert out["runs"] == runs
     lower = out["metrics"]["pipeline_s"]
@@ -94,6 +95,16 @@ def test_json_holds_the_runs_and_the_summary(monkeypatch, tmp_path):
     assert out["metrics"]["shots_per_s"]["wins"] == 0
     assert out["failed"]["change"] == {"failed": 6, "attempted": 39, "share": 6 / 39}
     assert out["failure_verdict"] == "more-failures"
+
+
+def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "qedc"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n\n\nw = 4")  # no newline at the end
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.source_lines(tmp_path) == 5  # wc -l counts newlines
 
 
 TEN = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]  # median 1.0, IQR 0.9925-1.0075
@@ -135,7 +146,7 @@ def test_claim_is_printed_and_written(monkeypatch, tmp_path, capsys):
     assert "claim shots_per_s: 3/3 pairs won" in capsys.readouterr().out
     args = argparse.Namespace(workload="iceberg_qaoa", seed=7, pairs=3, parent="HEAD", claim="shots_per_s")
     path = tmp_path / "bench.json"
-    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
+    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs, {"parent": 1, "change": 1})
     out = json.loads(path.read_text())
     assert out["claim"] == {"metric": "shots_per_s", "wins": 3, "pairs": 3, "gain": 1.0,
                             "parent_iqr": 0.0, "verdict": "claim met"}
@@ -161,7 +172,7 @@ def test_an_incorrect_run_gives_its_side_the_incorrect_verdict(monkeypatch, tmp_
     assert "change incorrect runs: 1 of 3: incorrect" in out
     args = argparse.Namespace(workload="pcs_wide", seed=7, pairs=3, parent="HEAD", claim=None)
     path = tmp_path / "bench.json"
-    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs)
+    bench_pairs.write_json(path, args, [LOWER, HIGHER], runs, {"parent": 1, "change": 1})
     written = json.loads(path.read_text())
     assert written["correct"] == {"parent": {"incorrect": 0, "runs": 3, "verdict": "ok"},
                                   "change": {"incorrect": 1, "runs": 3, "verdict": "incorrect"}}

@@ -2,7 +2,6 @@ import pytest
 
 from qedc.circuit import (
     Circuit,
-    Gate,
     Instruction,
     Register,
     counts_key,
@@ -33,11 +32,11 @@ def test_register_indexing_is_global():
 
 def test_gate_param_arity_enforced():
     with pytest.raises(ValueError):
-        Gate("rz")  # missing angle
+        Instruction("rz", (0,))  # missing angle
     with pytest.raises(ValueError):
-        Gate("h", (0.5,))
+        Instruction("h", (0,), (0.5,))
     with pytest.raises(ValueError):
-        Gate("nonsense")
+        Instruction("nonsense", (0,))
 
 
 def test_validate_clean_circuit():
@@ -46,9 +45,9 @@ def test_validate_clean_circuit():
 
 def test_validate_flags_violations():
     c = bell()
-    c.instructions.append(Instruction(Gate("cx"), (0, 0)))          # duplicate qubit
-    c.instructions.append(Instruction(Gate("x"), (9,)))             # out of bounds
-    c.instructions.append(Instruction(Gate("cx"), (0,)))            # bad arity
+    c.instructions.append(Instruction("cx", (0, 0)))          # duplicate qubit
+    c.instructions.append(Instruction("x", (9,)))             # out of bounds
+    c.instructions.append(Instruction("cx", (0,)))            # bad arity
     codes = sorted(d.code for d in validate(c))
     assert codes == ["arity", "duplicate-qubit", "out-of-bounds"]
 

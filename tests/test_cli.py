@@ -31,6 +31,20 @@ measure q[0] -> c[0];
 measure q[1] -> c[1];
 """
 
+GHZ4_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+creg c[4];
+h q[0];
+cx q[0],q[1];
+cx q[1],q[2];
+cx q[2],q[3];
+measure q[0] -> c[0];
+measure q[1] -> c[1];
+measure q[2] -> c[2];
+measure q[3] -> c[3];
+"""
+
 
 @pytest.fixture
 def bell(tmp_path):
@@ -486,6 +500,30 @@ def test_estimate_of_routed_pcs_meta_exits_mismatch(tmp_path, capsys):
     assert err["error"] == "mismatch"
     assert "outside the payload qubits" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("meta_of", ["bell", "ghz4"])
+def test_estimate_with_the_meta_of_another_circuit_exits_mismatch(bell, tmp_path, capsys, meta_of):
+    """Bell's PCS meta on the input Bell circuit, and a 4-qubit GHZ
+    circuit's PCS meta on the compiled Bell circuit."""
+    compiled, meta, noise = tmp_path / "c.qasm", tmp_path / "m.json", tmp_path / "noise.json"
+    assert main(["compile", str(bell), "--code", "pcs", "--checks", "1",
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    circuit = bell
+    if meta_of == "ghz4":  # its meta replaces Bell's
+        ghz4 = tmp_path / "ghz4.qasm"
+        ghz4.write_text(GHZ4_QASM)
+        assert main(["compile", str(ghz4), "--code", "pcs", "--checks", "1",
+                     "--out", str(tmp_path / "g.qasm"), "--meta-out", str(meta)]) == 0
+        circuit = compiled
+    noise.write_text(json.dumps({"p1": 0.001, "p2": 0.01}))
+    capsys.readouterr()
+    assert main(["estimate", str(circuit), "--meta", str(meta), "--noise", str(noise)]) == EXIT_COMPILE
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "mismatch"
+    assert "lie outside the circuit" in err["message"]
+    assert captured.out == ""
 
 
 def test_estimate_without_a_detection_code_exits_compile(bell, tmp_path, capsys):

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from qedc.circuit import Circuit, Gate, Instruction
+from qedc.circuit import Circuit, Instruction
 from qedc.clifford import (
+    PAULI_AXES,
     clifford_gate_sequence,
     conjugate,
     is_clifford,
@@ -14,6 +15,7 @@ from qedc.clifford import (
     tableau_from_circuit,
 )
 from qedc.pauli import PauliString
+from qedc.simulator import gate_matrix
 
 from oracles import circuit_unitary, conj_named, is_symplectic, pauli_matrix
 
@@ -90,7 +92,7 @@ def test_conj_named_matches_dense_conjugation():
     gates += [(2, g, (q,)) for g in CLIFFORD_1Q for q in range(2)]
     gates += [(2, g, qs) for g in CLIFFORD_2Q for qs in ((0, 1), (1, 0))]
     for n, name, qubits in gates:
-        u = circuit_unitary([Instruction(Gate(name), qubits)], n)
+        u = circuit_unitary([Instruction(name, qubits)], n)
         for x in range(1 << n):
             for z in range(1 << n):
                 for phase in (0, 2):
@@ -219,11 +221,60 @@ def test_clifford_gate_sequence_preserves_unitary():
         for inst in circ.instructions:
             for name, qubits in clifford_gate_sequence(inst):
                 named.append((name, qubits))
-        seq = [Instruction(Gate(nm), qs) for nm, qs in named]
+        seq = [Instruction(nm, qs) for nm, qs in named]
         u1 = circuit_unitary(circ.instructions, n)
         u2 = circuit_unitary(seq, n)
         overlap = abs(np.trace(u1.conj().T @ u2)) / 2 ** n
         assert overlap > 1 - 1e-9
+
+
+@pytest.mark.parametrize("name, qubits, params", [
+    ("t", (0,), ()), ("tdg", (0,), ()), ("rz", (0,), (0.3,)), ("rzz", (0, 1), (0.3,)),
+    ("measure", (0,), ()), ("reset", (0,), ()), ("barrier", (0, 1), ()),
+])
+def test_clifford_gate_sequence_is_none_for_a_non_clifford_instruction(name, qubits, params):
+    inst = Instruction(name, qubits, params, (0,) if name == "measure" else ())
+    assert clifford_gate_sequence(inst) is None
+    assert not is_clifford(inst)
+
+
+# each rotation at k*pi/2, k = 0..3, as named gates on qubit 1 or on
+# qubits (2, 0), written "gate[qubits]"
+_PINNED_SEQUENCES = {
+    "rz": ["", "s[1]", "z[1]", "sdg[1]"],
+    "rx": ["h[1] h[1]", "h[1] s[1] h[1]", "h[1] z[1] h[1]", "h[1] sdg[1] h[1]"],
+    "ry": ["sdg[1] h[1] h[1] s[1]", "sdg[1] h[1] s[1] h[1] s[1]", "sdg[1] h[1] z[1] h[1] s[1]",
+           "sdg[1] h[1] sdg[1] h[1] s[1]"],
+    "rzz": ["", "s[2] s[0] cz[2,0]", "z[2] z[0]", "cz[2,0] sdg[2] sdg[0]"],
+    "rxx": ["h[2] h[0] h[2] h[0]", "h[2] h[0] s[2] s[0] cz[2,0] h[2] h[0]",
+            "h[2] h[0] z[2] z[0] h[2] h[0]", "h[2] h[0] cz[2,0] sdg[2] sdg[0] h[2] h[0]"],
+    "ryy": ["sdg[2] sdg[0] h[2] h[0] h[2] h[0] s[2] s[0]",
+            "sdg[2] sdg[0] h[2] h[0] s[2] s[0] cz[2,0] h[2] h[0] s[2] s[0]",
+            "sdg[2] sdg[0] h[2] h[0] z[2] z[0] h[2] h[0] s[2] s[0]",
+            "sdg[2] sdg[0] h[2] h[0] cz[2,0] sdg[2] sdg[0] h[2] h[0] s[2] s[0]"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SEQUENCES))
+def test_clifford_gate_sequences_are_pinned(name):
+    assert sorted(_PINNED_SEQUENCES) == sorted(n for n in PAULI_AXES if n not in ("t", "tdg"))
+    qubits = (2, 0) if len(name) == 3 else (1,)
+    for k, want in enumerate(_PINNED_SEQUENCES[name]):
+        seq = clifford_gate_sequence(Instruction(name, qubits, (k * math.pi / 2,)))
+        assert " ".join(f"{g}[{','.join(map(str, qs))}]" for g, qs in seq) == want, k
+
+
+@pytest.mark.parametrize("name", sorted(PAULI_AXES))
+def test_pauli_axes_agree_with_gate_matrices(name):
+    """Each rotation is exp(-i theta P / 2) for its PAULI_AXES Pauli P, up
+    to a global phase; t and tdg are rz(pi/4) and rz(-pi/4)."""
+    x, z = PAULI_AXES[name]
+    theta = {"t": math.pi / 4, "tdg": -math.pi / 4}.get(name, 0.37)
+    got = gate_matrix(name, () if name in ("t", "tdg") else (theta,))
+    p = pauli_matrix("IZXY"[2 * x + z] * (len(got) // 2))
+    want = math.cos(theta / 2) * np.eye(len(p)) - 1j * math.sin(theta / 2) * p
+    phase = np.vdot(want, got) / np.vdot(want, want)
+    assert abs(abs(phase) - 1) < 1e-12 and np.allclose(got, phase * want, rtol=0, atol=1e-12)
 
 
 def test_conjugate_requires_hermitian():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -159,8 +160,7 @@ def test_detection_flags_exactly_the_anticommuting_faults():
                 rest = [inst for inst in sand.instructions[boundary:end]]
                 p = local_err
                 for inst in rest:
-                    loc = inst.__class__(inst.gate, tuple(local_of[x] for x in inst.qubits),
-                                         inst.clbits)
+                    loc = dataclasses.replace(inst, qubits=tuple(local_of[x] for x in inst.qubits))
                     for nm, qs in clifford_gate_sequence(loc):
                         p = conj_named(p, nm, qs)
                 predicted = any(not p.commutes_with(c.right) for c in meta.check_pairs)

@@ -297,6 +297,36 @@ def test_overhead_rejects_hand_edited_pcs_metadata():
         estimate_overhead(sand, PcsMeta.from_dict(edited), noise)
 
 
+def _bell(n=2):
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", n)
+    c.append("h", (0,))
+    for q in range(n - 1):
+        c.append("cx", (q, q + 1))
+    for q in range(n):
+        c.append("measure", (q,), clbits=(q,))
+    return c
+
+
+def test_overhead_rejects_pcs_metadata_of_another_circuit():
+    noise = NoiseModel(p1=1e-3, p2=1e-2)
+    bell = _bell()
+    sand, meta = compile_circuit(bell, code="pcs", checks=1)
+    assert meta.code_meta.payload_span == (3, 5)
+    assert 0 < estimate_overhead(sand, meta, noise).keep_rate < 1
+    # the input circuit has 4 instructions, and no ancilla register
+    with pytest.raises(PostprocessError, match=r"span 3\.\.5 .* lie outside the circuit's 4 instructions"):
+        estimate_overhead(bell, meta, noise)
+    # a 4-qubit payload on the 3-qubit compiled Bell circuit
+    _, wide = compile_circuit(_bell(4), code="pcs", checks=1)
+    with pytest.raises(PostprocessError, match=r"qubits \[0, 1, 2, 3\] lie outside .* 3 qubits"):
+        estimate_overhead(sand, wide, noise)
+    renamed = PcsMeta.from_dict({**meta.code_meta.to_dict(), "ancilla_register": "checks"})
+    with pytest.raises(PostprocessError, match="no 1-bit classical register 'checks'"):
+        estimate_overhead(sand, renamed, noise)
+
+
 @pytest.mark.parametrize("routed, want", [(False, 0.7732301811462718), (True, 0.2150080364763084)],
                          ids=["unrouted", "heavy-hex"])
 def test_overhead_at_14_detectors_keeps_the_convolved_keep_rate(routed, want):

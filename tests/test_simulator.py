@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import qedc.simulator as simulator
-from qedc.circuit import GATE_SPECS, Circuit, Gate, Instruction
-from qedc.clifford import is_clifford
+from qedc.circuit import GATE_SPECS, Circuit, Instruction
+from qedc.clifford import PAULI_AXES, is_clifford
 from qedc.simulator import (
     MAX_STATEVECTOR_QUBITS,
     NoiseModel,
@@ -107,7 +107,7 @@ def test_kernels_match_dense_matrices(name):
             qubits = tuple(int(q) for q in rng.permutation(n)[:k])
             turns = rng.integers(-4, 5, nparams) * math.pi / 2
             params = tuple(float(p) for p in (turns if trial % 2 else rng.uniform(-3, 3, nparams)))
-            inst = Instruction(Gate(name, params), qubits)
+            inst = Instruction(name, qubits, params)
             (op,) = simulator._program([inst], n)
             batch = simulator._Batch(2, n)
             batch.psi[:] = rng.normal(size=(2, 2 ** n)) + 1j * rng.normal(size=(2, 2 ** n))
@@ -220,7 +220,7 @@ def test_batch_fit_grows_with_zeros_and_shrinks_exactly():
     assert batch.psi.shape == (3, 4) and np.array_equal(batch.psi[:2], rows[:2])
     # a kernel on the low qubits runs on the low block alone, as it would
     # on the whole row
-    inst = Instruction(Gate("ryy", (0.8,)), (1, 0))
+    inst = Instruction("ryy", (1, 0), (0.8,))
     (op,) = simulator._program([inst], 4)
     batch.apply(op.kernels, 2, np.array([False, True]))
     full = simulator._Batch(2, 4)
@@ -250,7 +250,7 @@ def test_iceberg_ancillas_leave_the_rows_after_each_reset_round():
     names = [op.name for op in ops]
     assert names[6:8] == ["measure", "reset"] and names[20:24] == ["measure"] * 2 + ["reset"] * 2
     assert [op.width for op in ops] == [5] * 8 + [4] * 2 + [6] * 14 + [4] * 5
-    assert simulator._compact(compiled)[0] is compiled  # nothing to compact
+    assert simulator._compact(compiled) is compiled  # nothing to compact
 
 
 def test_norm_preserved():
@@ -710,7 +710,7 @@ def test_sampling_matches_noisy_density_matrix_5sigma(circ, noise):
                     noisy_distribution(circ, noise), shots)
 
 
-@pytest.mark.parametrize("name", sorted(simulator._ROTATION_XZ))
+@pytest.mark.parametrize("name", sorted(PAULI_AXES))
 def test_frames_pass_rotations_with_the_sign_rule(name):
     """gate(theta) F = phase F gate(±theta) for every Pauli F on the gate's
     qubits, with - where _signatures marks F, a fault on the gate before,
@@ -741,7 +741,7 @@ def test_frames_pass_rotations_with_the_sign_rule(name):
 
     # qubits listed high bit first, so the matrix basis is the state basis
     qubits = tuple(reversed(range(k)))
-    insts = [Instruction(c.instructions[1].gate, qubits)]
+    insts = [Instruction(name, qubits, params)]
     batch = simulator._Batch(2, k)
     rng = np.random.default_rng(1)
     batch.psi[:] = rng.normal(size=(2, 2 ** k)) + 1j * rng.normal(size=(2, 2 ** k))
@@ -764,7 +764,7 @@ def test_signatures_match_the_forward_frame_stepper(n, nc, length):
     for trial in range(6):
         insts = [i for i in _random_circuit(rng, n, length, nc).instructions if i.name != "barrier"]
         rotations = [i for i, inst in enumerate(insts)
-                     if inst.name in simulator._ROTATION_XZ and not is_clifford(inst)]
+                     if inst.name in PAULI_AXES and not is_clifford(inst)]
         if n == 5:
             assert nc + len(rotations) > 64  # signatures span more than one word
         errors = [(0.0, 1) if inst.name in ("measure", "reset")
@@ -793,7 +793,7 @@ def test_signatures_match_the_forward_frame_stepper(n, nc, length):
 
 def _random_ops(circ):
     """The ops before the trailing measurements that _may_be_random flags."""
-    compacted, _ = simulator._compact(circ)
+    compacted = simulator._compact(circ)
     insts = [i for i in compacted.instructions if i.name != "barrier"]
     ops = simulator._program(insts, compacted.num_qubits)
     tail = simulator._terminal_start(ops)

@@ -18,7 +18,10 @@ is shown (see `claim`).  Each side whose runs include one that
 A run that exits non-zero stops the script with its side, its exit code
 and the last lines of its stderr.  With `--json PATH` it also writes every
 run's metrics and correct flag, the medians, quartiles and verdicts, the
-failed shares, the correctness verdicts and the claim to PATH.
+failed shares, the correctness verdicts and the claim to PATH.  Both the
+printout and the JSON also give the line count of `src/qedc/*.py` on each
+side, as `wc -l` counts it, so a change that removes code reports its line
+delta with its bench numbers.
 """
 from __future__ import annotations
 
@@ -62,6 +65,11 @@ STDERR_TAIL = 20
 
 class RunError(Exception):
     """A benchmark run that exited non-zero."""
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of `src/qedc/*.py` in `tree`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "qedc").glob("*.py"))
 
 
 def run_once(tree: Path, args) -> dict:
@@ -203,10 +211,13 @@ def report(specs: list[dict], runs: dict[str, list[dict]], claimed: str | None =
               f"{c['gain']:.6g} against parent IQR {c['parent_iqr']:.6g}: {c['verdict']}")
 
 
-def write_json(path: Path, args, specs: list[dict], runs: dict[str, list[dict]]) -> None:
-    """The settings, every run and the summary, as one JSON object."""
+def write_json(path: Path, args, specs: list[dict], runs: dict[str, list[dict]],
+               lines: dict[str, int]) -> None:
+    """The settings, each side's source lines, every run and the summary,
+    as one JSON object."""
     out = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-           "parent": args.parent, "runs": runs, **summary(specs, runs, args.claim)}
+           "parent": args.parent, "source_lines": lines, "runs": runs,
+           **summary(specs, runs, args.claim)}
     path.write_text(json.dumps(out, indent=1) + "\n")
 
 
@@ -220,7 +231,9 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-        runs = run_pairs({"parent": parent_tree, "change": ROOT}, args)
+        trees = {"parent": parent_tree, "change": ROOT}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
+        runs = run_pairs(trees, args)
     except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -228,8 +241,10 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
     report(specs, runs, args.claim)
+    print(f"src/qedc/*.py lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     if args.json:
-        write_json(args.json, args, specs, runs)
+        write_json(args.json, args, specs, runs, lines)
     return 0
 
 
