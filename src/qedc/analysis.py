@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, Instruction
-from .clifford import PAULI_AXES, is_clifford
+from .clifford import BASIS_CHANGE, PAULI_AXES, is_clifford
 
 GATESETS = {
     "pcs-default": frozenset(
@@ -64,11 +64,7 @@ def _h_seq(q):
 
 
 def _rot_1q(q, name, theta):
-    """Any named/rotation 1q gate as an rz/rx sequence (up to global phase)."""
-    if name == "rz":
-        return [("rz", (q,), (theta,))]
-    if name == "rx":
-        return [("rx", (q,), (theta,))]
+    """A 1q gate other than rz and rx as an rz/rx sequence (up to global phase)."""
     if name == "ry":
         return [("rz", (q,), (-_PI / 2,)), ("rx", (q,), (theta,)), ("rz", (q,), (_PI / 2,))]
     fixed = {
@@ -84,6 +80,16 @@ def _rot_1q(q, name, theta):
     return fixed[name]
 
 
+def _on_axis(inst: Instruction, core: list, named) -> list:
+    """`core`, a rotation about Z on each of inst's qubits, turned onto inst's
+    axis by the named gates of `BASIS_CHANGE`, qubit by qubit, each written
+    out by `named(qubit, gate)`."""
+    pre, post = BASIS_CHANGE[PAULI_AXES[inst.name]]
+    def side(gates):
+        return [step for q in inst.qubits for g in gates for step in named(q, g)]
+    return side(pre) + core + side(post)
+
+
 def _cz_iceberg(c, t):
     # CZ = e^{i pi/4} Rzz(-pi/2) (Rz(pi/2) ⊗ Rz(pi/2))
     return [("rz", (c,), (_PI / 2,)), ("rz", (t,), (_PI / 2,)), ("rzz", (c, t), (-_PI / 2,))]
@@ -94,13 +100,10 @@ def _cx_iceberg(c, t):
 
 
 def _expand_iceberg(inst: Instruction) -> list[tuple[str, tuple[int, ...], tuple[float, ...]]]:
+    """A gate outside iceberg-logical, other than measure, reset and barrier,
+    as iceberg-logical gates."""
     name = inst.name
     q = inst.qubits
-    if name in ("rz", "rx", "rzz", "rxx"):
-        return [(name, q, inst.params)]
-    if name in ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "ry"):
-        theta = inst.params[0] if inst.params else 0.0
-        return _rot_1q(q[0], name, theta)
     if name == "cx":
         return _cx_iceberg(*q)
     if name == "cz":
@@ -109,37 +112,17 @@ def _expand_iceberg(inst: Instruction) -> list[tuple[str, tuple[int, ...], tuple
         a, b = q
         return _cx_iceberg(a, b) + _cx_iceberg(b, a) + _cx_iceberg(a, b)
     if name == "ryy":
-        # conjugate rzz by V = S·H on both qubits (V Z V† = Y)
-        (theta,) = inst.params
-        a, b = q
-        pre = []
-        post = []
-        for qq in (a, b):
-            pre += _rot_1q(qq, "sdg", 0.0) + _h_seq(qq)
-            post += _h_seq(qq) + _rot_1q(qq, "s", 0.0)
-        return pre + [("rzz", (a, b), (theta,))] + post
-    raise TranspileError(f"gate {name!r} cannot be transpiled to iceberg-logical")
+        return _on_axis(inst, [("rzz", q, inst.params)], lambda qq, g: _rot_1q(qq, g, 0.0))
+    theta = inst.params[0] if inst.params else 0.0
+    return _rot_1q(q[0], name, theta)
 
 
 def _expand_pcs(inst: Instruction) -> list[tuple[str, tuple[int, ...], tuple[float, ...]]]:
-    name = inst.name
-    if name in GATESETS["pcs-default"]:
-        return [(name, inst.qubits, inst.params)]
+    """rzz, rxx or ryy, the gates outside pcs-default, as pcs-default gates."""
     (theta,) = inst.params
     a, b = inst.qubits
-    if name == "rzz":
-        return [("cx", (a, b), ()), ("rz", (b,), (theta,)), ("cx", (a, b), ())]
-    if name == "rxx":
-        return (
-            [("h", (a,), ()), ("h", (b,), ())]
-            + [("cx", (a, b), ()), ("rz", (b,), (theta,)), ("cx", (a, b), ())]
-            + [("h", (a,), ()), ("h", (b,), ())]
-        )
-    if name == "ryy":
-        pre = [("sdg", (a,), ()), ("h", (a,), ()), ("sdg", (b,), ()), ("h", (b,), ())]
-        post = [("h", (a,), ()), ("s", (a,), ()), ("h", (b,), ()), ("s", (b,), ())]
-        return pre + [("cx", (a, b), ()), ("rz", (b,), (theta,)), ("cx", (a, b), ())] + post
-    raise TranspileError(f"gate {name!r} cannot be transpiled to pcs-default")
+    core = [("cx", (a, b), ()), ("rz", (b,), (theta,)), ("cx", (a, b), ())]
+    return _on_axis(inst, core, lambda q, g: [(g, (q,), ())])
 
 
 def transpile_to_gateset(circ: Circuit, target: str) -> Circuit:
@@ -175,13 +158,8 @@ def transpile_to_gateset(circ: Circuit, target: str) -> Circuit:
             out.instructions.append(inst)
             continue
         expand = _expand_iceberg if target == "iceberg-logical" else _expand_pcs
-        try:
-            for gname, qubits, params in expand(inst):
-                out.append(gname, qubits, params)
-        except TranspileError:
-            raise TranspileError(
-                f"gate {name!r} at instruction {idx} cannot be transpiled to {target}", idx
-            )
+        for gname, qubits, params in expand(inst):
+            out.append(gname, qubits, params)
     return out
 
 

@@ -24,8 +24,9 @@ CLIFFORD_NAMED = frozenset(("x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"))
 PAULI_AXES = {"rz": (0, 1), "t": (0, 1), "tdg": (0, 1), "rzz": (0, 1),
               "rx": (1, 0), "rxx": (1, 0), "ry": (1, 1), "ryy": (1, 1)}
 # the named gates, in circuit order, before and after rz or rzz that turn its
-# Z into each axis: rx = h rz h, ry = s rx sdg
-_BASIS_CHANGE = {(0, 1): ((), ()), (1, 0): (("h",), ("h",)), (1, 1): (("sdg", "h"), ("h", "s"))}
+# Z into each axis: rx = h rz h, ry = s rx sdg; the one table of basis
+# changes, which transpilation reads too
+BASIS_CHANGE = {(0, 1): ((), ()), (1, 0): (("h",), ("h",)), (1, 1): (("sdg", "h"), ("h", "s"))}
 _RZ_STEPS = {0: (), 1: ("s",), 2: ("z",), 3: ("sdg",)}
 
 _HALF_PI_TOL = 1e-9
@@ -63,7 +64,7 @@ def clifford_gate_sequence(inst: Instruction) -> list[tuple[str, tuple[int, ...]
     core = [(g, (q,)) for g in _RZ_STEPS[steps] for q in qubits]
     if len(qubits) == 2 and steps % 2:
         core = core + [("cz", qubits)] if steps == 1 else [("cz", qubits)] + core
-    pre, post = _BASIS_CHANGE[PAULI_AXES[name]]
+    pre, post = BASIS_CHANGE[PAULI_AXES[name]]
     return [(g, (q,)) for g in pre for q in qubits] + core + [(g, (q,)) for g in post for q in qubits]
 
 

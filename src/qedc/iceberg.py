@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import transpile_to_gateset
+from .analysis import TranspileError, transpile_to_gateset
 from .circuit import Circuit, Instruction, Register, registers
 
 
@@ -190,10 +190,10 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
         raise IcebergError(f"logical qubit count must be even and >= 2, got {k}")
     if cycles < 0:
         raise IcebergError("cycle count must be >= 0")
-    logical = transpile_to_gateset(_strip_trailing_measures(circ), "iceberg-logical")
-    for inst in logical.instructions:
-        if inst.name in ("measure", "reset"):
-            raise IcebergError("mid-circuit measurement is not supported")
+    try:
+        logical = transpile_to_gateset(_strip_trailing_measures(circ), "iceberg-logical")
+    except TranspileError as exc:
+        raise IcebergError(str(exc)) from exc
 
     frag, layout = iceberg_encode_init(k)
     meta = IcebergMeta(IcebergLayout(k, layout.data_qubits, layout.ancillas, cycles))
@@ -207,20 +207,14 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     synd = regs.get(meta.cycle_register)
     meas = regs[meta.readout_register]
 
-    positions = _cycle_positions(len(logical.instructions), cycles)
-    next_cycle = 0
-    for idx, inst in enumerate(logical.instructions):
-        while next_cycle < cycles and positions[next_cycle] == idx:
-            bits = (synd.start + 2 * next_cycle, synd.start + 2 * next_cycle + 1)
+    gates = logical.instructions  # transpiling drops barriers
+    bounds = [0] + _cycle_positions(len(gates), cycles) + [len(gates)]
+    for j, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        for inst in gates[start:end]:
+            out.instructions.extend(map_logical_gate(inst, layout))
+        if j < cycles:
+            bits = (synd.start + 2 * j, synd.start + 2 * j + 1)
             out.instructions.extend(syndrome_cycle(layout, bits))
-            next_cycle += 1
-        if inst.name == "barrier":
-            continue
-        out.instructions.extend(map_logical_gate(inst, layout))
-    while next_cycle < cycles:
-        bits = (synd.start + 2 * next_cycle, synd.start + 2 * next_cycle + 1)
-        out.instructions.extend(syndrome_cycle(layout, bits))
-        next_cycle += 1
 
     for i, d in enumerate(layout.data_qubits):
         out.instructions.append(_inst("measure", (d,), clbits=(meas.start + i,)))

@@ -80,30 +80,19 @@ def heavy_hex_127() -> CouplingGraph:
     """A 127-node heavy-hex lattice: seven qubit rows joined by bridge qubits,
     degree <= 3 throughout."""
     row_cols = [range(0, 14), *(range(0, 15) for _ in range(5)), range(1, 15)]
-    index: dict[tuple[int, int], int] = {}
-    nxt = 0
     edges: list[tuple[int, int]] = []
+    row: dict[int, int] = {}  # column -> node, of the latest row
+    n = 0
     for r, cols in enumerate(row_cols):
-        cols = list(cols)
-        for c in cols:
-            index[(r, c)] = nxt
-            nxt += 1
-        for a, b in zip(cols, cols[1:]):
-            edges.append((index[(r, a)], index[(r, b)]))
-        if r > 0:
-            bridge_cols = (0, 4, 8, 12) if (r - 1) % 2 == 0 else (2, 6, 10, 14)
-            for c in bridge_cols:
-                bridge = nxt
-                nxt += 1
-                edges.append((index[(r - 1, c)], bridge))
-                # defer the downward edge until this row is registered
-                index[("bridge", r, c)] = bridge
-        # connect bridges from the previous gap down into this row
-        for c in (0, 4, 8, 12, 2, 6, 10, 14):
-            key = ("bridge", r, c)
-            if key in index and (r, c) in index:
-                edges.append((index[key], index[(r, c)]))
-    return CouplingGraph(nxt, edges)
+        above, row = row, {c: n + i for i, c in enumerate(cols)}
+        n += len(cols)
+        edges += [(row[c], row[c + 1]) for c in cols[:-1]]
+        # the bridges up to the row above, numbered after this row
+        bridges = {c: n + i for i, c in enumerate(range(0 if r % 2 else 2, 15, 4) if r else ())}
+        edges += [(above[c], b) for c, b in bridges.items()]
+        edges += [(b, row[c]) for c, b in bridges.items()]
+        n += len(bridges)
+    return CouplingGraph(n, edges)
 
 
 @dataclass
@@ -176,12 +165,11 @@ def vf2_layouts(
                 continue
             assignment[q] = phys
             used.add(phys)
-            if backtrack(pos + 1):
-                del assignment[q]
-                used.discard(phys)
-                return True
+            done = backtrack(pos + 1)
             del assignment[q]
             used.discard(phys)
+            if done:
+                return True
         return False
 
     backtrack(0)
@@ -286,42 +274,29 @@ def route(
     if len(layout.map) < n_log:
         raise LayoutError("layout does not cover all circuit qubits")
     phi = list(layout.map)  # logical -> physical
+    at: list[int | None] = [None] * cg.num_nodes  # physical -> logical
+    for q, p in enumerate(phi):
+        at[p] = q
     out = Circuit([Register("q", cg.num_nodes, 0)], list(circ.cregs), [])
     swaps = 0
-
-    def protected_phys() -> set[int]:
-        return {phi[q] for q in protected}
-
     for inst in circ.instructions:
         if len(inst.qubits) == 2 and inst.name != "barrier":
             a, b = inst.qubits
-            pa, pb = phi[a], phi[b]
-            if not cg.has_edge(pa, pb):
-                path = _protected_path(cg, pa, pb, protected_phys())
-                # walk qubit at pa along the path until adjacent to pb
-                rev = {p: q for q, p in enumerate(phi)}
+            if not cg.has_edge(phi[a], phi[b]):
+                path = _protected_path(cg, phi[a], phi[b], {phi[q] for q in protected})
+                # walk qubit a along the path until adjacent to qubit b
                 for u, v in zip(path, path[1:-1]):
                     out.append("swap", (u, v))
-                    swaps += 1
-                    qu, qv = rev.get(u), rev.get(v)
-                    if qu is not None:
-                        phi[qu] = v
-                        rev[v] = qu
-                    else:
-                        rev.pop(v, None)
-                    if qv is not None:
-                        phi[qv] = u
-                        rev[u] = qv
-                    else:
-                        rev.pop(u, None)
-                pa, pb = phi[a], phi[b]
-                if not cg.has_edge(pa, pb):
+                    at[u], at[v] = at[v], at[u]
+                    for p in (u, v):
+                        if at[p] is not None:
+                            phi[at[p]] = p
+                if not cg.has_edge(phi[a], phi[b]):
                     raise LayoutError("routing failed to make the gate local")
-            out.instructions.append(Instruction(inst.name, (pa, pb), inst.params, inst.clbits))
-        else:
-            out.instructions.append(
-                Instruction(inst.name, tuple(phi[q] for q in inst.qubits), inst.params, inst.clbits)
-            )
+                swaps += len(path) - 2
+        out.instructions.append(
+            Instruction(inst.name, tuple(phi[q] for q in inst.qubits), inst.params, inst.clbits)
+        )
     return RoutingResult(out, list(layout.map), phi, swaps)
 
 

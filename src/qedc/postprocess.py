@@ -233,7 +233,7 @@ def normalize_counts(counts: dict[str, int]) -> dict[str, float]:
 
 
 def tvd(p: dict[str, float], q: dict[str, float]) -> float:
-    keys = set(p) | set(q)
+    keys = sorted(set(p) | set(q))  # a set's order follows PYTHONHASHSEED, and so would the sum
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 

@@ -10,6 +10,7 @@ from qedc.postprocess import estimate_overhead, postselect_counts_iceberg
 from qedc.qasm import emit_qasm, parse_qasm
 from qedc.simulator import NoiseModel
 from test_acceptance import _case_study_circuit_4q
+from test_iceberg import MID_CIRCUIT_QASM
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -239,6 +240,16 @@ def test_compile_failure_exits_compile(tmp_path, capsys):
                "--out", str(tmp_path / "c.qasm"), "--meta-out", str(tmp_path / "m.json")])
     assert rc == EXIT_COMPILE
     assert json.loads(capsys.readouterr().err)["error"] == "odd-qubit-count"
+
+
+@pytest.mark.parametrize("body", MID_CIRCUIT_QASM, ids=["measure", "reset"])
+def test_iceberg_mid_circuit_measure_or_reset_exits_compile(tmp_path, capsys, body):
+    src = tmp_path / "mid.qasm"
+    src.write_text(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n{body}")
+    rc = main(["compile", str(src), "--code", "iceberg",
+               "--out", str(tmp_path / "c.qasm"), "--meta-out", str(tmp_path / "m.json")])
+    assert rc == EXIT_COMPILE
+    assert json.loads(capsys.readouterr().err)["error"] == "compile"
 
 
 def test_too_many_checks_exits_compile(bell, tmp_path, capsys):

@@ -14,7 +14,9 @@ from qedc.iceberg import (
     iceberg_encode_init,
 )
 from qedc.pauli import PauliString, single_qubit_pauli
+from qedc.pipeline import CompileError, compile_circuit
 from qedc.postprocess import normalize_counts, postselect_counts_iceberg, tvd
+from qedc.qasm import parse_qasm
 from qedc.simulator import deterministic_distribution, ideal_distribution, statevector
 from qedc.stabilizer import StabilizerState, stabilizer_run
 
@@ -83,6 +85,22 @@ def test_build_rejects_odd_or_mismatched():
     c.add_qreg("q", 3)
     with pytest.raises(IcebergError):
         build_iceberg_circuit(c, cycles=0)
+
+
+MID_CIRCUIT_QASM = [
+    "h q[0];\nmeasure q[0] -> c[0];\ncx q[0],q[1];\nmeasure q[1] -> c[1];\n",
+    "h q[0];\nreset q[1];\ncx q[0],q[1];\nmeasure q -> c;\n",
+]
+
+
+@pytest.mark.parametrize("body", MID_CIRCUIT_QASM, ids=["measure", "reset"])
+def test_build_rejects_mid_circuit_measure_and_reset(body):
+    circ = parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n{body}")
+    with pytest.raises(IcebergError, match="unsupported"):
+        build_iceberg_circuit(circ, cycles=1)
+    with pytest.raises(CompileError, match="unsupported") as info:
+        compile_circuit(circ, code="iceberg", checks=1)
+    assert info.value.reason == "compile"
 
 
 def test_noiseless_logical_equivalence():

@@ -59,7 +59,7 @@ def test_shipped_coupling_file_matches_generator():
         shipped = CouplingGraph.from_dict(json.load(fh))
     gen = heavy_hex_127()
     assert shipped.num_nodes == gen.num_nodes
-    assert shipped._edge_set == gen._edge_set
+    assert shipped.edges == gen.edges
 
 
 def test_p3_into_k3_has_six_monomorphisms():

@@ -1,0 +1,90 @@
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qedc import simulator
+from qedc.analysis import transpile_to_gateset
+from qedc.circuit import Circuit
+from qedc.layout import CouplingGraph, heavy_hex_127
+from qedc.pipeline import compile_circuit
+from qedc.postprocess import detectors
+from qedc.qasm import emit_qasm
+from test_acceptance import _case_study_circuit_4q, _qaoa6
+
+LINE_8 = CouplingGraph(8, [(i, i + 1) for i in range(7)])
+
+
+def _pauli_rotations_4q():
+    """rxx, ryy and ry beside a Clifford, so both gate sets expand each axis."""
+    circ = Circuit()
+    circ.add_qreg("q", 4)
+    circ.add_creg("c", 4)
+    circ.append("rxx", (0, 1), (0.3,))
+    circ.append("ryy", (2, 1), (-0.8,))
+    circ.append("ry", (3,), (1.1,))
+    circ.append("cx", (3, 0))
+    circ.append("ryy", (0, 3), (math.pi / 2,))
+    for q in range(4):
+        circ.append("measure", (q,), clbits=(q,))
+    return circ
+
+
+# name -> (compile_circuit arguments, SWAPs routing inserts)
+_COMPILES = {
+    "iceberg-qaoa": (dict(circ=_qaoa6(), code="iceberg", checks=2), 0),
+    "iceberg-qaoa-heavyhex": (dict(circ=_qaoa6(), code="iceberg", checks=2,
+                                   coupling=heavy_hex_127()), 360),
+    "pcs-case-study-heavyhex": (dict(circ=_case_study_circuit_4q(), code="pcs", checks=2,
+                                     coupling=heavy_hex_127()), 41),
+    "pcs-case-study-line8": (dict(circ=_case_study_circuit_4q(), code="pcs", checks=2,
+                                  coupling=LINE_8), 21),
+}
+
+# sha256 of emit_qasm of the compiled circuit followed by its meta as sorted
+# JSON (of emit_qasm alone for a transpile): a change to the gate order of
+# any compile stage, to the qubit numbering of heavy_hex_127 or to the
+# SWAPs routing picks fails here
+_PINNED_COMPILES = {
+    "iceberg-qaoa": "53ecd6e4cc54a4d59150bfe7be62106b88b24b9fabaf78c409d5dd09139a048b",
+    "iceberg-qaoa-heavyhex": "b260fe361b9fdc98e0063b9801909f14455fdc770cb42db641f5640a1d397c9b",
+    "pcs-case-study-heavyhex": "d0b807a80015922001cfc0f0777835910ecc2464c580c25911f186dfc1ac0896",
+    "pcs-case-study-line8": "f203a1878864e689d8be5ffe290806350cabbf93335b20a298d3aeada8e1b0c2",
+    "transpile-pcs-default": "e0ec8ea38e4bb719e66f73fa9864d29096530c828f7980d5ae9da808e8e117a1",
+    "transpile-iceberg-logical": "23f150329b9bbd05eb7c7fd8d44a934e6c09329cd84aaff7bfae97e0f454d128",
+}
+
+
+def _compiled(name):
+    kwargs, _ = _COMPILES[name]
+    return compile_circuit(**kwargs)
+
+
+@pytest.mark.parametrize("name", list(_COMPILES))
+def test_compiles_are_pinned(name):
+    compiled, meta = _compiled(name)
+    assert meta.swap_count == _COMPILES[name][1]
+    text = emit_qasm(compiled) + json.dumps(meta.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COMPILES[name]
+
+
+@pytest.mark.parametrize("target", ["pcs-default", "iceberg-logical"])
+def test_transpiles_are_pinned(target):
+    text = emit_qasm(transpile_to_gateset(_pauli_rotations_4q(), target))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COMPILES["transpile-" + target]
+
+
+@pytest.mark.parametrize("name", list(_COMPILES))
+def test_z_draws_never_flip_a_detector(name):
+    # a Z drawn at the start or after a measurement or reset stabilizes the
+    # reference state, so it must leave every detector's parity alone
+    compiled, meta = _compiled(name)
+    insts = [i for i in compiled.instructions if i.name != "barrier"]
+    nc = compiled.num_clbits
+    draws = simulator._signatures(insts, compiled.num_qubits, nc, [False] * len(insts))[1]
+    bits = np.unpackbits(draws.view(np.uint8), axis=1, count=nc, bitorder="little")
+    assert draws.any()  # the draws do flip records, just never a detector's parity
+    for clbits, _ in detectors(meta.code_meta, compiled.cregs):
+        assert not (bits[:, list(clbits)].sum(axis=1) % 2).any()
