@@ -1,9 +1,9 @@
 """`PAULI_AXES` (the one table of rotation axes) and the Clifford gate
 sequences derived from it, `step_xz` (the one table of named-gate
-symplectic maps, which moves Pauli X/Z rows for the frame sampler, the
-detector sweep and check scoring), `step_signed` (the same step plus a sign
-row, the one table of signed conjugation), and the tableau of a Clifford U
-for U P U†.
+symplectic maps, which moves Pauli X/Z int rows for the detector sweep, the
+samplers, check scoring and the tableau), `step_signed` (the same step plus
+a sign row, the one table of signed conjugation), and the tableau of a
+Clifford U for U P U†.
 
 The tableau holds the signed images of X_q and Z_q under U as CHP generator
 rows stepped by `step_signed`; `stabilizer.StabilizerState` extends it with
@@ -71,10 +71,11 @@ def clifford_gate_sequence(inst: Instruction) -> list[tuple[str, tuple[int, ...]
 def step_xz(x: list, z: list, name: str, qubits: tuple[int, ...]) -> None:
     """Apply a named Clifford gate's symplectic map, signs ignored, to the
     per-qubit rows x[q] and z[q] in place: bit (or column) j of x[q] is the X
-    bit at q of the j-th Pauli.  A row is a Python int, one bit per Pauli, or
-    a numpy bool array, one column per Pauli; `x[t] ^= x[c]` and the row
-    swaps store back correctly for both, as long as x and z are lists of
-    rows (a 2-D array copies on row assignment, which breaks the swaps).
+    bit at q of the j-th Pauli.  Every caller in the package passes Python
+    int rows, one bit per Pauli; numpy bool arrays, one column per Pauli,
+    work too (the tests hold both), since `x[t] ^= x[c]` and the row swaps
+    store back correctly as long as x and z are lists of rows (a 2-D array
+    copies on row assignment, which breaks the swaps).
     Every map here is an involution, so g and g† move the bits alike and a
     backward sweep runs the same kernel over the gates in reverse order."""
     if name == "h":

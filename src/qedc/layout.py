@@ -5,6 +5,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import Circuit, Instruction, Register
 
 PROTECTED_HOP_PENALTY = 1000
@@ -37,7 +39,7 @@ class CouplingGraph:
             self._adj[b].append(a)
         for nbrs in self._adj:
             nbrs.sort()
-        self._dist: list[list[int]] | None = None
+        self._dist: np.ndarray | None = None
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self._edge_set
@@ -48,10 +50,11 @@ class CouplingGraph:
     def degree(self, a: int) -> int:
         return len(self._adj[a])
 
-    def distances(self) -> list[list[int]]:
-        """All-pairs shortest-path hop counts (BFS); -1 when disconnected."""
+    def distances(self) -> np.ndarray:
+        """All-pairs shortest-path hop counts (BFS) as an (n, n) int array;
+        -1 when disconnected."""
         if self._dist is None:
-            dist = []
+            self._dist = np.empty((self.num_nodes, self.num_nodes), dtype=np.int64)
             for src in range(self.num_nodes):
                 d = [-1] * self.num_nodes
                 d[src] = 0
@@ -64,8 +67,7 @@ class CouplingGraph:
                         if d[v] < 0:
                             d[v] = d[u] + 1
                             queue.append(v)
-                dist.append(d)
-            self._dist = dist
+                self._dist[src] = d
         return self._dist
 
     def to_dict(self) -> dict:
@@ -114,7 +116,7 @@ def score_layout(ig: dict[tuple[int, int], int], mapping: list[int], cg: Couplin
     dist = cg.distances()
     total = 0
     for (a, b), w in ig.items():
-        d = dist[mapping[a]][mapping[b]]
+        d = int(dist[mapping[a], mapping[b]])
         if d < 0:
             raise LayoutError("interaction spans disconnected coupling components")
         total += w * (d - 1)
@@ -178,7 +180,8 @@ def vf2_layouts(
 
 def fallback_layout(ig: dict[tuple[int, int], int], num_qubits: int, cg: CouplingGraph) -> Layout:
     """Greedy placement by descending interaction degree, each qubit seated on
-    the physical node minimizing incremental score."""
+    the free physical node minimizing incremental score (the lowest index
+    among ties), every node scored at once from the distance matrix."""
     if num_qubits > cg.num_nodes:
         raise LayoutError(f"{num_qubits} qubits exceed {cg.num_nodes} physical qubits")
     wdeg = [0] * num_qubits
@@ -191,29 +194,19 @@ def fallback_layout(ig: dict[tuple[int, int], int], num_qubits: int, cg: Couplin
     order = sorted(range(num_qubits), key=lambda q: (-wdeg[q], q))
     dist = cg.distances()
     mapping: dict[int, int] = {}
-    used: set[int] = set()
+    free = np.ones(cg.num_nodes, dtype=bool)
     for q in order:
-        best_phys, best_cost = None, None
-        for phys in range(cg.num_nodes):
-            if phys in used:
-                continue
-            cost = 0
-            feasible = True
-            for nbr, w in adj[q].items():
-                if nbr in mapping:
-                    d = dist[phys][mapping[nbr]]
-                    if d < 0:
-                        feasible = False
-                        break
-                    cost += w * (d - 1)
-            if not feasible:
-                continue
-            if best_cost is None or cost < best_cost:
-                best_phys, best_cost = phys, cost
-        if best_phys is None:
+        feasible, cost = free.copy(), np.zeros(cg.num_nodes, dtype=np.int64)
+        for nbr, w in adj[q].items():
+            if nbr in mapping:
+                d = dist[:, mapping[nbr]]
+                feasible &= d >= 0
+                cost += w * (d - 1)
+        nodes = np.flatnonzero(feasible)
+        if not len(nodes):
             raise LayoutError("no feasible physical qubit (disconnected coupling graph)")
-        mapping[q] = best_phys
-        used.add(best_phys)
+        mapping[q] = int(nodes[np.argmin(cost[nodes])])
+        free[mapping[q]] = False
     full = [mapping[q] for q in range(num_qubits)]
     return Layout(full, score_layout(ig, full, cg))
 
@@ -234,15 +227,21 @@ def _protected_path(
     dst: int,
     protected_phys: set[int],
 ) -> list[int]:
-    """Cheapest src->dst path; hops landing on a protected qubit cost extra."""
+    """Cheapest src->dst path; hops landing on a protected qubit cost extra.
+    A node is pushed only when its cost strictly drops, so its parent is the
+    node that last lowered it."""
     INF = float("inf")
     best = [INF] * cg.num_nodes
     best[src] = 0
-    heap = [(0, src, [src])]
+    parent = list(range(cg.num_nodes))
+    heap = [(0, src)]
     while heap:
-        cost, node, path = heapq.heappop(heap)
+        cost, node = heapq.heappop(heap)
         if node == dst:
-            return path
+            path = [dst]
+            while path[-1] != src:
+                path.append(parent[path[-1]])
+            return path[::-1]
         if cost > best[node]:
             continue
         for nbr in cg.neighbors(node):
@@ -252,7 +251,8 @@ def _protected_path(
             nc = cost + step
             if nc < best[nbr]:
                 best[nbr] = nc
-                heapq.heappush(heap, (nc, nbr, path + [nbr]))
+                parent[nbr] = node
+                heapq.heappush(heap, (nc, nbr))
     raise LayoutError(f"no path between physical qubits {src} and {dst}")
 
 

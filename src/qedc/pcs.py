@@ -115,25 +115,33 @@ def _localize(instructions: list[Instruction], payload_qubits: tuple[int, ...]):
     ]
 
 
-def _candidate_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """X and Z bits of every weight-1 and weight-2 Pauli over k qubits, as
-    (k, C) bool arrays with column j for candidate j, in label order."""
-    a, b = np.triu_indices(k, 1)
-    rank = np.zeros((3 * k + 9 * len(a), k), dtype=np.uint8)  # per qubit I, X, Y, Z = 0..3
-    one = np.arange(3 * k)
-    rank[one, one // 3] = one % 3 + 1
-    two = np.arange(9 * len(a))
-    rank[3 * k + two, a[two // 9]] = two // 3 % 3 + 1
-    rank[3 * k + two, b[two // 9]] = two % 3 + 1
-    # a label starts at the highest qubit, and np.lexsort's last key is its
-    # primary one
-    rank = rank[np.lexsort(rank.T)].T
-    return (rank == 1) | (rank == 2), rank >= 2
+def _candidate_rows(k: int) -> tuple[list[int], list[int], int]:
+    """X and Z rows of every weight-1 and weight-2 Pauli over k qubits, in
+    label order, and their count: bit j of x[q] (z[q]) is candidate j's X
+    (Z) bit at q.
+
+    A label starts at the highest qubit, so the candidates run by top qubit
+    t, then P_t in X, Y, Z, then P_t alone, then P_t Q_s for s < t and Q in
+    X, Y, Z: one block of 1 + 3t candidates per (t, P_t), from bit
+    start[t] + (P_t's index)·(1 + 3t).  Qubit q holds P_q in every candidate
+    of its own three blocks, and Q_q at 1 + 3q in every block above them,
+    where its X and Y (Y and Z) set bits 0b011 (0b110).
+    """
+    start = [3 * t + 9 * t * (t - 1) // 2 for t in range(k + 1)]
+    blocks = sum(1 << start[t] + p * (1 + 3 * t) for t in range(k) for p in range(3))
+    x, z = [], []
+    for q in range(k):
+        size = 1 + 3 * q
+        above = blocks >> start[q + 1] << start[q + 1] + size
+        own = (1 << 2 * size) - 1 << start[q]  # the X and Y blocks of t = q
+        x.append(own | above * 0b011)
+        z.append(own << size | above * 0b110)
+    return x, z, start[k]
 
 
-def _column(rows, j: int) -> int:
-    """Bit q set iff row q holds True in column j."""
-    return sum(1 << q for q, row in enumerate(rows) if row[j])
+def _column(rows: list[int], j: int) -> int:
+    """Bit q set iff bit j of row q is."""
+    return sum((row >> j & 1) << q for q, row in enumerate(rows))
 
 
 def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: int) -> list[CheckPair]:
@@ -143,15 +151,16 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
     Pauli) pairs inside the payload propagate to an error that anticommutes
     with its right check R = U L U†.  Swept backward to just after
     instruction f, R equals L swept forward through instructions 0..f, so
-    one forward pass of every candidate (`step_signed` on bool rows, one
-    column per candidate) gives them all: X_q after f is covered iff that
+    one forward pass of every candidate (`step_signed` on int rows, one bit
+    per candidate) gives them all: X_q after f is covered iff that
     observable has Z at q, Z_q iff it has X at q, Y_q iff exactly one.
-    Coverage is a (3k·F, C) bool matrix over (f, fault kind, q) and
-    candidates, for k payload qubits, F instructions and C candidates.
-    Pairs are chosen by marginal coverage with lexicographic tie-breaks on
-    the left's label.  The same pass steps a sign row with `step_signed`,
-    so after the last instruction each column is a candidate's right check
-    R = U L U† with its sign.
+    Qubit q's rows change only at an instruction on q, so the pass records
+    them once per segment, a run of instructions that leave q alone, with
+    the segment's length as its weight: the coverage matrix has 3 rows per
+    segment, not 3k per instruction.  Pairs are chosen by weighted marginal
+    coverage, exact in float64, with lexicographic tie-breaks on the left's
+    label.  The sign row of the same pass makes each column, after the last
+    instruction, a candidate's right check R = U L U† with its sign.
     """
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)
@@ -159,47 +168,48 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
         raise PcsError("payload touches no qubits")
     if num_checks < 1:
         raise PcsError("num_checks must be >= 1")
-    sequences = []
+    steps = []
     for inst in _localize(list(payload), payload_qubits):
         if inst.name in ("measure", "reset"):
             raise PcsError("payload may not contain measurements or resets")
-        sequences.append(clifford_gate_sequence(inst))
-        if sequences[-1] is None:
+        sequence = clifford_gate_sequence(inst)
+        if sequence is None:
             raise PcsError(f"payload instruction {inst.name!r} is not Clifford")
+        steps.append((inst.qubits, sequence))
 
-    lefts = _candidate_rows(k)
-    count = lefts[0].shape[1]
+    left_x, left_z, count = _candidate_rows(k)
     if num_checks > count:
         raise PcsError(f"num_checks={num_checks} exceeds {count} candidates")
 
-    x, z = list(lefts[0].copy()), list(lefts[1].copy())
-    sign = np.zeros(count, dtype=bool)
-    coverage = np.empty((len(sequences), 3, k, count), dtype=bool)
-    for f, sequence in enumerate(sequences):
-        for name, qubits in sequence:
-            sign = step_signed(x, z, sign, name, qubits)
-        coverage[f, 0] = z
-        coverage[f, 2] = x
-    # two of X_q, Y_q and Z_q are covered where the observable acts on q; the
-    # Y rows hold x | z for that count, then x != z
-    np.logical_or(coverage[:, 0], coverage[:, 2], out=coverage[:, 1])
-    gain = 2 * coverage[:, 1].sum(axis=(0, 1), dtype=np.int32)
-    np.not_equal(coverage[:, 0], coverage[:, 2], out=coverage[:, 1])
-    coverage = coverage.reshape(-1, count)
+    # a qubit's segment ends where an instruction on it starts; the step after
+    # the last instruction ends every segment
+    x, z, sign = list(left_x), list(left_z), 0
+    rows, weights, since = [], [], [0] * k
+    for f, (qubits, sequence) in enumerate(steps + [(range(k), ())]):
+        for q in qubits:
+            if f > since[q]:  # the candidates covering X_q, Y_q and Z_q there
+                rows += (z[q], x[q] ^ z[q], x[q])
+                weights.append(f - since[q])
+            since[q] = f
+        for name, gate_qubits in sequence:
+            sign = step_signed(x, z, sign, name, gate_qubits)
+    width = (count + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    coverage = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=count,
+                             bitorder="little").astype(float)
+    weight = np.repeat(np.array(weights, dtype=float), 3)
 
     # candidates are in label order, so argmax breaks ties as the label does
-    covered = np.zeros(len(coverage), dtype=bool)
     chosen = []
     for _ in range(num_checks):
+        gain = weight @ coverage
+        gain[chosen] = -1  # below every unchosen candidate, even one with no gain left
         best = int(np.argmax(gain))
-        newly = coverage[:, best] & ~covered
-        covered |= newly
-        gain -= coverage[newly].sum(axis=0, dtype=np.int32)
-        gain[best] = -1  # below every unchosen candidate, even one with no gain left
-        left = PauliString(k, _column(lefts[0], best), _column(lefts[1], best))
-        right = PauliString(k, _column(x, best), _column(z, best))
-        chosen.append(CheckPair(left, right, -1 if sign[best] else 1))
-    return chosen
+        weight *= 1 - coverage[:, best]  # a covered fault scores no more
+        chosen.append(best)
+    return [CheckPair(PauliString(k, _column(left_x, j), _column(left_z, j)),
+                      PauliString(k, _column(x, j), _column(z, j)), -1 if sign >> j & 1 else 1)
+            for j in chosen]
 
 
 # -- insertion ----------------------------------------------------------------

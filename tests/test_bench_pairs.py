@@ -107,6 +107,32 @@ def test_source_lines_count_the_package_modules_as_wc_does(tmp_path):
     assert bench_pairs.source_lines(tmp_path) == 5  # wc -l counts newlines
 
 
+def test_the_change_side_is_exported_without_ignored_files(tmp_path):
+    # both sides must start without bytecode, so the export takes what git
+    # tracks or would track, as it is on disk, and nothing it ignores
+    root, dest = tmp_path / "root", tmp_path / "dest"
+    (root / "src" / "__pycache__").mkdir(parents=True)
+    (root / ".gitignore").write_text("__pycache__/\n")
+    (root / "src" / "kept.py").write_text("old\n")
+    (root / "src" / "gone.py").write_text("deleted\n")
+
+    def git(*cmd):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t", *cmd],
+                       cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    (root / "src" / "kept.py").write_text("modified\n")
+    (root / "src" / "gone.py").unlink()
+    (root / "src" / "new.py").write_text("untracked\n")
+    (root / "src" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"bytecode")
+    bench_pairs.export_worktree(root, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "kept.py").read_text() == "modified\n"
+
+
 TEN = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]  # median 1.0, IQR 0.9925-1.0075
 
 

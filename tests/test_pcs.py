@@ -193,12 +193,73 @@ def test_greedy_checks_match_the_suffix_tableau_reference():
         assert got == tableau_check_choice(c.instructions, qubits, m)
 
 
+def test_greedy_checks_match_the_reference_across_segments():
+    # up to 9 payload qubits, a few of them busy and the rest idle for long
+    # runs or never touched, with barriers and instructions whose gate
+    # sequence is empty, so each qubit's rows run in long and uneven segments
+    rng = random.Random(9029)
+    for _ in range(60):
+        k = rng.randrange(1, 10)
+        c = Circuit()
+        c.add_qreg("q", k + rng.randrange(3))
+        qubits = sorted(rng.sample(range(c.num_qubits), k))
+        busy = rng.sample(qubits, rng.randrange(1, min(k, 3) + 1))
+        for _ in range(rng.randrange(1, 30)):
+            on = busy if rng.random() < 0.85 else qubits
+            roll = rng.random()
+            if roll < 0.1:
+                c.append("barrier", tuple(rng.sample(qubits, rng.randrange(1, k + 1))))
+            elif roll < 0.2:
+                if len(on) > 1 and rng.random() < 0.5:
+                    c.append("rzz", tuple(rng.sample(on, 2)), (0.0,))
+                else:
+                    c.append("rz", (rng.choice(on),), (0.0,))
+            elif len(on) > 1 and roll < 0.5:
+                c.append(rng.choice(_NAMED_2Q), tuple(rng.sample(on, 2)))
+            else:
+                c.append(rng.choice(_NAMED_1Q), (rng.choice(on),))
+        m = rng.randrange(1, 6 if k > 1 else 4)
+        got = synthesize_checks(c.instructions, qubits, m)
+        assert got == tableau_check_choice(c.instructions, qubits, m)
+
+
+# pcs_wide's payload, the benchmark's fixed 16-qubit circuit (its measurements
+# left out), and the four checks picked for it before coverage was scored per
+# segment; the reference is too slow for it (1,128 candidates against 1,536
+# faults)
+def _pcs_wide_payload():
+    rng = random.Random("pcs_wide")
+    c = Circuit()
+    c.add_qreg("q", 16)
+    for _ in range(4):
+        qs = rng.sample(range(16), 11)
+        for i in range(3):
+            c.append(rng.choice(("cx", "cz")), (qs[2 * i], qs[2 * i + 1]))
+        for q in qs[6:]:
+            c.append(rng.choice(("h", "s", "sdg")), (q,))
+    return c
+
+
+_PCS_WIDE_CHECKS = [
+    ("+IIIIXIIIXIIIIIII", "+ZIIIXIXXYIZIZIIY", 1),
+    ("+IXIIIIIIIIIIXIII", "+IXIZZZXXIIIIXXII", 1),
+    ("+IIIIIXYIIIIIIIII", "+YZIIZYYIZIIIZIII", 1),
+    ("+IIIIIIIIIIIXIIXI", "+IIIIIIIIIIIZIIYI", -1),
+]
+
+
+def test_pcs_wide_checks_are_pinned():
+    checks = synthesize_checks(_pcs_wide_payload().instructions, range(16), 4)
+    assert [(c.left.to_label(), c.right.to_label(), c.sign) for c in checks] == _PCS_WIDE_CHECKS
+
+
 def test_candidate_rows_are_the_lefts_in_label_order():
-    for k in range(1, 7):
-        x, z = _candidate_rows(k)
+    for k in range(1, 13):
+        x, z, count = _candidate_rows(k)
         want = sorted_candidate_lefts(k)
-        assert x.shape == z.shape == (k, len(want))
-        assert [PauliString(k, _column(x, j), _column(z, j)) for j in range(len(want))] == want
+        assert len(x) == len(z) == k and count == len(want)
+        assert all(row >> count == 0 for row in x + z)
+        assert [PauliString(k, _column(x, j), _column(z, j)) for j in range(count)] == want
 
 
 def test_synthesis_errors():

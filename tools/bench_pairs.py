@@ -2,9 +2,12 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload pcs_heavyhex --seed 7301
 
-The change side is this checkout's working tree.  The parent side is the
-`--parent` revision, exported with `git archive` into a temporary directory
-that is removed afterwards.  Each pair runs `perfbench/run.py --trace 0`
+The parent side is the `--parent` revision, exported with `git archive`.
+The change side is this checkout's working tree, exported too: every file
+git tracks or would track (committed, modified or new, and not ignored),
+so neither side starts with the other's `__pycache__` bytecode and
+`setup_s` compares like with like.  Both go into a temporary directory that
+is removed afterwards.  Each pair runs `perfbench/run.py --trace 0`
 once per side, at the benchmark's own run length, the side that runs first
 alternating from pair to pair.  For every end-to-end metric in
 BENCHMARK.json the script prints its bound, the parent's median [lower
@@ -70,6 +73,18 @@ class RunError(Exception):
 def source_lines(tree: Path) -> int:
     """Lines of `src/qedc/*.py` in `tree`, as `wc -l` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "qedc").glob("*.py"))
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy into `dest` the files of the working tree at `root` that git
+    tracks or would track, as they are on disk: a deleted file stays out,
+    and so does everything ignored, such as `__pycache__`."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, capture_output=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run_once(tree: Path, args) -> dict:
@@ -226,12 +241,12 @@ def main(argv=None) -> int:
     specs = load_specs()
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        parent_tree = tmp / "parent"
-        parent_tree.mkdir()
+        trees = {"parent": tmp / "parent", "change": tmp / "change"}
+        trees["parent"].mkdir()
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        export_worktree(ROOT, trees["change"])
         lines = {side: source_lines(tree) for side, tree in trees.items()}
         runs = run_pairs(trees, args)
     except RunError as exc:
