@@ -8,9 +8,14 @@ rewritten into rz/rx/rz Euler form.
 Single-qubit gates, reset, and measure broadcast over whole registers when
 given a bare register name.
 
-Each statement is read by one regex match at its offset and each operand by
-another; only a gate's parameter list is split into tokens.  An error's line
-and column are worked out from its offset when it is raised.
+A statement written as `emit_qasm` writes it (`name(p,...) a[i];`,
+`name a[i],b[j];` or `measure a[i] -> c[j];`, each parameter a plain number)
+is read by one regex match and becomes an instruction at once, if it is
+valid.  Anything else, including every statement that holds an error, falls
+through to the general path at the same offset.  There each statement is read
+by one regex match and each operand by another; only a gate's parameter list
+is split into tokens.  An error's line and column are worked out from its
+offset when it is raised.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import math
 import operator
 import re
 
-from .circuit import Circuit, GATE_SPECS, Register
+from .circuit import Circuit, GATE_SPECS, Instruction, Register
 
 # Blanks: whitespace and // comments.  A comment must run to the end of its
 # line, so that a failed match cannot backtrack into it and read code there.
@@ -43,6 +48,12 @@ _STATEMENT = re.compile(
     + r"|(?P<decl>[qc]reg)\b"
     + _upto(f"(?P<reg>{_ID})", r"\[", f"(?P<size>{_NUMBER})", r"\]", "(?P<declared>;)")
     + f"|(?P<name>{_ID})" + _upto(r"(?P<paren>\()") + r"|\Z)"
+)
+# a statement in emit_qasm's form: a gate on one or two indexed operands, or
+# measure; `sep` is None for one operand
+_EMITTED = re.compile(
+    rf"\s*(?P<name>{_ID})(?:\((?P<params>-?{_NUMBER}(?:,-?{_NUMBER})*)\))? "
+    rf"(?P<a>{_ID})\[(?P<i>\d+)\](?:(?P<sep>,| -> )(?P<b>{_ID})\[(?P<j>\d+)\])?;"
 )
 # `reg` or `reg[idx]`, then its separator; `close` is None when a bracket is left open
 _OPERAND = re.compile(
@@ -182,6 +193,10 @@ class _Reader:
                 raise _unexpected(text, m.end())
             pos = m.end()
         while True:
+            f = _EMITTED.match(text, pos)
+            if f is not None and self._emitted(f):
+                pos = f.end()
+                continue
             m = _STATEMENT.match(text, pos)
             if m is None:
                 raise _unexpected(text, pos)
@@ -209,6 +224,28 @@ class _Reader:
             self.qregs[name] = self.circ.add_qreg(name, size)
         else:
             self.cregs[name] = self.circ.add_creg(name, size)
+
+    def _emitted(self, f: re.Match) -> bool:
+        """Appends the instruction that `f` reads and returns True, unless the
+        general path would raise on it or read it otherwise: then False."""
+        name, sep, params = f["name"], f["sep"], f["params"]
+        measuring = name == "measure"
+        a, b = self.qregs.get(f["a"]), (self.cregs if measuring else self.qregs).get(f["b"])
+        values = tuple(map(float, params.split(","))) if params else ()  # each one `-?{_NUMBER}`
+        try:
+            i, j = int(f["i"]), int(f["j"] or 0)
+            if (sep == " -> ") != measuring or a is None or i >= a.size or (
+                    sep and (b is None or j >= b.size)):
+                return False
+            bits = (a.start + i,) if sep is None else (a.start + i, b.start + j)
+            qubits, clbits = (bits[:1], bits[1:]) if measuring else (bits, ())
+            inst = Instruction(name, qubits, values, clbits)  # checks the kind and parameter count
+        except ValueError:  # from Instruction, or an index too long for int()
+            return False
+        if GATE_SPECS[name][0] == len(qubits) == len(set(qubits)) and all(map(math.isfinite, values)):
+            self.circ.instructions.append(inst)
+            return True
+        return False
 
     def _instruction(self, m: re.Match) -> int:
         """Reads the gate, measure or barrier statement that `m` starts, and
@@ -328,6 +365,8 @@ def parse_qasm(text: str) -> Circuit:
 def emit_qasm(circ: Circuit) -> str:
     """Deterministic textual form; parse_qasm(emit_qasm(c)) == c for valid c."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
+    qubits = [f"{r.name}[{i}]" for r in circ.qregs for i in range(r.size)]
+    clbits = [f"{r.name}[{i}]" for r in circ.cregs for i in range(r.size)]
     for r in circ.qregs:
         lines.append(f"qreg {r.name}[{r.size}];")
     for r in circ.cregs:
@@ -335,11 +374,9 @@ def emit_qasm(circ: Circuit) -> str:
     for inst in circ.instructions:
         name = inst.name
         if name == "measure":
-            lines.append(
-                f"measure {circ.qubit_name(inst.qubits[0])} -> {circ.clbit_name(inst.clbits[0])};"
-            )
+            lines.append(f"measure {qubits[inst.qubits[0]]} -> {clbits[inst.clbits[0]]};")
             continue
-        args = ",".join(circ.qubit_name(q) for q in inst.qubits)
+        args = ",".join(qubits[q] for q in inst.qubits)
         if inst.params:
             params = ",".join(f"{p:.17g}" for p in inst.params)
             lines.append(f"{name}({params}) {args};")

@@ -1,10 +1,16 @@
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qedc.circuit import Circuit, GATE_SPECS
+from qedc.circuit import Circuit, GATE_SPECS, Instruction
 from qedc.qasm import QasmError, emit_qasm, parse_qasm
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from qasm_differential import mutate  # noqa: E402
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -71,6 +77,17 @@ ERROR_CASES = [
     ("qreg q[2];\ncx q[0],q[0];\n", "duplicate-qubit", 4, 1),
     ("qreg q[2];\ncx q[0],\n  q[7];\n", "out-of-bounds", 5, 5),
     ("qreg q[2]; // two qubits\n// h q[9];\nh q[2];\n", "out-of-bounds", 5, 5),
+    # statements in emit_qasm's spacing that it would not write
+    ("qreg q[2];\ncreg c[2];\nrz(1.5.2) q[0];\n", "syntax", 5, 7),
+    ("qreg q[2];\ncreg c[2];\nrz(1e999) q[0];\nh q[1];\nbad q[0];\n", "unknown-gate", 7, 1),
+    ("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[5];\n", "out-of-bounds", 5, 19),
+    ("qreg q[2];\ncreg c[2];\nmeasure q[0] -> q[0];\n", "unknown-register", 5, 17),
+    ("qreg q[2];\ncreg c[2];\ncx q[0],c[0];\n", "unknown-register", 5, 9),
+    ("qreg q[2];\ncreg c[2];\nh c[0];\n", "unknown-register", 5, 3),
+    ("qreg q[2];\ncreg c[2];\nrz(0.1,0.2) q[0];\n", "bad-params", 5, 1),
+    ("qreg q[2];\ncreg c[2];\ncx(0.5) q[0],q[1];\n", "bad-params", 5, 1),
+    ("qreg q[2];\ncreg c[2];\nh q[0],q[1];\n", "bad-arity", 5, 1),
+    ("qreg q[2];\ncreg c[2];\ncx q[1],q[1];\n", "duplicate-qubit", 5, 1),
 ]
 
 
@@ -80,6 +97,48 @@ def test_error_codes_and_locations():
         with pytest.raises(QasmError) as exc:
             parse_qasm(text)
         assert (exc.value.code, exc.value.line, exc.value.col) == (code, line, col), text
+
+
+def test_barrier_sugar_and_reset_in_emitter_spacing():
+    c = parse_qasm(HEADER + "qreg q[2];\ncreg c[2];\nbarrier q[0],q[1];\nu1(0.5) q[0];\nreset q[0];\n")
+    assert c.instructions == [Instruction("barrier", (0, 1)), Instruction("rz", (0,), (0.5,)),
+                              Instruction("reset", (0,))]
+
+
+def _workload_shaped() -> list[str]:
+    """A small ring QAOA as the benchmark writes its inputs, and a compiled
+    circuit as emit_qasm writes it: two of each register, every gate form."""
+    ring = HEADER + "qreg q[3];\ncreg c[3];\n" + "".join(
+        f"h q[{i}];\nrzz(0.7) q[{i}],q[{(i + 1) % 3}];\nrx(0.6) q[{i}];\n" for i in range(3)
+    ) + "".join(f"measure q[{i}] -> c[{i}];\n" for i in range(3))
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.add_qreg("anc_q", 2)
+    c.add_creg("c", 3)
+    c.add_creg("anc", 2)
+    for name, qubits, params in [("h", (3,), ()), ("cx", (3, 0), ()), ("rz", (1,), (-math.pi / 2,)),
+                                 ("cz", (1, 4), ()), ("swap", (0, 2), ()), ("rxx", (2, 4), (1e-05,)),
+                                 ("sdg", (2,), ()), ("barrier", (0, 1, 2), ()), ("reset", (4,), ())]:
+        c.append(name, qubits, params)
+    for q in range(5):
+        c.append("measure", (q,), clbits=(q,))
+    return [ring, emit_qasm(c)]
+
+
+def _outcome(text: str):
+    try:
+        return parse_qasm(text)
+    except QasmError as exc:
+        return exc.code, exc.line, exc.col
+
+
+def test_statements_in_emitter_form_parse_as_the_general_path_does():
+    # a comment before each newline sends every later statement through the
+    # general path, and moves no earlier line or column
+    rng = random.Random(2021)
+    for base in _workload_shaped():
+        for text in [base] + [mutate(base, rng) for _ in range(1000)]:
+            assert _outcome(text) == _outcome(text.replace("\n", " //\n")), text
 
 
 def test_blanks_and_comments_do_not_change_the_circuit():

@@ -75,6 +75,15 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "qedc").glob("*.py"))
 
 
+def export_revision(root: Path, rev: str, dest: Path) -> None:
+    """Extract into `dest`, which is made, the files of revision `rev` of
+    the repository at `root`, with `git archive`."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def export_worktree(root: Path, dest: Path) -> None:
     """Copy into `dest` the files of the working tree at `root` that git
     tracks or would track, as they are on disk: a deleted file stays out,
@@ -242,10 +251,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
-        trees["parent"].mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        export_revision(ROOT, args.parent, trees["parent"])
         export_worktree(ROOT, trees["change"])
         lines = {side: source_lines(tree) for side, tree in trees.items()}
         runs = run_pairs(trees, args)
