@@ -122,18 +122,6 @@ class Circuit:
 
     # -- lookup ---------------------------------------------------------------
 
-    def qubit_name(self, index: int) -> str:
-        for r in self.qregs:
-            if r.start <= index < r.start + r.size:
-                return f"{r.name}[{index - r.start}]"
-        raise IndexError(f"qubit index {index} out of range")
-
-    def clbit_name(self, index: int) -> str:
-        for r in self.cregs:
-            if r.start <= index < r.start + r.size:
-                return f"{r.name}[{index - r.start}]"
-        raise IndexError(f"clbit index {index} out of range")
-
     def creg_by_name(self, name: str) -> Register:
         for r in self.cregs:
             if r.name == name:

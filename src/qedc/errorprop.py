@@ -35,7 +35,8 @@ from .pauli import PauliString
 
 
 def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Sequence[int],
-                   detectors: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[int], list[int]]]:
+                   detectors: Sequence[Sequence[int]], sequences: Sequence | None = None
+                   ) -> Iterator[tuple[int, list[int], list[int]]]:
     """Walk the detectors' observables from the last instruction to the first.
 
     `x` and `z` are the observables' rows (see the module docstring) after
@@ -47,7 +48,9 @@ def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Seq
     observables just after instruction i (i = -1: before the first
     instruction).  The same two lists are updated in place between yields;
     a caller that XORs a Pauli's bits into them adds it as an observable at
-    that point.
+    that point.  `sequences`, if given, holds each instruction's
+    `clifford_gate_sequence`, so a caller that has them decomposes nothing
+    twice.
     """
     of_clbit = {cb: d for d, clbits in enumerate(detectors) for cb in clbits}
     x, z = list(x), list(z)
@@ -62,7 +65,7 @@ def detector_sweep(instructions: Sequence[Instruction], x: Sequence[int], z: Seq
                 z[q] ^= 1 << d
         elif name == "reset":
             x[inst.qubits[0]] = z[inst.qubits[0]] = 0
-        elif (sequence := clifford_gate_sequence(inst)) is not None:
+        elif (sequence := clifford_gate_sequence(inst) if sequences is None else sequences[i]) is not None:
             for gname, qubits in reversed(sequence):
                 step_xz(x, z, gname, qubits)
         elif name not in PAULI_AXES and name != "barrier":

@@ -11,13 +11,14 @@ import itertools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import GATE_SPECS, ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key
-from .clifford import PAULI_AXES, clifford_gate_sequence, is_clifford, step_xz
+from .clifford import PAULI_AXES, clifford_gate_sequence, step_xz
 from .errorprop import depolarizing_signatures, detector_sweep
 from .stabilizer import stabilizer_run
 
@@ -126,13 +127,15 @@ def _compact(circ: Circuit) -> Circuit:
     used = sorted({q for inst in circ.instructions for q in inst.qubits})
     if len(used) == circ.num_qubits:
         return circ
-    remap = {q: i for i, q in enumerate(used)}
-    out = Circuit([Register("q", len(used), 0)], list(circ.cregs), [])
-    for inst in circ.instructions:
-        out.instructions.append(
-            Instruction(inst.name, tuple(remap[q] for q in inst.qubits), inst.params, inst.clbits)
-        )
-    return out
+    index = {q: i for i, q in enumerate(used)}.__getitem__
+    remapped = {qubits: tuple(map(index, qubits)) for qubits in {inst.qubits for inst in circ.instructions}}
+    # copies of valid instructions, made without the validating constructor;
+    # each source is read by attribute: reading its __dict__ would slow every
+    # later attribute read on an instruction the caller keeps
+    out = [object.__new__(Instruction) for _ in circ.instructions]
+    for copy, inst in zip(out, circ.instructions):
+        copy.__dict__.update(name=inst.name, qubits=remapped[inst.qubits], params=inst.params, clbits=inst.clbits)
+    return Circuit([Register("q", len(used), 0)], list(circ.cregs), out)
 
 
 class _Permutation(NamedTuple):
@@ -159,16 +162,16 @@ class _Rotation(NamedTuple):
 
 class _Batch:
     """A batch of states, one state per row (bit q of a column index is
-    qubit q), with the spare arrays kernels run through, so its memory is
-    not handed back to the system and faulted in again between kernels.
+    qubit q), with the spare arrays kernels run through, never zeroed, so
+    their memory is not handed back and faulted in again between kernels.
     Rows are contiguous, of 2**width amplitudes in buffers sized for 2**n:
     qubits from `width` up are |0>.  `passes` counts the kernels run, and
     `amplitudes` the rows times 2**width they ran over."""
 
     def __init__(self, rows: int, n: int):
-        self.psi, self._out, self._scale = (np.zeros(rows << n, dtype=complex).reshape(rows, -1)
-                                            for _ in range(3))
-        self._coef = np.zeros(2 << n, dtype=complex)
+        self.psi, self._out, self._scale = (make(rows << n, dtype=complex).reshape(rows, -1)
+                                            for make in (np.zeros, np.empty, np.empty))
+        self._coef = np.empty(2 << n, dtype=complex)
         self.width, self.passes, self.amplitudes = n, 0, 0
 
     def fit(self, width: int, active: int) -> None:
@@ -225,6 +228,7 @@ class _Op(NamedTuple):
     error: float = 0.0  # depolarizing probability after the gate
     width: int = 0  # qubits from this one up are |0> while the op runs
     rotation: int = -1  # a non-Clifford rotation's column in the sign patterns
+    sequence: list | None = None  # its clifford_gate_sequence
 
 
 def _monomial(name: str, params: tuple[float, ...]):
@@ -232,6 +236,8 @@ def _monomial(name: str, params: tuple[float, ...]):
     all are 1) and, for each bit a (from the first listed qubit, the high
     bit) of the entry's column that differs from the row's, (a, the row's
     bits to XOR, a constant): a Clifford's column is affine in its row."""
+    if PAULI_AXES.get(name, (0,))[0] and math.cos(params[0] / 2) and math.sin(params[0] / 2):
+        return None  # cos I - i sin P, P off the diagonal: two entries a row
     mat = gate_matrix(name, params)
     if ((mat != 0).sum(axis=1) != 1).any():
         return None
@@ -258,7 +264,7 @@ def _fuse(run, bits: list[np.ndarray]) -> _Permutation:
     return _Permutation(sum(b << q for q, b in enumerate(bits)) if moved else None, phase)
 
 
-def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
+def _program(insts, n: int, noise: NoiseModel | None = None, sequences=None) -> list[_Op]:
     """An op per instruction but barriers, each gate as kernels.  A Clifford
     with one nonzero entry per matrix row joins the open run, and h, which is
     X ry(pi/2) and ry(-pi/2) X, puts its X into one; any other gate is one
@@ -266,12 +272,16 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
     other ops of the run have none), and it stops at every op where a batch
     of sample() can start or stop: rotations, measurements and resets.  An
     op's width is 1 + its highest qubit touched since that qubit's last
-    reset, and every op of a run takes the run's width, its last op's."""
-    insts = [i for i in insts if i.name != "barrier"]
+    reset, and every op of a run takes the run's width, its last op's.
+    `sequences`: each instruction's clifford_gate_sequence, barriers left out."""
+    if sequences is None:
+        insts = [i for i in insts if i.name != "barrier"]
+        sequences = [clifford_gate_sequence(i) for i in insts]
     index = np.arange(1 << n)
-    bits = [(index >> q) & 1 for q in range(n)]
+    bits = list(index >> np.arange(n)[:, None] & 1)
     monomial = functools.cache(_monomial)
-    parity = functools.cache(lambda mask: sum(bits[q] for q in range(n) if mask >> q & 1) & 1)
+    parity = functools.cache(lambda mask: functools.reduce(np.bitwise_xor, [bits[q] for q in range(n)
+                                                                            if mask >> q & 1]))
     moved = functools.cache(lambda mask: index ^ mask)
     kernels, run, start = [[] for _ in insts], [], 0  # run: the open run's (qubits, _monomial)
     widths, columns, counter, live = [], [-1] * len(insts), itertools.count(), 0
@@ -282,9 +292,9 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
             widths[start:start + len(run)] = [widths[start + len(run) - 1]] * len(run)
             run.clear()
 
-    def rotation(i, qubits, pauli, a, b):  # a, b: P's phases if it is diagonal, else cos, sin
+    def rotation(i, qubits, mask, pauli, a, b):  # a, b: P's phases if it is diagonal, else cos, sin
         close()
-        (px, pz), mask = pauli, sum(1 << q for q in qubits)
+        px, pz = pauli
         if px:  # (-i s P psi)[j] = -i s i**y (-1)**|(j ^ xmask) & zmask| psi[j ^ xmask],
             # y = |xmask & zmask|, and that sign is (-1)**y (-1)**|j & zmask|
             v = complex(0, -b) * (-1j) ** (pz * len(qubits))
@@ -294,33 +304,33 @@ def _program(insts, n: int, noise: NoiseModel | None = None) -> list[_Op]:
         kernels[i].append(_Rotation(np.array(coef), parity(mask) if pz else None,
                                     moved(mask) if px else None, a))
 
-    for i, inst in enumerate(insts):
+    for i, (inst, sequence) in enumerate(zip(insts, sequences)):
         name, qubits = inst.name, inst.qubits
-        mask = sum(1 << q for q in qubits)
+        mask = 1 << qubits[0] | 1 << qubits[-1]  # every op acts on one or two qubits
         widths.append((live | mask).bit_length())
         live = live & ~mask if name == "reset" else live | mask
         if name in ("measure", "reset"):
             close()
         elif name == "h" and run:
             run.append((qubits, monomial("x", ())))
-            rotation(i, qubits, (1, 1), _SQ2, -_SQ2)
+            rotation(i, qubits, mask, (1, 1), _SQ2, -_SQ2)
         elif name == "h":
-            rotation(i, qubits, (1, 1), _SQ2, _SQ2)
+            rotation(i, qubits, mask, (1, 1), _SQ2, _SQ2)
             run[:], start = [(qubits, monomial("x", ()))], i
-        elif (clifford := is_clifford(inst)) and (mono := monomial(name, inst.params)) is not None:
+        elif (clifford := sequence is not None) and (mono := monomial(name, inst.params)) is not None:
             start = start if run else i
             run.append((qubits, mono))
         elif PAULI_AXES[name][0]:
             half, columns[i] = inst.params[0] / 2, -1 if clifford else next(counter)
-            rotation(i, qubits, PAULI_AXES[name], math.cos(half), math.sin(half))
+            rotation(i, qubits, mask, PAULI_AXES[name], math.cos(half), math.sin(half))
         else:
             mat, columns[i] = gate_matrix(name, inst.params), -1 if clifford else next(counter)
-            rotation(i, qubits, PAULI_AXES[name], mat[0, 0], mat[1, 1])
+            rotation(i, qubits, mask, PAULI_AXES[name], mat[0, 0], mat[1, 1])
     close()
     return [_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1,
                 None if inst.name in ("measure", "reset") else tuple(ks),
-                noise.gate_error(inst) if noise is not None else 0.0, width, column)
-            for inst, ks, width, column in zip(insts, kernels, widths, columns)]
+                noise.gate_error(inst) if noise is not None else 0.0, width, column, sequence)
+            for inst, ks, width, column, sequence in zip(insts, kernels, widths, columns, sequences)]
 
 
 def _terminal_start(ops: list[_Op]) -> int:
@@ -337,17 +347,22 @@ def _halves(psi: np.ndarray, q: int) -> np.ndarray:
 
 
 def _prob_one(psi: np.ndarray, q: int) -> np.ndarray:
-    """Probability per row that qubit q reads 1."""
-    ones = _halves(psi, q)[:, :, 1]
-    return np.einsum("abc,abc->a", ones, ones.conj()).real
+    """Probability per row that qubit q reads 1, on the rows' real view."""
+    ones = _halves(psi.view(float), q + 1)[:, :, 1]
+    return np.einsum("abc,abc->a", ones, ones)
 
 
 def _settle(psi: np.ndarray, op: _Op, p1: np.ndarray, outcomes: np.ndarray) -> None:
     """Collapse each row of a measurement or reset onto its outcome and
     renormalise, in place; a reset then returns its qubit to |0>.  A
     broadcast over the halves multiplies the kept one by 1 / scale and the
-    other by 0, which is how numpy divides a complex number by a real one."""
+    other by 0, which is how numpy divides a complex number by a real one.
+    Where every row reads 0 with p1 exactly 0 (Iceberg syndromes), the kept
+    half would be scaled by exactly 1 / sqrt(1.0), so it is left alone."""
     view = _halves(psi, op.qubits[0])
+    if not (p1.any() or outcomes.any()):
+        view[:, :, 1] = 0
+        return
     # complex, so the broadcasts cast nothing
     inverse = (1.0 / np.sqrt(np.maximum(np.where(outcomes, p1, 1.0 - p1), 1e-300))).astype(complex)
     if op.name == "reset":
@@ -519,18 +534,6 @@ _RANDOM_TOL = 1e-12
 _FORK_TOL = 1e-9
 
 
-def _anticommuting(inst, x, z, acc):
-    """`acc` XOR the rows, of x and z at the rotation's qubits, that mark
-    the Paulis anticommuting with its Pauli (see `clifford.PAULI_AXES`)."""
-    px, pz = PAULI_AXES[inst.name]
-    for q in inst.qubits:
-        if pz:
-            acc = acc ^ x[q]
-        if px:
-            acc = acc ^ z[q]
-    return acc
-
-
 def _words(values, width: int) -> np.ndarray:
     """Python ints as rows of `width` little-endian uint64 words."""
     if width == 1:  # about five times faster than joining bytes
@@ -539,7 +542,7 @@ def _words(values, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(-1, width)
 
 
-def _signatures(insts, n: int, nc: int, noisy, rotations=()):
+def _signatures(insts, n: int, nc: int, noisy, rotations=(), sequences=None):
     """Flip signatures from one backward `detector_sweep` with a detector
     per clbit, as rows of W = ceil(bits / 64) little-endian uint64 words:
     bit c flips clbit c's record, and bit nc + r marks anticommuting with
@@ -547,11 +550,11 @@ def _signatures(insts, n: int, nc: int, noisy, rotations=()):
     after that op's faults are read.  Returns the (ops, 15, W) table of the
     noisy ops' `depolarizing_signatures` by fault code, and the signatures
     of a Z on each qubit at the start and after each measurement and reset
-    of its qubit, in circuit order: such a Z flips x[q] there."""
+    of its qubit, in circuit order: such a Z flips x[q] there.  `sequences`: see _program."""
     width = max(1, -(-(nc + len(rotations)) // 64))
     bit = {i: 1 << nc + r for r, i in enumerate(rotations)}
     rows, where, draws = [], [], []
-    for i, x, z in detector_sweep(insts, [0] * n, [0] * n, [(c,) for c in range(nc)]):
+    for i, x, z in detector_sweep(insts, [0] * n, [0] * n, [(c,) for c in range(nc)], sequences):
         if i < 0:
             draws += reversed(x)  # reversed again below
             break
@@ -627,12 +630,16 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
         noise = NoiseModel()
     compacted = _compact(circ)
     n = compacted.num_qubits
-    noisy = any(noise.gate_error(i) > 0 for i in compacted.instructions)
+    # one decomposition of each instruction, which every walk below reads
+    insts = [i for i in compacted.instructions if i.name != "barrier"]
+    sequences = [clifford_gate_sequence(i) for i in insts]
+    noisy = any(noise.gate_error(i) > 0 for i in insts)
     rng = np.random.default_rng(seed)
 
     # Pauli-frame sampling is exact for Clifford circuits and much cheaper
     # than statevector trajectories
-    frames = (noisy or n > MAX_STATEVECTOR_QUBITS) and _is_clifford_circuit(compacted)
+    frames = (noisy or n > MAX_STATEVECTOR_QUBITS) and all(
+        sequence is not None or inst.name in ("measure", "reset") for inst, sequence in zip(insts, sequences))
     if frames and n > MAX_STABILIZER_QUBITS:
         raise SimulationError(
             f"{n} active qubits exceeds the Pauli-frame limit of {MAX_STABILIZER_QUBITS}"
@@ -642,7 +649,7 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
     run = _frame_records if frames else _sample_records
-    keys, faults, simulated, passes, amplitudes = run(compacted, noise, shots, rng)
+    keys, faults, simulated, passes, amplitudes = run(compacted, insts, sequences, noise, shots, rng)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({
             "backend": "pauli-frame" if frames else "statevector" if noisy else "noiseless",
@@ -729,7 +736,7 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
     return hits[:np.searchsorted(hits, cells)]
 
 
-def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
+def _sample_records(circ: Circuit, insts, sequences, noise: NoiseModel, shots: int, rng):
     """Count keys (see _counts) of statevector trajectories with Pauli
     frames through Pauli rotations, the faults drawn for them, the number
     of batch rows simulated, of kernels run and of amplitudes they ran over.
@@ -741,15 +748,14 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     collapsed phi.  The XOR of its faults' _signatures gives both.
     """
     n, nc = circ.num_qubits, circ.num_clbits
-    insts = [i for i in circ.instructions if i.name != "barrier"]
-    ops = _program(insts, n, noise)
+    ops = _program(insts, n, noise, sequences)
     tail = _terminal_start(ops)
 
     # 1. every shot's faults; the faulty shots' signatures give the
     # rotations each one negates, and the X bit each of its records reads
     faults = _draw_faults([(op.error, len(op.qubits)) for op in ops], shots, rng)
     rotations = [i for i, op in enumerate(ops) if op.rotation >= 0]
-    table = (_signatures(insts, n, nc, [op.error > 0 for op in ops], rotations)[0] if len(faults.op)
+    table = (_signatures(insts, n, nc, [op.error > 0 for op in ops], rotations, sequences)[0] if len(faults.op)
              else np.zeros((len(ops), 15, 1), dtype="<u8"))  # no sweep without a fault
     faulty, words = _fault_flips(table, faults)
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=nc + len(rotations), bitorder="little")
@@ -757,9 +763,9 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     # 2. the distinct sign patterns; the empty one, which every fault-free
     # shot has, is row 0 of np.unique's sorted output
     flips = np.vstack([np.zeros((1, len(rotations)), dtype=bool), bits[:, nc:].astype(bool)])
-    patterns, which = np.unique(flips, axis=0, return_inverse=True)
+    patterns, which = _unique_rows(flips)
     pattern_of = np.zeros(shots, dtype=np.intp)
-    pattern_of[faulty] = which.ravel()[1:]
+    pattern_of[faulty] = which[1:]
     members = np.split(np.argsort(pattern_of, kind="stable"),
                        np.cumsum(np.bincount(pattern_of, minlength=len(patterns)))[:-1])
     # each pattern's first negated op; the tail for the empty pattern
@@ -774,7 +780,7 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     records = np.zeros((shots, nc), dtype=np.uint8)
     random = _may_be_random(insts[:tail], ops, n)
     plan = _Plan(ops, tail, np.cumsum([0] + random[::-1])[::-1].tolist(),
-                 [(op.qubits[0], op.clbit) for op in ops[tail:]])
+                 np.array([(op.qubits[0], op.clbit) for op in ops[tail:]], dtype=np.intp).reshape(-1, 2).T)
     run = _NoiselessRun(ops, n, nc, _RANDOM_TOL)
     size = min(max(1, _BATCH_AMPLITUDES >> n), shots)
     work = _Batch(1 + size, n)
@@ -801,6 +807,16 @@ def _sample_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     records[faulty] ^= bits[:, :nc]
     return (_pack(records), faults, simulated, run.batch.passes + work.passes,
             run.batch.amplitudes + work.amplitudes)
+
+
+def _unique_rows(flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(flips, axis=0, return_inverse=True) of a bool matrix, in the same order, from
+    big-endian row keys: one uint64 where it holds a row, else packed bytes (see _counts)."""
+    width = flips.shape[1]
+    keys = (flips @ (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)) if width <= 64
+            else np.packbits(flips, axis=1).view(np.dtype((np.void, -(-width // 8)))).ravel())
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return flips[first], which
 
 
 def _pack(records: np.ndarray) -> np.ndarray:
@@ -831,10 +847,11 @@ def _may_be_random(insts, ops: list[_Op], n: int) -> list[bool]:
             lost |= x[q]
             bit[i] = 1 << len(bit)
             x[q], z[q] = 0, bit[i]
-        elif ops[i].rotation >= 0:
-            lost |= _anticommuting(inst, x, z, 0)
+        elif ops[i].rotation >= 0:  # the rows of the Paulis anticommuting with its Pauli
+            px, pz = PAULI_AXES[inst.name]
+            lost |= functools.reduce(operator.xor, [x[q] * pz ^ z[q] * px for q in inst.qubits])
         else:
-            for name, qs in reversed(clifford_gate_sequence(inst)):
+            for name, qs in reversed(ops[i].sequence):
                 step_xz(x, z, name, qs)
     for row in x:
         lost |= row
@@ -843,9 +860,8 @@ def _may_be_random(insts, ops: list[_Op], n: int) -> list[bool]:
 
 def _read_out(records: np.ndarray, rows: np.ndarray, idx: np.ndarray, measures) -> None:
     """Write the trailing measurements' bits of basis states `idx` into the
-    given rows of the records."""
-    for q, c in measures:
-        records[rows, c] = (idx >> q) & 1
+    given rows of the records, in one assignment (see _Plan.measures)."""
+    records[rows[:, None], measures[1]] = (idx[:, None] >> measures[0]) & 1
 
 
 class _Plan(NamedTuple):
@@ -854,7 +870,7 @@ class _Plan(NamedTuple):
     ops: list[_Op]
     tail: int  # the first of the trailing measurements
     splits: list[int]  # per op, the possibly random outcomes from it to the tail
-    measures: list[tuple[int, int]]  # (qubit, clbit) of the trailing ones
+    measures: np.ndarray  # (qubits, clbits) of the trailing ones, a (2, k) index array
 
 
 def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
@@ -955,14 +971,7 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
     return active - 1, back
 
 
-def _is_clifford_circuit(circ: Circuit) -> bool:
-    return all(
-        inst.name in ("measure", "reset", "barrier") or is_clifford(inst)
-        for inst in circ.instructions
-    )
-
-
-def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
+def _frame_records(circ: Circuit, insts, sequences, noise: NoiseModel, shots: int, rng):
     """Count keys (see _counts) of a Clifford circuit sampled with Pauli
     frames (Gidney, "Stim: a fast stabilizer circuit simulator",
     arXiv:2103.02202), the faults drawn for them and the number of shots
@@ -980,10 +989,9 @@ def _frame_records(circ: Circuit, noise: NoiseModel, shots: int, rng):
     256-entry table of the XORs of its draws' signatures.
     """
     n, nc = circ.num_qubits, circ.num_clbits
-    insts = [i for i in circ.instructions if i.name != "barrier"]
     errors = [noise.gate_error(i) for i in insts]
     faults = _draw_faults([(p, len(i.qubits)) for p, i in zip(errors, insts)], shots, rng)
-    table, draws = _signatures(insts, n, nc, [p > 0 for p in errors])
+    table, draws = _signatures(insts, n, nc, [p > 0 for p in errors], (), sequences)
     width = table.shape[2]
     last = {record.clbit: record.outcome for record in stabilizer_run(circ)[0]}
     keys = np.repeat(_words([sum(bit << c for c, bit in last.items())], width), shots, axis=0)

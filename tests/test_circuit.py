@@ -8,6 +8,7 @@ from qedc.circuit import (
     key_group_index,
     validate,
 )
+from qedc.qasm import emit_qasm
 
 
 def bell():
@@ -27,7 +28,8 @@ def test_register_indexing_is_global():
     b = c.add_qreg("b", 3)
     assert (a.start, b.start) == (0, 2)
     assert c.num_qubits == 5
-    assert c.qubit_name(3) == "b[1]"
+    c.append("h", (3,))
+    assert "h b[1];" in emit_qasm(c).splitlines()
 
 
 def test_gate_param_arity_enforced():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qedc.simulator as simulator
-from qedc.circuit import GATE_SPECS, Circuit, Instruction
+from qedc.circuit import GATE_SPECS, Circuit, Instruction, Register
 from qedc.clifford import PAULI_AXES, is_clifford
 from qedc.simulator import (
     MAX_STATEVECTOR_QUBITS,
@@ -839,6 +839,121 @@ def test_counts_are_pinned(name, circ, noise):
     counts = sample(circ, noise=noise, shots=2000, seed=2024)
     digest = hashlib.sha256(json.dumps(sorted(counts.items())).encode()).hexdigest()
     assert digest == _PINNED_COUNTS[name]
+
+
+def _long_rotation_circuit():
+    """3 qubits in |+>, then 23 rounds of rz, rzz and rx at generic angles:
+    69 non-Clifford rotations, so a sign pattern needs more than one 64-bit
+    word, in diagonal rz, rzz runs that each rx breaks; measured at the end."""
+    rng = random.Random(22)
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.add_creg("c", 3)
+    for q in range(3):
+        c.append("h", (q,))
+    for _ in range(23):
+        a, b = rng.sample(range(3), 2)
+        c.append("rz", (a,), (rng.uniform(0.1, 1.4),))
+        c.append("rzz", (a, b), (rng.uniform(1.7, 3.0),))
+        c.append("rx", (b,), (rng.uniform(0.1, 1.4),))
+    return _measure_all(c, 3)
+
+
+def test_sign_patterns_wider_than_a_word_match_the_density_matrix():
+    # only the rz and rzz are noisy, so each fault lands inside a diagonal
+    # run and negates the rotations after it on its qubits
+    circ = _long_rotation_circuit()
+    noise = NoiseModel(p1=0.004, p2=0.01, gates1=("rz",), gates2=("rzz",))
+    ops = simulator._program(circ.instructions, 3)
+    assert sum(op.rotation >= 0 for op in ops) == 69
+    shots = 20000
+    _assert_matches(sample(circ, noise=noise, shots=shots, seed=5), noisy_distribution(circ, noise), shots)
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+def test_unique_rows_is_numpy_unique_over_rows(width):
+    rng = np.random.default_rng(width)
+    for density in (0.02, 0.5):
+        flips = rng.random((300, width)) < density
+        flips[:4] = False  # the empty pattern, as in sample()
+        flips[4:8] = flips[8:12]  # repeated rows
+        want, which = np.unique(flips, axis=0, return_inverse=True)
+        got, members = simulator._unique_rows(flips)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(members, which.ravel())
+
+
+def test_prob_one_on_the_real_view_is_the_one_half_norm():
+    # summed over real and imaginary parts in another order than |a|**2
+    # per amplitude, so equal up to rounding
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=(6, 32)) + 1j * rng.normal(size=(6, 32))
+    for q in range(5):
+        want = (np.abs(simulator._halves(psi, q)[:, :, 1]) ** 2).sum(axis=(1, 2))
+        assert np.allclose(simulator._prob_one(psi, q), want, rtol=1e-14, atol=0)
+
+
+def test_reset_after_reading_zero_only_zeroes_the_one_half():
+    """A reset where every row reads 0 with probability 1 leaves psi equal,
+    to the bit, to the general collapse: the kept half scaled by
+    1 / sqrt(1 - p1) = 1 and the other half zeroed.  After a reading of 1
+    it still moves the |1> half down, and a |1> half of amplitudes whose
+    squares underflow to 0 is still zeroed."""
+    rng = np.random.default_rng(3)
+    q = 2
+    psi = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    measure, reset = simulator._Op("measure", (q,), 0), simulator._Op("reset", (q,))
+    p1 = simulator._prob_one(psi, q)
+    simulator._settle(psi, measure, p1, np.zeros(5, dtype=bool))  # every row read 0
+    p1 = simulator._prob_one(psi, q)
+    assert not p1.any()
+    want = psi.copy()
+    view = simulator._halves(want, q)
+    view[:, :, 0] *= (1.0 / np.sqrt(np.maximum(1.0 - p1, 1e-300))).astype(complex)[:, None, None]
+    view[:, :, 1] = 0
+    simulator._settle(psi, reset, p1, p1 >= 0.5)
+    assert psi.tobytes() == want.tobytes()
+
+    # read 1: the reset moves the |1> half to |0>
+    ones = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    simulator._halves(ones, q)[:, :, 0] = 0
+    ones /= np.linalg.norm(ones, axis=1, keepdims=True)
+    want = np.zeros_like(ones)
+    simulator._halves(want, q)[:, :, 0] = simulator._halves(ones, q)[:, :, 1]
+    p1 = simulator._prob_one(ones, q)
+    simulator._settle(ones, reset, p1, p1 >= 0.5)
+    assert np.allclose(ones, want, rtol=0, atol=1e-15)
+
+    # a |1> half too small to register in p1 is zeroed all the same
+    tiny = np.zeros((2, 16), dtype=complex)
+    simulator._halves(tiny, q)[:, :, 0] = 0.5
+    simulator._halves(tiny, q)[:, :, 1] = 1e-170
+    p1 = simulator._prob_one(tiny, q)
+    assert not p1.any()
+    simulator._settle(tiny, reset, p1, p1 >= 0.5)
+    assert not simulator._halves(tiny, q)[:, :, 1].any() and (simulator._halves(tiny, q)[:, :, 0] == 0.5).all()
+
+
+def test_compact_copies_instructions_with_their_qubits_remapped():
+    rng = random.Random(4)
+    c = Circuit()
+    c.add_qreg("q", 40)
+    c.add_creg("c", 3)
+    used = sorted(rng.sample(range(40), 5))
+    for _ in range(30):
+        g, k, p = rng.choice([("h", 1, ()), ("rz", 1, (0.3,)), ("cx", 2, ()), ("rzz", 2, (0.7,))])
+        c.append(g, tuple(rng.sample(used, k)), p)
+    for i, q in enumerate(used[:3]):
+        c.append("measure", (q,), clbits=(i,))
+    index = {q: i for i, q in enumerate(sorted({q for inst in c.instructions for q in inst.qubits}))}
+    want = Circuit([Register("q", len(index), 0)], list(c.cregs),
+                   [Instruction(i.name, tuple(index[q] for q in i.qubits), i.params, i.clbits)
+                    for i in c.instructions])
+    got = simulator._compact(c)
+    assert got == want and got.num_qubits == len(index)
+    assert all(type(inst) is Instruction for inst in got.instructions)
+    assert [i.qubits for i in c.instructions] != [i.qubits for i in got.instructions]
+    assert simulator._compact(got) is got  # already compact
 
 
 class _ShortDraws:
