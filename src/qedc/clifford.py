@@ -146,8 +146,11 @@ class CliffordTableau:
     def apply_named(self, name: str, qubits: tuple[int, ...]) -> None:
         self.r = step_signed(self.x, self.z, self.r, name, qubits)
 
-    def apply_instruction(self, inst: Instruction) -> None:
-        sequence = clifford_gate_sequence(inst)
+    def apply_instruction(self, inst: Instruction, sequence=None) -> None:
+        """`sequence`: the instruction's clifford_gate_sequence, if the caller
+        has it."""
+        if sequence is None:
+            sequence = clifford_gate_sequence(inst)
         if sequence is None:
             raise ValueError(f"non-Clifford instruction: {inst.name}")
         for name, qubits in sequence:

@@ -10,6 +10,7 @@ import numpy as np
 from .circuit import Circuit, Instruction, Register
 
 PROTECTED_HOP_PENALTY = 1000
+LOOKAHEAD = 3  # two-qubit gates that decide which end of a routed gate walks
 
 
 class LayoutError(Exception):
@@ -256,6 +257,16 @@ def _protected_path(
     raise LayoutError(f"no path between physical qubits {src} and {dst}")
 
 
+def _walk_cost(walk: list[int], phi: list[int], at: list[int | None],
+               upcoming: list[tuple[int, int]], dist: np.ndarray) -> int:
+    """Summed distances of the `upcoming` logical pairs after the occupant of
+    walk[0] swaps along `walk` to walk[-2]; each seat it passes shifts its
+    occupant one step back."""
+    moved = {at[v]: u for u, v in zip(walk, walk[1:-1])}
+    moved[at[walk[0]]] = walk[-2]
+    return sum(int(dist[moved.get(x, phi[x]), moved.get(y, phi[y])]) for x, y in upcoming)
+
+
 def route(
     circ: Circuit,
     layout: Layout,
@@ -266,8 +277,13 @@ def route(
 
     `protected` holds logical qubit indices (detection ancillas); paths are
     penalized for passing over them so SWAPs bypass detection qubits whenever
-    any alternative exists.  The output circuit acts on physical indices; the
-    returned layouts relate logical to physical qubits before and after.
+    any alternative exists.  Each non-local gate takes one such path, and
+    either end of the gate may walk it towards the other.  The end that
+    walks is the one that leaves the next `LOOKAHEAD` two-qubit gates the
+    lower summed distance (the first operand on a tie); both walks make the
+    same SWAPs over the same seats.  The output circuit acts on physical
+    indices; the returned layouts relate logical to physical qubits before
+    and after.
     """
     protected = set(protected or ())
     n_log = circ.num_qubits
@@ -277,14 +293,21 @@ def route(
     at: list[int | None] = [None] * cg.num_nodes  # physical -> logical
     for q, p in enumerate(phi):
         at[p] = q
+    pairs = [inst.qubits for inst in circ.instructions
+             if len(inst.qubits) == 2 and inst.name != "barrier"]
     out = Circuit([Register("q", cg.num_nodes, 0)], list(circ.cregs), [])
-    swaps = 0
+    swaps = k = 0
     for inst in circ.instructions:
         if len(inst.qubits) == 2 and inst.name != "barrier":
             a, b = inst.qubits
+            k += 1
             if not cg.has_edge(phi[a], phi[b]):
                 path = _protected_path(cg, phi[a], phi[b], {phi[q] for q in protected})
-                # walk qubit a along the path until adjacent to qubit b
+                upcoming, dist = pairs[k:k + LOOKAHEAD], cg.distances()
+                if _walk_cost(path[::-1], phi, at, upcoming, dist) < \
+                        _walk_cost(path, phi, at, upcoming, dist):
+                    path.reverse()
+                # walk the chosen end along the path until adjacent to the other
                 for u, v in zip(path, path[1:-1]):
                     out.append("swap", (u, v))
                     at[u], at[v] = at[v], at[u]

@@ -264,7 +264,7 @@ def _fuse(run, bits: list[np.ndarray]) -> _Permutation:
     return _Permutation(sum(b << q for q, b in enumerate(bits)) if moved else None, phase)
 
 
-def _program(insts, n: int, noise: NoiseModel | None = None, sequences=None) -> list[_Op]:
+def _program(insts, n: int, errors=None, sequences=None) -> list[_Op]:
     """An op per instruction but barriers, each gate as kernels.  A Clifford
     with one nonzero entry per matrix row joins the open run, and h, which is
     X ry(pi/2) and ry(-pi/2) X, puts its X into one; any other gate is one
@@ -273,7 +273,8 @@ def _program(insts, n: int, noise: NoiseModel | None = None, sequences=None) -> 
     of sample() can start or stop: rotations, measurements and resets.  An
     op's width is 1 + its highest qubit touched since that qubit's last
     reset, and every op of a run takes the run's width, its last op's.
-    `sequences`: each instruction's clifford_gate_sequence, barriers left out."""
+    `errors`: each instruction's NoiseModel.gate_error (0.0 when omitted),
+    and `sequences` its clifford_gate_sequence, barriers left out."""
     if sequences is None:
         insts = [i for i in insts if i.name != "barrier"]
         sequences = [clifford_gate_sequence(i) for i in insts]
@@ -329,8 +330,9 @@ def _program(insts, n: int, noise: NoiseModel | None = None, sequences=None) -> 
     close()
     return [_Op(inst.name, inst.qubits, inst.clbits[0] if inst.clbits else -1,
                 None if inst.name in ("measure", "reset") else tuple(ks),
-                noise.gate_error(inst) if noise is not None else 0.0, width, column, sequence)
-            for inst, ks, width, column, sequence in zip(insts, kernels, widths, columns, sequences)]
+                error, width, column, sequence)
+            for inst, ks, error, width, column, sequence
+            in zip(insts, kernels, errors or itertools.repeat(0.0), widths, columns, sequences)]
 
 
 def _terminal_start(ops: list[_Op]) -> int:
@@ -630,10 +632,12 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
         noise = NoiseModel()
     compacted = _compact(circ)
     n = compacted.num_qubits
-    # one decomposition of each instruction, which every walk below reads
+    # one decomposition and error rate of each instruction, which every walk
+    # below reads
     insts = [i for i in compacted.instructions if i.name != "barrier"]
     sequences = [clifford_gate_sequence(i) for i in insts]
-    noisy = any(noise.gate_error(i) > 0 for i in insts)
+    errors = [noise.gate_error(i) for i in insts]
+    noisy = any(p > 0 for p in errors)
     rng = np.random.default_rng(seed)
 
     # Pauli-frame sampling is exact for Clifford circuits and much cheaper
@@ -649,7 +653,7 @@ def sample(circ: Circuit, noise: NoiseModel | None = None, shots: int = 1024,
             f"{n} active qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}"
         )
     run = _frame_records if frames else _sample_records
-    keys, faults, simulated, passes, amplitudes = run(compacted, insts, sequences, noise, shots, rng)
+    keys, faults, simulated, passes, amplitudes = run(compacted, insts, sequences, errors, shots, rng)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(json.dumps({
             "backend": "pauli-frame" if frames else "statevector" if noisy else "noiseless",
@@ -736,7 +740,7 @@ def _bernoulli_hits(cells: int, p: float, rng) -> np.ndarray:
     return hits[:np.searchsorted(hits, cells)]
 
 
-def _sample_records(circ: Circuit, insts, sequences, noise: NoiseModel, shots: int, rng):
+def _sample_records(circ: Circuit, insts, sequences, errors, shots: int, rng):
     """Count keys (see _counts) of statevector trajectories with Pauli
     frames through Pauli rotations, the faults drawn for them, the number
     of batch rows simulated, of kernels run and of amplitudes they ran over.
@@ -748,7 +752,7 @@ def _sample_records(circ: Circuit, insts, sequences, noise: NoiseModel, shots: i
     collapsed phi.  The XOR of its faults' _signatures gives both.
     """
     n, nc = circ.num_qubits, circ.num_clbits
-    ops = _program(insts, n, noise, sequences)
+    ops = _program(insts, n, errors, sequences)
     tail = _terminal_start(ops)
 
     # 1. every shot's faults; the faulty shots' signatures give the
@@ -906,10 +910,12 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
         op = plan.ops[i]
         if op.kernels == ():  # a fused run's op, where no row joins
             continue
-        most = 1 << min(plan.splits[i], 62)
+        most, held = 1 << min(plan.splits[i], 62), None
         while nxt < len(rows) and rows[nxt][0] <= i:
             first, pattern, shots = rows[nxt]
-            room = len(work.psi) - 1 - sum(min(s, most) for s in sizes)
+            if held is None:  # the room the rows hold at this op, summed once
+                held = sum(min(s, most) for s in sizes)
+            room = len(work.psi) - 1 - held
             if min(len(shots), most) > room:
                 if sizes:
                     rows, back = rows[:nxt], rows[nxt:]
@@ -921,6 +927,7 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
             owner[joined:joined + len(shots)] = active
             records[shots] = record
             sizes.append(len(shots))
+            held += min(len(shots), most)
             active, joined, nxt = active + 1, joined + len(shots), nxt + 1
         if noiseless and (back or i == resume):
             run.rejoin(i, work.psi[0], record)
@@ -971,7 +978,7 @@ def _run_rows(plan: _Plan, rows, resume, run, work, records, rng):
     return active - 1, back
 
 
-def _frame_records(circ: Circuit, insts, sequences, noise: NoiseModel, shots: int, rng):
+def _frame_records(circ: Circuit, insts, sequences, errors, shots: int, rng):
     """Count keys (see _counts) of a Clifford circuit sampled with Pauli
     frames (Gidney, "Stim: a fast stabilizer circuit simulator",
     arXiv:2103.02202), the faults drawn for them and the number of shots
@@ -989,11 +996,10 @@ def _frame_records(circ: Circuit, insts, sequences, noise: NoiseModel, shots: in
     256-entry table of the XORs of its draws' signatures.
     """
     n, nc = circ.num_qubits, circ.num_clbits
-    errors = [noise.gate_error(i) for i in insts]
     faults = _draw_faults([(p, len(i.qubits)) for p, i in zip(errors, insts)], shots, rng)
     table, draws = _signatures(insts, n, nc, [p > 0 for p in errors], (), sequences)
     width = table.shape[2]
-    last = {record.clbit: record.outcome for record in stabilizer_run(circ)[0]}
+    last = {record.clbit: record.outcome for record in stabilizer_run(circ, sequences=sequences)[0]}
     keys = np.repeat(_words([sum(bit << c for c, bit in last.items())], width), shots, axis=0)
     faulty, flips = _fault_flips(table, faults)
     keys[faulty] ^= flips

@@ -119,11 +119,14 @@ def stabilizer_run(
     injected: PauliString | None = None,
     inject_before: int | None = None,
     seed: int | None = None,
+    sequences=None,
 ) -> tuple[list[MeasurementRecord], StabilizerState]:
     """Run a Clifford circuit, optionally injecting a Pauli before instruction
     `inject_before` (len(instructions) injects at the very end).
 
     Random measurement outcomes are drawn from `seed` (0 when omitted).
+    `sequences`, if given, holds each instruction's `clifford_gate_sequence`,
+    barriers left out, so a caller that has them decomposes nothing twice.
     """
     n = circ.num_qubits
     total = len(circ.instructions)
@@ -132,18 +135,20 @@ def stabilizer_run(
     state = StabilizerState(n)
     rng = np.random.default_rng(0 if seed is None else seed)
     records: list[MeasurementRecord] = []
+    steps = iter(sequences or ())
     for i, inst in enumerate(circ.instructions):
         if injected is not None and inject_before == i:
             state.apply_pauli(injected)
         if inst.name == "barrier":
             continue
+        sequence = next(steps, None)
         if inst.name == "measure":
             outcome, det = state.measure_z(inst.qubits[0], rng=rng)
             records.append(MeasurementRecord(i, inst.qubits[0], inst.clbits[0], outcome, det))
         elif inst.name == "reset":
             state.reset(inst.qubits[0], rng=rng)
         else:
-            state.apply_instruction(inst)
+            state.apply_instruction(inst, sequence)
     if injected is not None and inject_before == total:
         state.apply_pauli(injected)
     return records, state

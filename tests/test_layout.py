@@ -199,6 +199,45 @@ def test_route_avoids_protected_qubits():
     assert _routed_equivalent(c, res, cg)
 
 
+def test_route_walks_the_end_that_leaves_the_next_gate_closest():
+    # on the line 0-1-2-3-4, cx(0,1) leaves logical 0 next to logical 2 only
+    # if logical 1 walks to it: two SWAPs in all, where walking logical 0
+    # first would need four
+    cg = CouplingGraph(5, [(i, i + 1) for i in range(4)])
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.append("h", (0,))
+    c.append("ry", (1,), (0.7,))
+    c.append("cx", (0, 1))
+    c.append("rz", (1,), (0.3,))
+    c.append("cx", (0, 2))
+    c.append("h", (2,))
+    res = route(c, Layout([1, 4, 0], 0), cg)
+    assert res.swap_count == 2
+    assert [i.qubits for i in res.circuit.instructions if i.name == "swap"] == [(4, 3), (3, 2)]
+    assert res.final_layout == [1, 2, 0]
+    assert _routed_equivalent(c, res, cg)
+
+
+def test_route_walks_a_protected_end_around_a_protected_seat():
+    # logical 1 (protected) blocks the 2-hop path 0-1-4; the next gate wants
+    # logical 0 to stay beside logical 3, so the protected end, logical 2,
+    # walks the detour 4-5-3-2 and no SWAP touches seat 1
+    cg = CouplingGraph(7, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 5), (5, 4), (0, 6)])
+    c = Circuit()
+    c.add_qreg("q", 4)
+    c.append("h", (0,))
+    c.append("cx", (0, 2))
+    c.append("s", (2,))
+    c.append("cx", (0, 3))
+    c.append("h", (1,))
+    res = route(c, Layout([0, 1, 4, 6], 0), cg, protected={1, 2})
+    assert [i.qubits for i in res.circuit.instructions if i.name == "swap"] == \
+        [(4, 5), (5, 3), (3, 2)]
+    assert res.final_layout == [0, 1, 2, 6]
+    assert _routed_equivalent(c, res, cg)
+
+
 def test_route_remaps_measurements():
     cg = CouplingGraph(3, [(0, 1), (1, 2)])
     c = Circuit()

@@ -36,11 +36,11 @@ def _pauli_rotations_4q():
 _COMPILES = {
     "iceberg-qaoa": (dict(circ=_qaoa6(), code="iceberg", checks=2), 0),
     "iceberg-qaoa-heavyhex": (dict(circ=_qaoa6(), code="iceberg", checks=2,
-                                   coupling=heavy_hex_127()), 360),
+                                   coupling=heavy_hex_127()), 272),
     "pcs-case-study-heavyhex": (dict(circ=_case_study_circuit_4q(), code="pcs", checks=2,
-                                     coupling=heavy_hex_127()), 41),
+                                     coupling=heavy_hex_127()), 25),
     "pcs-case-study-line8": (dict(circ=_case_study_circuit_4q(), code="pcs", checks=2,
-                                  coupling=LINE_8), 21),
+                                  coupling=LINE_8), 18),
 }
 
 # sha256 of emit_qasm of the compiled circuit followed by its meta as sorted
@@ -49,9 +49,9 @@ _COMPILES = {
 # SWAPs routing picks fails here
 _PINNED_COMPILES = {
     "iceberg-qaoa": "53ecd6e4cc54a4d59150bfe7be62106b88b24b9fabaf78c409d5dd09139a048b",
-    "iceberg-qaoa-heavyhex": "b260fe361b9fdc98e0063b9801909f14455fdc770cb42db641f5640a1d397c9b",
-    "pcs-case-study-heavyhex": "d0b807a80015922001cfc0f0777835910ecc2464c580c25911f186dfc1ac0896",
-    "pcs-case-study-line8": "f203a1878864e689d8be5ffe290806350cabbf93335b20a298d3aeada8e1b0c2",
+    "iceberg-qaoa-heavyhex": "f592953fe7031a33dbfefc9a1173cb47dac989e16613b75b5f81f9002296fbc3",
+    "pcs-case-study-heavyhex": "7cd5f4a4f7c443b2c6e340725c2f608d78766ab2960d5dd883631f9304890dc6",
+    "pcs-case-study-line8": "a62da198fd1e79366ea7fa78021a0cd02ba63787cefb5b36fa9c7b8d47f8473a",
     "transpile-pcs-default": "e0ec8ea38e4bb719e66f73fa9864d29096530c828f7980d5ae9da808e8e117a1",
     "transpile-iceberg-logical": "23f150329b9bbd05eb7c7fd8d44a934e6c09329cd84aaff7bfae97e0f454d128",
 }

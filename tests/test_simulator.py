@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import qedc.clifford
 import qedc.simulator as simulator
 from qedc.circuit import GATE_SPECS, Circuit, Instruction, Register
 from qedc.clifford import PAULI_AXES, is_clifford
@@ -857,6 +858,41 @@ def _long_rotation_circuit():
         c.append("rzz", (a, b), (rng.uniform(1.7, 3.0),))
         c.append("rx", (b,), (rng.uniform(0.1, 1.4),))
     return _measure_all(c, 3)
+
+
+@pytest.mark.parametrize("clifford", [True, False], ids=["pauli-frame", "statevector"])
+def test_sample_decomposes_and_rates_each_instruction_once(monkeypatch, caplog, clifford):
+    rng = random.Random(12)
+    c = Circuit()
+    c.add_qreg("q", 4)
+    c.add_creg("c", 4)
+    for _ in range(30):
+        if rng.random() < 0.4:
+            c.append(rng.choice(["cx", "cz"]), tuple(rng.sample(range(4), 2)))
+        elif clifford:
+            c.append(rng.choice(["h", "s", "x"]), (rng.randrange(4),))
+        else:
+            c.append(rng.choice(["rz", "rx"]), (rng.randrange(4),), (rng.uniform(0.1, 1.4),))
+    c.append("barrier", (0, 1, 2, 3))
+    c.append("measure", (2,), clbits=(0,))
+    c.append("reset", (2,))
+    c = _measure_all(c, 4)
+    calls = {"sequence": 0, "rate": 0}
+
+    def counted(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    sequence = counted(qedc.clifford.clifford_gate_sequence, "sequence")
+    monkeypatch.setattr(qedc.clifford, "clifford_gate_sequence", sequence)
+    monkeypatch.setattr(simulator, "clifford_gate_sequence", sequence)
+    monkeypatch.setattr(NoiseModel, "gate_error", counted(NoiseModel.gate_error, "rate"))
+    _, stats = _logged_sample(caplog, c, NoiseModel(0.01, 0.02), 300)
+    assert stats["backend"] == ("pauli-frame" if clifford else "statevector")
+    instructions = len(c.instructions) - 1  # the barrier is neither decomposed nor rated
+    assert calls == {"sequence": instructions, "rate": instructions}
 
 
 def test_sign_patterns_wider_than_a_word_match_the_density_matrix():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from qedc.circuit import Circuit
+import qedc.clifford
+from qedc.circuit import Circuit, Instruction
 from qedc.pauli import PauliString
 from qedc.stabilizer import StabilizerState, stabilizer_run
 
@@ -60,6 +61,29 @@ def test_row_kernel_matches_pauli_string_chp():
             assert state.expectation(p) == ref.expectation(p), p.to_label()
         # the reference's stabilizers, with their signs, stabilize the state
         assert all(state.expectation(s) == 1 for s in ref.stab)
+
+
+def test_a_run_given_its_sequences_decomposes_nothing(monkeypatch):
+    # the sequences leave barriers out, as sample() hands them over
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        circ = random_circuit(rng, n, 20)
+        circ.instructions.insert(rng.randrange(len(circ.instructions) + 1),
+                                 Instruction("barrier", tuple(range(n))))
+        sequences = [qedc.clifford.clifford_gate_sequence(i)
+                     for i in circ.instructions if i.name != "barrier"]
+        cases.append((circ, sequences, stabilizer_run(circ, seed=3)))
+
+    def decompose(inst):
+        raise AssertionError(f"{inst.name} decomposed again")
+
+    monkeypatch.setattr(qedc.clifford, "clifford_gate_sequence", decompose)
+    for circ, sequences, (want_records, want) in cases:
+        records, state = stabilizer_run(circ, seed=3, sequences=sequences)
+        assert records == want_records
+        assert (state.x, state.z, state.r) == (want.x, want.z, want.r)
 
 
 def test_measurement_outcomes_and_draws():
