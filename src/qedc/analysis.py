@@ -45,6 +45,7 @@ class CodeChoice:
     clifford_fraction: float
     rotation_fraction: float
     qubit_overhead: dict[str, int] = field(default_factory=dict)
+    region: Region | None = None  # the largest Clifford region, if any
 
     def to_dict(self) -> dict:
         return {
@@ -165,12 +166,12 @@ def transpile_to_gateset(circ: Circuit, target: str) -> Circuit:
 
 # -- region analysis ----------------------------------------------------------
 
-def _make_region(circ: Circuit, start: int, end: int) -> Region:
+def _clifford_region(circ: Circuit, start: int, end: int) -> Region:
+    """The region of a run whose instructions are all Clifford."""
     insts = circ.instructions[start:end]
     qubits = frozenset(q for inst in insts for q in inst.qubits)
     two_q = sum(1 for inst in insts if len(inst.qubits) == 2)
-    cliff = all(is_clifford(inst) for inst in insts)
-    return Region(start, end, qubits, two_q, cliff)
+    return Region(start, end, qubits, two_q, True)
 
 
 def find_clifford_regions(circ: Circuit) -> list[Region]:
@@ -183,10 +184,10 @@ def find_clifford_regions(circ: Circuit) -> list[Region]:
                 start = i
         else:
             if start is not None:
-                regions.append(_make_region(circ, start, i))
+                regions.append(_clifford_region(circ, start, i))
                 start = None
     if start is not None:
-        regions.append(_make_region(circ, start, len(circ.instructions)))
+        regions.append(_clifford_region(circ, start, len(circ.instructions)))
     return regions
 
 
@@ -229,20 +230,21 @@ def select_code(circ: Circuit, cfg: SelectionConfig | None = None) -> CodeChoice
 
     try:
         best = largest_clifford_region(circ)
-        region = circ.instructions[best.start:best.end]
+        in_region = best.size
     except NoProtectableRegionError:
-        region = []
-    in_region = sum(1 for i in region if i.name not in ("measure", "barrier"))
+        best, in_region = None, 0
     clifford_fraction = in_region / total
     rotation_fraction = sum(1 for g in gates if g.name in PAULI_AXES and len(g.qubits) == 2) / total
 
     overhead = {"pcs": 2, "iceberg": 4}  # ancillas for a typical 2-check / 2-cycle setup
     if clifford_fraction >= cfg.clifford_min:
-        return CodeChoice("PCS", clifford_fraction, rotation_fraction, overhead)
-    if circ.num_qubits % 2 == 0 and circ.num_qubits >= 2:
+        code = "PCS"
+    elif circ.num_qubits % 2 == 0 and circ.num_qubits >= 2:
         try:
             transpile_to_gateset(circ, "iceberg-logical")
+            code = "ICEBERG"
         except TranspileError:
-            return CodeChoice("NONE", clifford_fraction, rotation_fraction, overhead)
-        return CodeChoice("ICEBERG", clifford_fraction, rotation_fraction, overhead)
-    return CodeChoice("NONE", clifford_fraction, rotation_fraction, overhead)
+            code = "NONE"
+    else:
+        code = "NONE"
+    return CodeChoice(code, clifford_fraction, rotation_fraction, overhead, best)

@@ -106,13 +106,9 @@ class PcsMeta:
 
 # -- synthesis ----------------------------------------------------------------
 
-def _localize(instructions: list[Instruction], payload_qubits: tuple[int, ...]):
-    remap = {g: i for i, g in enumerate(payload_qubits)}
-    return [
-        Instruction(inst.name, tuple(remap[q] for q in inst.qubits), inst.params, inst.clbits)
-        for inst in instructions
-        if inst.name != "barrier"
-    ]
+# Below this total weight every partial sum of integer weights is exact in
+# float32, whatever order the matrix product adds them in
+FLOAT32_EXACT_WEIGHT = 1 << 24
 
 
 def _candidate_rows(k: int) -> tuple[list[int], list[int], int]:
@@ -141,7 +137,8 @@ def _candidate_rows(k: int) -> tuple[list[int], list[int], int]:
 
 def _column(rows: list[int], j: int) -> int:
     """Bit q set iff bit j of row q is."""
-    return sum((row >> j & 1) << q for q, row in enumerate(rows))
+    bit = 1 << j
+    return sum(1 << q for q, row in enumerate(rows) if row & bit)
 
 
 def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: int) -> list[CheckPair]:
@@ -156,11 +153,16 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
     observable has Z at q, Z_q iff it has X at q, Y_q iff exactly one.
     Qubit q's rows change only at an instruction on q, so the pass records
     them once per segment, a run of instructions that leave q alone, with
-    the segment's length as its weight: the coverage matrix has 3 rows per
-    segment, not 3k per instruction.  Pairs are chosen by weighted marginal
-    coverage, exact in float64, with lexicographic tie-breaks on the left's
-    label.  The sign row of the same pass makes each column, after the last
-    instruction, a candidate's right check R = U L U† with its sign.
+    the segment's length as its weight, and merges equal rows by summing
+    their weights: the coverage matrix has one row per distinct row, at most
+    3 per segment, not 3k per instruction.  Pairs are chosen by weighted
+    marginal coverage with lexicographic tie-breaks on the left's label,
+    scored in float32 while the total weight is below
+    `FLOAT32_EXACT_WEIGHT`, where every sum of integer weights is exact,
+    and in float64 otherwise.  The rows are kept by global qubit, so the
+    payload is decomposed as it stands; barriers are skipped.  The sign
+    row of the same pass makes each column, after the last instruction, a
+    candidate's right check R = U L U† with its sign.
     """
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)
@@ -168,8 +170,12 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
         raise PcsError("payload touches no qubits")
     if num_checks < 1:
         raise PcsError("num_checks must be >= 1")
+    payload = [inst for inst in payload if inst.name != "barrier"]
+    outside = {q for inst in payload for q in inst.qubits}.difference(payload_qubits)
+    if outside:
+        raise PcsError(f"payload acts on qubits {sorted(outside)} outside payload_qubits")
     steps = []
-    for inst in _localize(list(payload), payload_qubits):
+    for inst in payload:
         if inst.name in ("measure", "reset"):
             raise PcsError("payload may not contain measurements or resets")
         sequence = clifford_gate_sequence(inst)
@@ -181,23 +187,26 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
     if num_checks > count:
         raise PcsError(f"num_checks={num_checks} exceeds {count} candidates")
 
-    # a qubit's segment ends where an instruction on it starts; the step after
-    # the last instruction ends every segment
-    x, z, sign = list(left_x), list(left_z), 0
-    rows, weights, since = [], [], [0] * k
-    for f, (qubits, sequence) in enumerate(steps + [(range(k), ())]):
+    # rows keyed by global qubit; a qubit's segment ends where an instruction
+    # on it starts, and the step after the last instruction ends every segment
+    x, z, sign = dict(zip(payload_qubits, left_x)), dict(zip(payload_qubits, left_z)), 0
+    since = dict.fromkeys(payload_qubits, 0)
+    weights = {}  # coverage row -> summed length of the segments that have it
+    for f, (qubits, sequence) in enumerate(steps + [(payload_qubits, ())]):
         for q in qubits:
-            if f > since[q]:  # the candidates covering X_q, Y_q and Z_q there
-                rows += (z[q], x[q] ^ z[q], x[q])
-                weights.append(f - since[q])
+            length = f - since[q]
+            if length:  # the candidates covering X_q, Y_q and Z_q there
+                for row in (z[q], x[q] ^ z[q], x[q]):
+                    weights[row] = weights.get(row, 0) + length
             since[q] = f
         for name, gate_qubits in sequence:
             sign = step_signed(x, z, sign, name, gate_qubits)
     width = (count + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
-    coverage = np.unpackbits(packed.reshape(len(rows), width), axis=1, count=count,
-                             bitorder="little").astype(float)
-    weight = np.repeat(np.array(weights, dtype=float), 3)
+    dtype = np.float32 if sum(weights.values()) < FLOAT32_EXACT_WEIGHT else np.float64
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in weights), np.uint8)
+    coverage = np.unpackbits(packed.reshape(len(weights), width), axis=1, count=count,
+                             bitorder="little").astype(dtype)
+    weight = np.fromiter(weights.values(), dtype, len(weights))
 
     # candidates are in label order, so argmax breaks ties as the label does
     chosen = []
@@ -207,6 +216,7 @@ def synthesize_checks(payload: list[Instruction], payload_qubits, num_checks: in
         best = int(np.argmax(gain))
         weight *= 1 - coverage[:, best]  # a covered fault scores no more
         chosen.append(best)
+    x, z = [x[q] for q in payload_qubits], [z[q] for q in payload_qubits]
     return [CheckPair(PauliString(k, _column(left_x, j), _column(left_z, j)),
                       PauliString(k, _column(x, j), _column(z, j)), -1 if sign >> j & 1 else 1)
             for j in chosen]

@@ -77,14 +77,17 @@ def compile_circuit(
     """Run the full pipeline.  `checks` is the check-pair count for PCS and
     the syndrome-cycle count for Iceberg.  Without a coupling graph the
     circuit is left on logical qubits with no layout stage."""
+    region = None
     if code == "auto":
-        code = select_code(circ).code.lower()
+        choice = select_code(circ)
+        code, region = choice.code.lower(), choice.region
 
     if code == "pcs":
-        try:
-            region = largest_clifford_region(circ)
-        except NoProtectableRegionError as exc:
-            raise CompileError(str(exc), "no-protectable-region") from exc
+        if region is None:
+            try:
+                region = largest_clifford_region(circ)
+            except NoProtectableRegionError as exc:
+                raise CompileError(str(exc), "no-protectable-region") from exc
         if checks < 1:
             raise CompileError("pcs needs at least one check", "bad-parameters")
         payload = circ.instructions[region.start:region.end]

@@ -201,9 +201,12 @@ class _Batch:
             elif kernel.parity is None:  # one coefficient for every state
                 scale = kernel.coef[0, 0] if f is None else kernel.coef[f, :1]
             else:  # a coefficient per state, then a row of them per batch row
+                # indices 0 or 1 on axes of length 2: "clip" gives what "raise"
+                # would, without the buffer (see below)
                 coef = self._coef[:2 * m].reshape(2, m)
-                np.take(kernel.coef, kernel.parity[:m], axis=1, out=coef)
-                scale = coef[0] if f is None else np.take(coef, f, axis=0, out=self._scale[:active])
+                np.take(kernel.coef, kernel.parity[:m], axis=1, out=coef, mode="clip")
+                scale = coef[0] if f is None else np.take(coef, f, axis=0, out=self._scale[:active],
+                                                          mode="clip")
             if kernel.perm is None:  # diagonal: scale in place
                 if scale is not None:
                     psi *= scale

@@ -427,6 +427,19 @@ def sorted_candidate_lefts(k: int) -> list:
     return sorted(cands, key=lambda p: p.to_label())
 
 
+def _localize(instructions, payload_qubits: tuple[int, ...]) -> list:
+    """The non-barrier instructions with global qubit payload_qubits[i]
+    renamed to i."""
+    from qedc.circuit import Instruction
+
+    remap = {g: i for i, g in enumerate(payload_qubits)}
+    return [
+        Instruction(inst.name, tuple(remap[q] for q in inst.qubits), inst.params, inst.clbits)
+        for inst in instructions
+        if inst.name != "barrier"
+    ]
+
+
 def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
     """The greedy-coverage `CheckPair`s of a Clifford payload, scored with a
     suffix tableau per fault location.
@@ -441,7 +454,7 @@ def tableau_check_choice(payload, payload_qubits, num_checks) -> list:
     """
     from qedc.clifford import conjugate, tableau_from_circuit
     from qedc.pauli import single_qubit_pauli
-    from qedc.pcs import CheckPair, _localize
+    from qedc.pcs import CheckPair
 
     payload_qubits = tuple(sorted(payload_qubits))
     k = len(payload_qubits)

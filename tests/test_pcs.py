@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import qedc.pcs
 from qedc.analysis import Region, largest_clifford_region
 from qedc.circuit import Circuit
 from qedc.pauli import PauliString, single_qubit_pauli
@@ -167,13 +168,22 @@ def test_detection_flags_exactly_the_anticommuting_faults():
                 assert flagged == predicted
 
 
+@pytest.fixture(params=["float32", "float64"])
+def scoring(request, monkeypatch):
+    """Score coverage in float32, as every payload here allows, or in the
+    float64 a payload of total weight 2**24 and above gets."""
+    if request.param == "float64":
+        monkeypatch.setattr(qedc.pcs, "FLOAT32_EXACT_WEIGHT", 0)
+    return request.param
+
+
 _NAMED_1Q = ["h", "s", "sdg", "x", "y", "z"]
 _NAMED_2Q = ["cx", "cz", "swap"]
 _ROTATIONS_1Q = ["rz", "rx", "ry"]
 _ROTATIONS_2Q = ["rzz", "rxx", "ryy"]
 
 
-def test_greedy_checks_match_the_suffix_tableau_reference():
+def test_greedy_checks_match_the_suffix_tableau_reference(scoring):
     # every named gate and half-pi rotation, on payload qubits spread over a
     # wider register so that the payload is localized
     rng = random.Random(2718)
@@ -193,7 +203,7 @@ def test_greedy_checks_match_the_suffix_tableau_reference():
         assert got == tableau_check_choice(c.instructions, qubits, m)
 
 
-def test_greedy_checks_match_the_reference_across_segments():
+def test_greedy_checks_match_the_reference_across_segments(scoring):
     # up to 9 payload qubits, a few of them busy and the rest idle for long
     # runs or never touched, with barriers and instructions whose gate
     # sequence is empty, so each qubit's rows run in long and uneven segments
@@ -248,7 +258,7 @@ _PCS_WIDE_CHECKS = [
 ]
 
 
-def test_pcs_wide_checks_are_pinned():
+def test_pcs_wide_checks_are_pinned(scoring):
     checks = synthesize_checks(_pcs_wide_payload().instructions, range(16), 4)
     assert [(c.left.to_label(), c.right.to_label(), c.sign) for c in checks] == _PCS_WIDE_CHECKS
 
@@ -273,6 +283,15 @@ def test_synthesis_errors():
     ok.append("cx", (0, 1))
     with pytest.raises(PcsError):
         synthesize_checks(ok.instructions, (0, 1), 0)
+    # a gate on a qubit outside payload_qubits names it; barriers are skipped
+    wide = Circuit()
+    wide.add_qreg("q", 5)
+    wide.append("barrier", (0, 4))
+    wide.append("cx", (0, 3))
+    wide.append("h", (2,))
+    with pytest.raises(PcsError, match=r"qubits \[2, 3\] outside payload_qubits"):
+        synthesize_checks(wide.instructions, (0, 1), 1)
+    assert synthesize_checks(wide.instructions[:1], (0, 1), 1) == synthesize_checks([], (0, 1), 1)
 
 
 def test_meta_roundtrip():

@@ -6,7 +6,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import stage_times  # noqa: E402
+
 STAGES = ["parse", "compile", "emit", "handoff", "estimate", "sample", "postselect"]
+# the calls compile_circuit(code="auto") makes on each workload, in its order;
+# VF2 finds no layout for pcs_heavyhex's compile
+_PCS = ["select_code", "largest_clifford_region", "synthesize_checks", "insert_pcs"]
+COMPILE_STAGES = {
+    "iceberg_qaoa": ["select_code", "largest_clifford_region", "build_iceberg_circuit", "schedule"],
+    "pcs_heavyhex": _PCS + ["interaction_graph", "vf2_layouts", "fallback_layout", "route", "schedule"],
+    "pcs_wide": _PCS + ["schedule"],
+}
 
 
 def _run(*args):
@@ -15,7 +26,8 @@ def _run(*args):
     return out
 
 
-@pytest.mark.parametrize("workload, backend", [("iceberg_qaoa", "statevector"), ("pcs_heavyhex", "pauli-frame")])
+@pytest.mark.parametrize("workload, backend", [("iceberg_qaoa", "statevector"), ("pcs_heavyhex", "pauli-frame"),
+                                               ("pcs_wide", "pauli-frame")])
 def test_one_json_line_with_every_stage(workload, backend):
     out = _run("--workload", workload, "--seed", "4", "--repeats", "1", "--calls", "1")
     assert out.returncode == 0, out.stderr
@@ -23,6 +35,8 @@ def test_one_json_line_with_every_stage(workload, backend):
     report = json.loads(line)
     assert (report["workload"], report["seed"], report["repeats"], report["calls"]) == (workload, 4, 1, 1)
     assert list(report["ms"]) == STAGES
+    assert list(report["compile_stages"]) == COMPILE_STAGES[workload]
+    assert all(ms > 0 for ms in report["compile_stages"].values())
     record = report["sample"]
     assert record["backend"] == backend and record["shots"] > 0
     assert {"faulty_shots", "simulated_shots", "statevector_passes", "noisy_instructions"} <= set(record)
@@ -32,9 +46,23 @@ def test_one_json_line_with_every_stage(workload, backend):
         assert all(report["ms"][s] > 0 for s in STAGES if s != "estimate")
     else:
         assert report["errors"] == {} and all(report["ms"][s] > 0 for s in STAGES)
-        assert record["statevector_passes"] > 0
+    assert (record["statevector_passes"] > 0) == (backend == "statevector")
 
 
 def test_repeats_below_one_are_rejected():
     out = _run("--workload", "pcs_wide", "--seed", "1", "--repeats", "0")
     assert out.returncode == 2 and "--repeats and --calls must be at least 1" in out.stderr
+
+
+def test_compile_stages_need_the_compile_and_its_circuit():
+    workload = stage_times.WORKLOADS["pcs_wide"]
+    inputs = stage_times.make_inputs(workload, 4)
+    calls, errors = stage_times.stage_calls(workload, inputs, None)
+    assert list(stage_times.compile_stage_ms(workload, calls, errors, None, 1, 1)) == COMPILE_STAGES["pcs_wide"]
+    errors = {}
+    assert stage_times.compile_stage_ms(workload, {}, errors, None, 1, 1) is None
+    assert errors == {"compile_stages": "not run: compile did not complete"}
+    # stages that compile another circuit than compile_circuit are not timed
+    other = stage_times.qedc.compile_circuit(calls["parse"](), code="none")
+    assert stage_times.compile_stage_ms(workload, dict(calls, compile=lambda: other), errors, None, 1, 1) is None
+    assert errors["compile_stages"] == "the stages compile another circuit than compile_circuit"

@@ -14,6 +14,16 @@ for a stage that raised, whose error is under `errors`: on pcs_heavyhex
 `estimate_overhead` raises for a routed PCS compile) and the fields of the
 record `sample` logs at DEBUG (backend, shots, faulty and simulated shots,
 statevector passes and amplitudes, noisy instructions).
+
+Under `compile_stages` it times, the same way, each public call that
+`compile_circuit` makes, in its order: `select_code` and the
+`largest_clifford_region` it runs; `synthesize_checks` and `insert_pcs`, or
+`build_iceberg_circuit`; on a routed workload `interaction_graph`,
+`vf2_layouts`, `fallback_layout` (only where VF2 finds no layout) and
+`route`; and `schedule`.  Each is bound to the outputs of one untimed run of
+those calls, whose circuit must be the one `compile_circuit` gives; if it is
+not, or the compile raised, `compile_stages` is null and the reason is
+under `errors`.
 """
 from __future__ import annotations
 
@@ -32,6 +42,7 @@ from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 import qedc  # noqa: E402
 from qedc import CompilationMeta  # noqa: E402
+from qedc.pipeline import protected_qubits  # noqa: E402
 
 STAGES = ("parse", "compile", "emit", "handoff", "estimate", "sample", "postselect")
 
@@ -87,6 +98,49 @@ def stage_calls(workload, inputs, coupling):
     return calls, errors
 
 
+def compile_calls(workload, circ, coupling):
+    """Each public call of `compile_circuit(circ, code="auto")`, bound to the
+    outputs of one untimed run of them, and the circuit that run compiles."""
+    calls = {}
+
+    def run(name, call):
+        calls[name] = call
+        return call()
+
+    code = run("select_code", lambda: qedc.select_code(circ)).code.lower()
+    region = run("largest_clifford_region", lambda: qedc.largest_clifford_region(circ))
+    if code == "pcs":
+        payload = circ.instructions[region.start:region.end]
+        pairs = run("synthesize_checks", lambda: qedc.synthesize_checks(payload, region.qubits, workload.checks))
+        encoded, code_meta = run("insert_pcs", lambda: qedc.insert_pcs(circ, region, pairs))
+    else:
+        encoded, code_meta = run("build_iceberg_circuit",
+                                 lambda: qedc.build_iceberg_circuit(circ, cycles=workload.checks))
+    compiled = encoded
+    if coupling is not None:
+        n = encoded.num_qubits
+        graph = run("interaction_graph", lambda: qedc.interaction_graph(encoded))
+        found = run("vf2_layouts", lambda: qedc.vf2_layouts(graph, n, coupling, limit=1))
+        layout = found[0] if found else run("fallback_layout", lambda: qedc.fallback_layout(graph, n, coupling))
+        protected = protected_qubits(encoded, CompilationMeta(code, code_meta, None, 0, 0))
+        compiled = run("route", lambda: qedc.route(encoded, layout, coupling, protected)).circuit
+    run("schedule", lambda: qedc.schedule(compiled))
+    return calls, compiled
+
+
+def compile_stage_ms(workload, calls, errors, coupling, repeats: int, count: int):
+    """Milliseconds of each of `compile_calls`, or None with the reason under
+    `errors["compile_stages"]`."""
+    if "compile" not in calls:
+        errors["compile_stages"] = "not run: compile did not complete"
+        return None
+    stages, compiled = compile_calls(workload, calls["parse"](), coupling)
+    if qedc.emit_qasm(compiled) != qedc.emit_qasm(calls["compile"]()[0]):
+        errors["compile_stages"] = "the stages compile another circuit than compile_circuit"
+        return None
+    return {name: round(best_ms(call, repeats, count), 4) for name, call in stages.items()}
+
+
 def best_ms(call, repeats: int, calls: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -126,6 +180,7 @@ def main(argv=None) -> int:
     inputs = make_inputs(workload, args.seed)
     coupling = qedc.heavy_hex_127() if workload.heavy_hex else None
     calls, errors = stage_calls(workload, inputs, coupling)
+    compile_stages = compile_stage_ms(workload, calls, errors, coupling, args.repeats, args.calls)
     print(json.dumps({
         "workload": workload.name,
         "seed": args.seed,
@@ -133,6 +188,7 @@ def main(argv=None) -> int:
         "calls": args.calls,
         "ms": {name: round(best_ms(calls[name], args.repeats, args.calls), 4) if name in calls else None
                for name in STAGES},
+        "compile_stages": compile_stages,
         "errors": errors,
         "sample": sample_record(calls["sample"]) if "sample" in calls else None,
     }))
