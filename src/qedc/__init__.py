@@ -12,7 +12,6 @@ from .clifford import CliffordTableau, conjugate, is_clifford, tableau_from_circ
 from .analysis import (
     CodeChoice,
     Region,
-    SelectionConfig,
     find_clifford_regions,
     interaction_graph,
     largest_clifford_region,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, Instruction, terminal_start
 from .clifford import BASIS_CHANGE, PAULI_AXES, is_clifford
 
 GATESETS = {
@@ -17,11 +17,12 @@ GATESETS = {
 
 _PI = math.pi
 
+# the least Clifford fraction for which select_code picks PCS
+CLIFFORD_MIN = 0.5
+
 
 class TranspileError(Exception):
-    def __init__(self, message: str, instruction_index: int | None = None):
-        super().__init__(message)
-        self.instruction_index = instruction_index
+    pass
 
 
 @dataclass
@@ -126,41 +127,35 @@ def _expand_pcs(inst: Instruction) -> list[tuple[str, tuple[int, ...], tuple[flo
     return _on_axis(inst, core, lambda q, g: [(g, (q,), ())])
 
 
+def _midcircuit_obstacle(circ: Circuit, tail: int) -> str | None:
+    """The first reset or measurement before instruction `tail`, as the
+    reason iceberg-logical cannot take `circ`."""
+    for idx, inst in enumerate(circ.instructions[:tail]):
+        if inst.name == "measure":
+            return f"mid-circuit measure at instruction {idx} is unsupported for iceberg-logical"
+        if inst.name == "reset":
+            return f"reset at instruction {idx} is unsupported for iceberg-logical"
+    return None
+
+
 def transpile_to_gateset(circ: Circuit, target: str) -> Circuit:
     """Rewrite onto a target gate set, preserving the unitary up to global phase."""
     if target not in GATESETS:
         raise ValueError(f"unknown gate set {target!r}")
+    if target == "iceberg-logical":
+        why = _midcircuit_obstacle(circ, terminal_start(circ.instructions))
+        if why:
+            raise TranspileError(why)
+    # iceberg-logical drops barriers
+    kept = GATESETS[target] | {"measure", "reset"} | ({"barrier"} if target == "pcs-default" else set())
+    expand = _expand_iceberg if target == "iceberg-logical" else _expand_pcs
     out = circ.copy_empty()
-    # find where the trailing measure/barrier block starts
-    i = len(circ.instructions)
-    while i > 0 and circ.instructions[i - 1].name in ("measure", "barrier"):
-        i -= 1
-    trailing_start = i
-
-    for idx, inst in enumerate(circ.instructions):
-        name = inst.name
-        if name == "measure":
-            if target == "iceberg-logical" and idx < trailing_start:
-                raise TranspileError(
-                    f"mid-circuit measure at instruction {idx} is unsupported for {target}", idx
-                )
+    for inst in circ.instructions:
+        if inst.name in kept:
             out.instructions.append(inst)
-            continue
-        if name == "barrier":
-            if target == "pcs-default":
-                out.instructions.append(inst)
-            continue
-        if name == "reset":
-            if target == "iceberg-logical":
-                raise TranspileError(f"reset at instruction {idx} is unsupported for {target}", idx)
-            out.instructions.append(inst)
-            continue
-        if name in GATESETS[target]:
-            out.instructions.append(inst)
-            continue
-        expand = _expand_iceberg if target == "iceberg-logical" else _expand_pcs
-        for gname, qubits, params in expand(inst):
-            out.append(gname, qubits, params)
+        elif inst.name != "barrier":
+            for gname, qubits, params in expand(inst):
+                out.append(gname, qubits, params)
     return out
 
 
@@ -215,14 +210,29 @@ def interaction_graph(circ: Circuit) -> dict[tuple[int, int], int]:
 
 # -- code selection -----------------------------------------------------------
 
-@dataclass
-class SelectionConfig:
-    clifford_min: float = 0.5
+def iceberg_obstacle(circ: Circuit) -> str | None:
+    """Why the Iceberg code cannot encode `circ`, or None.  It needs an even
+    number k >= 2 of logical qubits, no reset, no measurement before the
+    trailing block, and a readout it can decode logical bits into: no
+    classical register and no measurement, or each qubit q measured once
+    into clbit q of a single k-bit register."""
+    k = circ.num_qubits
+    if k < 2 or k % 2:
+        return f"logical qubit count must be even and >= 2, got {k}"
+    tail = terminal_start(circ.instructions)
+    why = _midcircuit_obstacle(circ, tail)
+    if why:
+        return why
+    measured = sorted((i.qubits[0], i.clbits[0]) for i in circ.instructions[tail:] if i.name == "measure")
+    if not (circ.cregs or measured):
+        return None
+    if len(circ.cregs) == 1 and circ.num_clbits == k and measured == [(q, q) for q in range(k)]:
+        return None
+    return (f"the Iceberg readout needs each qubit q measured once into clbit q of one {k}-bit "
+            "register, or no measurement and no classical register")
 
 
-def select_code(circ: Circuit, cfg: SelectionConfig | None = None) -> CodeChoice:
-    if cfg is None:
-        cfg = SelectionConfig()
+def select_code(circ: Circuit) -> CodeChoice:
     gates = [i for i in circ.instructions if i.name not in ("measure", "barrier")]
     total = len(gates)
     if total == 0:
@@ -237,14 +247,8 @@ def select_code(circ: Circuit, cfg: SelectionConfig | None = None) -> CodeChoice
     rotation_fraction = sum(1 for g in gates if g.name in PAULI_AXES and len(g.qubits) == 2) / total
 
     overhead = {"pcs": 2, "iceberg": 4}  # ancillas for a typical 2-check / 2-cycle setup
-    if clifford_fraction >= cfg.clifford_min:
+    if clifford_fraction >= CLIFFORD_MIN:
         code = "PCS"
-    elif circ.num_qubits % 2 == 0 and circ.num_qubits >= 2:
-        try:
-            transpile_to_gateset(circ, "iceberg-logical")
-            code = "ICEBERG"
-        except TranspileError:
-            code = "NONE"
     else:
-        code = "NONE"
+        code = "NONE" if iceberg_obstacle(circ) else "ICEBERG"
     return CodeChoice(code, clifford_fraction, rotation_fraction, overhead, best)

@@ -171,6 +171,14 @@ def validate(circ: Circuit) -> list[Diagnostic]:
     return diags
 
 
+def terminal_start(instructions) -> int:
+    """Index of the first of the trailing measures and barriers."""
+    i = len(instructions)
+    while i and instructions[i - 1].name in ("measure", "barrier"):
+        i -= 1
+    return i
+
+
 def counts_key(clbit_values, cregs: list[Register]) -> str:
     """Format classical-bit values as a counts key.
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import TranspileError, transpile_to_gateset
-from .circuit import Circuit, Instruction, Register, registers
+from .analysis import iceberg_obstacle, transpile_to_gateset
+from .circuit import Circuit, Instruction, Register, registers, terminal_start
 
 
 class IcebergError(Exception):
@@ -164,15 +164,6 @@ def syndrome_cycle(layout: IcebergLayout, clbits: tuple[int, int]) -> list[Instr
     return frag
 
 
-def _strip_trailing_measures(circ: Circuit) -> Circuit:
-    insts = list(circ.instructions)
-    while insts and insts[-1].name in ("measure", "barrier"):
-        insts.pop()
-    out = circ.copy_empty()
-    out.instructions = insts
-    return out
-
-
 def _cycle_positions(num_gates: int, cycles: int) -> list[int]:
     """Instruction indices splitting the gate list into cycles+1 equal parts."""
     return [round(num_gates * (j + 1) / (cycles + 1)) for j in range(cycles)]
@@ -183,17 +174,16 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
 
     Output structure: verified state preparation, translated logical gates
     with `cycles` syndrome cycles inserted at even splits, and a final
-    destructive Z-basis readout of all n data qubits.
+    destructive Z-basis readout of all n data qubits.  Raises IcebergError
+    with `analysis.iceberg_obstacle`'s reason if the code cannot encode `circ`.
     """
-    k = circ.num_qubits
-    if k < 2 or k % 2 != 0:
-        raise IcebergError(f"logical qubit count must be even and >= 2, got {k}")
+    why = iceberg_obstacle(circ)
+    if why:
+        raise IcebergError(why)
     if cycles < 0:
         raise IcebergError("cycle count must be >= 0")
-    try:
-        logical = transpile_to_gateset(_strip_trailing_measures(circ), "iceberg-logical")
-    except TranspileError as exc:
-        raise IcebergError(str(exc)) from exc
+    k = circ.num_qubits
+    logical = transpile_to_gateset(circ, "iceberg-logical").instructions
 
     frag, layout = iceberg_encode_init(k)
     meta = IcebergMeta(IcebergLayout(k, layout.data_qubits, layout.ancillas, cycles))
@@ -207,7 +197,7 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     synd = regs.get(meta.cycle_register)
     meas = regs[meta.readout_register]
 
-    gates = logical.instructions  # transpiling drops barriers
+    gates = logical[:terminal_start(logical)]  # the trailing measures left out
     bounds = [0] + _cycle_positions(len(gates), cycles) + [len(gates)]
     for j, (start, end) in enumerate(zip(bounds, bounds[1:])):
         for inst in gates[start:end]:

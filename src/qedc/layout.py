@@ -329,16 +329,14 @@ def route(
 class Schedule:
     steps: list[int]
     depth: int
-    idle_steps: dict[int, int]
 
 
 def schedule(circ: Circuit) -> Schedule:
     """ASAP list schedule: each instruction at the earliest step after its
-    qubit/clbit predecessors; also reports per-qubit idle steps."""
+    qubit/clbit predecessors."""
     q_free: dict[int, int] = {}
     c_free: dict[int, int] = {}
     steps: list[int] = []
-    busy: dict[int, int] = {}
     for inst in circ.instructions:
         start = 0
         for q in inst.qubits:
@@ -348,9 +346,7 @@ def schedule(circ: Circuit) -> Schedule:
         steps.append(start)
         for q in inst.qubits:
             q_free[q] = start + 1
-            busy[q] = busy.get(q, 0) + 1
         for c in inst.clbits:
             c_free[c] = start + 1
     depth = max((s + 1 for s in steps), default=0)
-    idle = {q: depth - busy.get(q, 0) for q in q_free}
-    return Schedule(steps, depth, idle)
+    return Schedule(steps, depth)

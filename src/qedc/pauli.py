@@ -8,21 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# single-qubit product table: (a, b) -> (phase exponent of i, product code)
-# codes: 0=I, 1=X, 2=Z, 3=Y  (code = x_bit + 2*z_bit)
-_MUL = {}
-for _a in range(4):
-    _MUL[(0, _a)] = (0, _a)
-    _MUL[(_a, 0)] = (0, _a)
-    _MUL[(_a, _a)] = (0, 0)
-# X=1, Z=2, Y=3; cyclic XY=iZ, YZ=iX, ZX=iY
-_MUL[(1, 3)] = (1, 2)   # X*Y = iZ
-_MUL[(3, 1)] = (3, 2)   # Y*X = -iZ
-_MUL[(3, 2)] = (1, 1)   # Y*Z = iX
-_MUL[(2, 3)] = (3, 1)   # Z*Y = -iX
-_MUL[(2, 1)] = (1, 3)   # Z*X = iY
-_MUL[(1, 2)] = (3, 3)   # X*Z = -iY
-
 _CODE_TO_CHAR = "IXZY"
 _CHAR_TO_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -112,20 +97,17 @@ class PauliString:
 
 
 def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
-    """Group product pq with the correct global phase."""
+    """Group product pq with the correct global phase.
+
+    With each factor written i^|x&z| X^x Z^z (Y = iXZ), moving q's X^x past
+    p's Z^z costs (-1)^|p.z&q.x|, and the product's own Y count is taken back
+    out of the phase."""
     if p.n != q.n:
         raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    phase = (p.phase + q.phase) % 4
-    support = (p.x | p.z | q.x | q.z)
-    bit = 0
-    s = support
-    while s:
-        if s & 1:
-            e, _ = _MUL[(p.code_at(bit), q.code_at(bit))]
-            phase = (phase + e) % 4
-        s >>= 1
-        bit += 1
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
+    x, z = p.x ^ q.x, p.z ^ q.z
+    phase = (p.phase + q.phase + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+             - (x & z).bit_count() + 2 * (p.z & q.x).bit_count())
+    return PauliString(p.n, x, z, phase % 4)
 
 
 def single_qubit_pauli(n: int, q: int, kind: str) -> PauliString:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import GATE_SPECS, ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key
+from .circuit import (GATE_SPECS, ONE_QUBIT_GATES, TWO_QUBIT_GATES, Circuit, Instruction, Register, counts_key,
+                      terminal_start)
 from .clifford import PAULI_AXES, clifford_gate_sequence, step_xz
 from .errorprop import depolarizing_signatures, detector_sweep
 from .stabilizer import stabilizer_run
@@ -338,14 +339,6 @@ def _program(insts, n: int, errors=None, sequences=None) -> list[_Op]:
             in zip(insts, kernels, errors or itertools.repeat(0.0), widths, columns, sequences)]
 
 
-def _terminal_start(ops: list[_Op]) -> int:
-    """Index of the first of the trailing measurements."""
-    tail = len(ops)
-    while tail and ops[tail - 1].name == "measure":
-        tail -= 1
-    return tail
-
-
 def _halves(psi: np.ndarray, q: int) -> np.ndarray:
     """(B, high bits, 2, low bits) view of a batch; axis 2 is qubit q."""
     return psi.reshape(psi.shape[0], -1, 2, 1 << q)
@@ -388,7 +381,7 @@ def statevector(circ: Circuit) -> np.ndarray:
     if n > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(f"{n} qubits exceeds the statevector limit of {MAX_STATEVECTOR_QUBITS}")
     ops = _program(circ.instructions, n)
-    tail = _terminal_start(ops)
+    tail = terminal_start(ops)
     if any(op.name == "reset" for op in ops):
         raise SimulationError("reset is not supported by statevector()")
     if any(op.kernels is None for op in ops[:tail]):
@@ -497,7 +490,7 @@ def deterministic_distribution(circ: Circuit) -> dict[str, float]:
             kept.append(inst)
             live.update(inst.qubits)
     ops = _program(kept[::-1], n)
-    tail = _terminal_start(ops)
+    tail = terminal_start(ops)
     measures = [(op.qubits[0], op.clbit) for op in ops[tail:]]
     dist: dict[str, float] = {}
     runs = [(1.0, _NoiselessRun(ops, n, compacted.num_clbits, _FORK_TOL))]
@@ -756,7 +749,7 @@ def _sample_records(circ: Circuit, insts, sequences, errors, shots: int, rng):
     """
     n, nc = circ.num_qubits, circ.num_clbits
     ops = _program(insts, n, errors, sequences)
-    tail = _terminal_start(ops)
+    tail = terminal_start(ops)
 
     # 1. every shot's faults; the faulty shots' signatures give the
     # rotations each one negates, and the X bit each of its records reads

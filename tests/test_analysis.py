@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from qedc.analysis import (
+    CLIFFORD_MIN,
     GATESETS,
     NoProtectableRegionError,
-    SelectionConfig,
     TranspileError,
     find_clifford_regions,
+    iceberg_obstacle,
     interaction_graph,
     largest_clifford_region,
     select_code,
     transpile_to_gateset,
 )
 from qedc.circuit import Circuit
+from qedc.qasm import parse_qasm
 
 from oracles import circuit_unitary
 
@@ -152,10 +154,40 @@ def test_select_code_none_for_empty_and_odd_rotation():
     assert select_code(d).code == "NONE"
 
 
-def test_selection_threshold_configurable():
+def test_selection_threshold_is_clifford_min():
     c = Circuit()
     c.add_qreg("q", 2)
     c.append("cx", (0, 1))
-    c.append("rx", (0,), (0.3,))  # clifford fraction 0.5
-    assert select_code(c, SelectionConfig(clifford_min=0.4)).code == "PCS"
-    assert select_code(c, SelectionConfig(clifford_min=0.6)).code == "ICEBERG"
+    c.append("rx", (0,), (0.3,))
+    choice = select_code(c)
+    assert (choice.clifford_fraction, choice.code) == (CLIFFORD_MIN, "PCS")
+    d = Circuit()
+    d.add_qreg("q", 2)
+    for _ in range(50):
+        d.append("cx", (0, 1))
+    for _ in range(51):
+        d.append("rx", (0,), (0.3,))
+    choice = select_code(d)
+    assert choice.clifford_fraction == 50 / 101 < CLIFFORD_MIN
+    assert choice.code == "ICEBERG"
+
+
+@pytest.mark.parametrize("cregs, measures, fits", [
+    ("", "", True),
+    ("creg c[2];", "measure q[0] -> c[0];\nmeasure q[1] -> c[1];", True),
+    ("creg c[2];", "measure q[1] -> c[1];\nbarrier q;\nmeasure q[0] -> c[0];", True),
+    ("creg c[2];", "measure q[0] -> c[1];\nmeasure q[1] -> c[0];", False),
+    ("creg c[2];", "measure q[0] -> c[0];", False),
+    ("creg c[2];", "", False),
+    ("creg c[3];", "measure q[0] -> c[0];\nmeasure q[1] -> c[1];", False),
+    ("creg a[1];\ncreg b[1];", "measure q[0] -> a[0];\nmeasure q[1] -> b[0];", False),
+    ("creg c[2];", "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\nmeasure q[1] -> c[1];", False),
+], ids=["no-clbits", "in-order", "any-order", "swapped", "one-unread", "none-read", "wide-register",
+        "two-registers", "read-twice"])
+def test_iceberg_obstacle_measurement_map(cregs, measures, fits):
+    # the Iceberg readout decodes logical qubit q into clbit q of one k-bit register
+    circ = parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{cregs}\nrx(0.3) q[0];\nrzz(0.7) q[0],q[1];\n{measures}\n")
+    why = iceberg_obstacle(circ)
+    assert (why is None) == fits
+    assert "even" not in (why or "")  # compile_circuit reads "even" as odd-qubit-count
+    assert select_code(circ).code == ("ICEBERG" if fits else "NONE")

@@ -10,7 +10,7 @@ from qedc.postprocess import estimate_overhead, postselect_counts_iceberg
 from qedc.qasm import emit_qasm, parse_qasm
 from qedc.simulator import NoiseModel
 from test_acceptance import _case_study_circuit_4q
-from test_iceberg import MID_CIRCUIT_QASM
+from test_iceberg import MID_CIRCUIT_QASM, SWAPPED_MAP_QASM
 
 BELL_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -250,6 +250,16 @@ def test_iceberg_mid_circuit_measure_or_reset_exits_compile(tmp_path, capsys, bo
                "--out", str(tmp_path / "c.qasm"), "--meta-out", str(tmp_path / "m.json")])
     assert rc == EXIT_COMPILE
     assert json.loads(capsys.readouterr().err)["error"] == "compile"
+
+
+def test_iceberg_permuted_measurement_map_exits_compile(tmp_path, capsys):
+    src = tmp_path / "swapped.qasm"
+    src.write_text(SWAPPED_MAP_QASM)
+    rc = main(["compile", str(src), "--code", "iceberg",
+               "--out", str(tmp_path / "c.qasm"), "--meta-out", str(tmp_path / "m.json")])
+    assert rc == EXIT_COMPILE == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "compile"
+    assert not (tmp_path / "c.qasm").exists()
 
 
 def test_too_many_checks_exits_compile(bell, tmp_path, capsys):

@@ -103,6 +103,21 @@ def test_build_rejects_mid_circuit_measure_and_reset(body):
     assert info.value.reason == "compile"
 
 
+SWAPPED_MAP_QASM = ("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nx q[0];\n"
+                    "measure q[0] -> c[1];\nmeasure q[1] -> c[0];\n")
+
+
+def test_build_rejects_a_permuted_measurement_map():
+    # the readout decodes logical qubit q into clbit q, which would read '01' here
+    circ = parse_qasm(SWAPPED_MAP_QASM)
+    assert ideal_distribution(circ) == {"10": 1.0}
+    with pytest.raises(IcebergError, match="into clbit q"):
+        build_iceberg_circuit(circ, cycles=1)
+    with pytest.raises(CompileError, match="into clbit q") as info:
+        compile_circuit(circ, code="iceberg", checks=1)
+    assert info.value.reason == "compile"
+
+
 def test_noiseless_logical_equivalence():
     rng = random.Random(31)
     for _ in range(6):

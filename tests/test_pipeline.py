@@ -1,18 +1,25 @@
 import hashlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qedc.analysis
+import qedc.iceberg
 from qedc import simulator
-from qedc.analysis import transpile_to_gateset
+from qedc.analysis import select_code, transpile_to_gateset
 from qedc.circuit import Circuit
 from qedc.layout import CouplingGraph, heavy_hex_127
 from qedc.pipeline import compile_circuit
 from qedc.postprocess import detectors
-from qedc.qasm import emit_qasm
+from qedc.qasm import emit_qasm, parse_qasm
 from test_acceptance import _case_study_circuit_4q, _qaoa6
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 LINE_8 = CouplingGraph(8, [(i, i + 1) for i in range(7)])
 
@@ -74,6 +81,37 @@ def test_compiles_are_pinned(name):
 def test_transpiles_are_pinned(target):
     text = emit_qasm(transpile_to_gateset(_pauli_rotations_4q(), target))
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COMPILES["transpile-" + target]
+
+
+_OVERHEAD = {"pcs": 2, "iceberg": 4}
+# select_code(...).to_dict() on each benchmark workload's input
+_PINNED_CHOICES = {
+    "iceberg_qaoa": {"code": "ICEBERG", "rationale": {
+        "clifford_fraction": 0.2, "two_qubit_pauli_rotation_fraction": 0.4, "qubit_overhead_estimate": _OVERHEAD}},
+    "pcs_heavyhex": {"code": "PCS", "rationale": {
+        "clifford_fraction": 1.0, "two_qubit_pauli_rotation_fraction": 0.0, "qubit_overhead_estimate": _OVERHEAD}},
+    "pcs_wide": {"code": "PCS", "rationale": {
+        "clifford_fraction": 1.0, "two_qubit_pauli_rotation_fraction": 0.0, "qubit_overhead_estimate": _OVERHEAD}},
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CHOICES))
+def test_workload_code_choices_are_pinned(name):
+    assert select_code(parse_qasm(WORKLOADS[name].qasm())).to_dict() == _PINNED_CHOICES[name]
+
+
+def test_auto_iceberg_compile_transpiles_once(monkeypatch):
+    targets = []
+
+    def counted(circ, target):
+        targets.append(target)
+        return transpile_to_gateset(circ, target)
+
+    monkeypatch.setattr(qedc.analysis, "transpile_to_gateset", counted)
+    monkeypatch.setattr(qedc.iceberg, "transpile_to_gateset", counted)
+    _, meta = compile_circuit(_qaoa6(), code="auto", checks=2)
+    assert meta.code == "iceberg"
+    assert targets == ["iceberg-logical"]
 
 
 @pytest.mark.parametrize("name", list(_COMPILES))

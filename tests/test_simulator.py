@@ -9,7 +9,7 @@ import pytest
 
 import qedc.clifford
 import qedc.simulator as simulator
-from qedc.circuit import GATE_SPECS, Circuit, Instruction, Register
+from qedc.circuit import GATE_SPECS, Circuit, Instruction, Register, terminal_start
 from qedc.clifford import PAULI_AXES, is_clifford
 from qedc.simulator import (
     MAX_STATEVECTOR_QUBITS,
@@ -797,7 +797,7 @@ def _random_ops(circ):
     compacted = simulator._compact(circ)
     insts = [i for i in compacted.instructions if i.name != "barrier"]
     ops = simulator._program(insts, compacted.num_qubits)
-    tail = simulator._terminal_start(ops)
+    tail = terminal_start(ops)
     flags = simulator._may_be_random(insts[:tail], ops, compacted.num_qubits)
     return [(i, insts[i].name) for i, flag in enumerate(flags) if flag]
 
