@@ -8,7 +8,7 @@ rate with the analytic prediction.
 Run: python3 demos/iceberg_walkthrough.py
 """
 from qedc.circuit import Circuit
-from qedc.iceberg import decode_readout
+from qedc.iceberg import READOUT_CREG, decode_readout
 from qedc.pipeline import compile_circuit
 from qedc.postprocess import (
     counts_tvd,
@@ -39,9 +39,9 @@ def main() -> None:
 
     print("== encoding ==")
     enc, meta = compile_circuit(circ, code="iceberg", checks=2)
-    layout = meta.code_meta.layout
-    print(f"  {layout.k} logical qubits -> {layout.n} data qubits "
-          f"+ 2 reusable ancillas, {layout.cycle_count} syndrome cycles")
+    code = meta.code_meta
+    print(f"  {code.k} logical qubits -> {code.n} data qubits "
+          f"+ 2 reusable ancillas, {code.cycles} syndrome cycles")
     print(f"  classical registers: "
           + ", ".join(f"{r.name}[{r.size}]" for r in enc.cregs))
 
@@ -57,7 +57,7 @@ def main() -> None:
 
     print("== fidelity ==")
     ideal = ideal_distribution(circ)
-    group = [r.name for r in reversed(enc.cregs)].index("meas")
+    group = [r.name for r in reversed(enc.cregs)].index(READOUT_CREG)
     raw = {}
     for key, c in counts.items():
         logical = decode_readout(key.split(" ")[group], meta.code_meta)[1]

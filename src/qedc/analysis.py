@@ -210,26 +210,23 @@ def interaction_graph(circ: Circuit) -> dict[tuple[int, int], int]:
 
 # -- code selection -----------------------------------------------------------
 
-def iceberg_obstacle(circ: Circuit) -> str | None:
-    """Why the Iceberg code cannot encode `circ`, or None.  It needs an even
-    number k >= 2 of logical qubits, no reset, no measurement before the
-    trailing block, and a readout it can decode logical bits into: no
-    classical register and no measurement, or each qubit q measured once
-    into clbit q of a single k-bit register."""
+def iceberg_obstacle(circ: Circuit) -> tuple[str, str] | None:
+    """Why the Iceberg code cannot encode `circ`, as (message, CLI reason
+    code), or None.  It needs an even number k >= 2 of logical qubits
+    (`odd-qubit-count`), and (`compile`) no reset, no measurement before the
+    trailing block, and a readout it can decode logical bits into: each
+    qubit q measured once into clbit q of a single k-bit register."""
     k = circ.num_qubits
     if k < 2 or k % 2:
-        return f"logical qubit count must be even and >= 2, got {k}"
+        return f"logical qubit count must be even and >= 2, got {k}", "odd-qubit-count"
     tail = terminal_start(circ.instructions)
     why = _midcircuit_obstacle(circ, tail)
     if why:
-        return why
+        return why, "compile"
     measured = sorted((i.qubits[0], i.clbits[0]) for i in circ.instructions[tail:] if i.name == "measure")
-    if not (circ.cregs or measured):
-        return None
     if len(circ.cregs) == 1 and circ.num_clbits == k and measured == [(q, q) for q in range(k)]:
         return None
-    return (f"the Iceberg readout needs each qubit q measured once into clbit q of one {k}-bit "
-            "register, or no measurement and no classical register")
+    return f"the Iceberg readout needs each qubit q measured once into clbit q of one {k}-bit register", "compile"
 
 
 def select_code(circ: Circuit) -> CodeChoice:

@@ -45,19 +45,20 @@ class CheckPair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckPair":
+        sign = d["sign"]
+        if not (type(sign) is int and sign in (1, -1)):
+            raise ValueError(f"a check's sign must be 1 or -1, got {sign!r}")
         return cls(
             PauliString.from_label(d["left"]),
             PauliString.from_label(d["right"]),
-            int(d["sign"]),
+            sign,
             int(d["ancilla"]),
         )
 
 
 @dataclass
 class PcsMeta:
-    ancilla_register: str
     check_pairs: list[CheckPair]
-    expected_ancilla_bits: str  # counts-key format: leftmost = highest check index
     payload_region: tuple[int, int]       # region in the input circuit
     payload_qubits: tuple[int, ...]       # global indices, ascending; local i = payload_qubits[i]
     payload_span: tuple[int, int] = (0, 0)  # payload position in the output circuit
@@ -67,6 +68,17 @@ class PcsMeta:
     def num_checks(self) -> int:
         return len(self.check_pairs)
 
+    @property
+    def ancilla_register(self) -> str:
+        """The check ancillas' classical register, `ANCILLA_CREG` (the
+        benchmark's reference check reads it here)."""
+        return ANCILLA_CREG
+
+    @property
+    def expected_ancilla_bits(self) -> str:
+        """The checks' expected bits in counts-key format: leftmost = highest check index."""
+        return "".join(str(c.expected_bit) for c in reversed(self.check_pairs))
+
     def cregs(self) -> list[Register] | None:
         """The output circuit's classical registers; None for metadata
         written before they were recorded."""
@@ -75,9 +87,7 @@ class PcsMeta:
     def to_dict(self) -> dict:
         return {
             "code": "pcs",
-            "ancilla_register": self.ancilla_register,
             "checks": [c.to_dict() for c in self.check_pairs],
-            "expected_ancilla_bits": self.expected_ancilla_bits,
             "payload": list(self.payload_region),
             "payload_qubits": list(self.payload_qubits),
             "payload_span": list(self.payload_span),
@@ -86,22 +96,24 @@ class PcsMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcsMeta":
-        checks = [CheckPair.from_dict(c) for c in d["checks"]]
-        bits = d["expected_ancilla_bits"]
-        if not (isinstance(bits, str) and len(bits) == len(checks) and set(bits) <= {"0", "1"}):
-            raise ValueError(f"expected_ancilla_bits must be {len(checks)} characters 0 or 1, got {bits!r}")
+        """The record of `d`.  Of the keys older files carry, the ancilla
+        register (always `ANCILLA_CREG`) is ignored, and expected ancilla
+        bits must equal the ones the checks' signs give."""
         cregs = tuple((name, size) for name, size in d.get("cregs", ()))
         if not all(isinstance(name, str) and type(size) is int and size > 0 for name, size in cregs):
             raise ValueError(f"cregs must be [name, positive size] pairs, got {d['cregs']!r}")
-        return cls(
-            d["ancilla_register"],
-            checks,
-            bits,
+        meta = cls(
+            [CheckPair.from_dict(c) for c in d["checks"]],
             tuple(d["payload"]),
             tuple(d["payload_qubits"]),
             tuple(d.get("payload_span", (0, 0))),
             cregs,
         )
+        bits = d.get("expected_ancilla_bits", meta.expected_ancilla_bits)
+        if bits != meta.expected_ancilla_bits:
+            raise ValueError(f"expected_ancilla_bits {bits!r} disagree with the checks' signs, "
+                             f"which give {meta.expected_ancilla_bits!r}")
+        return meta
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -285,11 +297,8 @@ def insert_pcs(circ: Circuit, region: Region, checks: list[CheckPair]) -> tuple[
     for i in range(m):
         body.append(Instruction("measure", (ancillas[i],), clbits=(anc_creg.start + i,)))
 
-    expected = "".join(str(placed[i].expected_bit) for i in range(m - 1, -1, -1))
     meta = PcsMeta(
-        ancilla_register=ANCILLA_CREG,
         check_pairs=placed,
-        expected_ancilla_bits=expected,
         payload_region=(region.start, region.end),
         payload_qubits=payload_qubits,
         payload_span=(payload_start, payload_end),

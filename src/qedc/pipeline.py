@@ -15,7 +15,7 @@ from .analysis import (
 from .circuit import Circuit
 from .iceberg import IcebergError, IcebergMeta, build_iceberg_circuit
 from .layout import CouplingGraph, Layout, LayoutError, fallback_layout, route, schedule, vf2_layouts
-from .pcs import PcsError, PcsMeta, insert_pcs, synthesize_checks
+from .pcs import ANCILLA_CREG, ANCILLA_QREG, PcsError, PcsMeta, insert_pcs, synthesize_checks
 
 
 class CompileError(Exception):
@@ -64,7 +64,7 @@ def protected_qubits(circ: Circuit, meta: CompilationMeta) -> set[int]:
     if isinstance(meta.code_meta, PcsMeta):
         return {c.ancilla for c in meta.code_meta.check_pairs}
     if isinstance(meta.code_meta, IcebergMeta):
-        return set(meta.code_meta.layout.ancillas)
+        return set(meta.code_meta.ancillas)
     return set()
 
 
@@ -83,6 +83,9 @@ def compile_circuit(
         code, region = choice.code.lower(), choice.region
 
     if code == "pcs":
+        taken = next((r.name for r in circ.qregs + circ.cregs if r.name in (ANCILLA_QREG, ANCILLA_CREG)), None)
+        if taken:
+            raise CompileError(f"register name {taken!r} is reserved for the PCS check ancillas")
         if region is None:
             try:
                 region = largest_clifford_region(circ)
@@ -103,7 +106,7 @@ def compile_circuit(
         try:
             compiled, code_meta = build_iceberg_circuit(circ, cycles=checks)
         except IcebergError as exc:
-            raise CompileError(str(exc), "odd-qubit-count" if "even" in str(exc) else "compile") from exc
+            raise CompileError(str(exc), exc.reason) from exc
         meta = CompilationMeta("iceberg", code_meta, None, 0, 0)
     elif code == "none":
         compiled, meta = circ.copy(), CompilationMeta("none", None, None, 0, 0)

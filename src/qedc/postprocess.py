@@ -12,8 +12,8 @@ import numpy as np
 
 from .circuit import Circuit, Register, key_group_index, key_positions, registers
 from .errorprop import detector_sweep
-from .iceberg import IcebergMeta, decode_readout
-from .pcs import PcsMeta
+from .iceberg import READOUT_CREG, IcebergMeta, decode_readout
+from .pcs import ANCILLA_CREG, PcsMeta
 from .simulator import NoiseModel
 
 
@@ -52,18 +52,18 @@ def _register(cregs: list[Register], name: str, size: int) -> Register:
 def detectors(meta, cregs: list[Register]) -> list[tuple[tuple[int, ...], int]]:
     """What a detection code checks: (clbits, expected parity) pairs.
 
-    PCS: each check-ancilla clbit reads its check's bit of
-    `expected_ancilla_bits`.  Iceberg: each verification and syndrome clbit
-    reads 0, then the readout clbits read even parity.  A register missing
-    from `cregs` or of the wrong width raises PostprocessError."""
+    PCS: each check-ancilla clbit reads its check's expected bit.  Iceberg:
+    each verification and syndrome clbit reads 0, then the readout clbits
+    read even parity.  A register missing from `cregs` or of the wrong width
+    raises PostprocessError."""
     if isinstance(meta, PcsMeta):
-        reg = _register(cregs, meta.ancilla_register, len(meta.expected_ancilla_bits))
-        return [((reg.start + i,), int(b)) for i, b in enumerate(reversed(meta.expected_ancilla_bits))]
+        reg = _register(cregs, ANCILLA_CREG, meta.num_checks)
+        return [((reg.start + i,), c.expected_bit) for i, c in enumerate(meta.check_pairs)]
     out = []
     for want in meta.cregs():
         reg = _register(cregs, want.name, want.size)
         bits = tuple(range(reg.start, reg.start + reg.size))
-        out += [(bits, 0)] if want.name == meta.readout_register else [((c,), 0) for c in bits]
+        out += [(bits, 0)] if want.name == READOUT_CREG else [((c,), 0) for c in bits]
     return out
 
 
@@ -105,9 +105,9 @@ def postselect_counts(
     """
     if cregs is None:
         sizes = [("", len(g)) for g in next(iter(counts), "").split(" ")[:0:-1]]
-        cregs = registers(sizes + [(meta.ancilla_register, len(meta.expected_ancilla_bits))])
+        cregs = registers(sizes + [(ANCILLA_CREG, meta.num_checks)])
     report = _postselect(counts, cregs, meta)
-    report.counts = marginalize_group(report.counts, key_group_index(cregs, meta.ancilla_register))
+    report.counts = marginalize_group(report.counts, key_group_index(cregs, ANCILLA_CREG))
     return report
 
 
@@ -120,7 +120,7 @@ def postselect_counts_iceberg(
     readout parity; surviving keys are the decoded logical bitstrings."""
     report = _postselect(counts, cregs, meta)
     kept, report.counts = report.counts, {}
-    group = key_group_index(cregs, meta.readout_register)
+    group = key_group_index(cregs, READOUT_CREG)
     for key, cnt in kept.items():
         logical = decode_readout(key.split(" ")[group], meta)[1]
         report.counts[logical] = report.counts.get(logical, 0) + cnt
@@ -179,7 +179,7 @@ def estimate_overhead(circ: Circuit, meta, noise: NoiseModel) -> OverheadEstimat
                 f"payload span {offset}..{end} or payload qubits {list(qubits)} lie outside the "
                 f"circuit's {len(circ.instructions)} instructions and {n} qubits: the PCS metadata "
                 "does not describe this circuit")
-        _register(circ.cregs, meta.ancilla_register, meta.num_checks)
+        _register(circ.cregs, ANCILLA_CREG, meta.num_checks)
         if any(c.right.n != len(qubits) for c in meta.check_pairs):
             raise PostprocessError(f"a right check does not span the {len(qubits)} payload qubits")
         for d, c in enumerate(meta.check_pairs):

@@ -369,14 +369,15 @@ def forward_iceberg_estimate(circ, meta, noise) -> tuple[float, list[float]]:
     each of a noisy gate's 3 or 15 Paulis is walked forward with
     `forward_propagate_flips`, and the signatures are convolved into a
     dictionary distribution one gate at a time, in circuit order."""
+    from qedc.iceberg import READOUT_CREG, SYNDROME_CREG, VERIFY_CREG
     from qedc.pauli import PauliString
 
     hard, parity = set(), set()
     for reg in circ.cregs:
         bits = set(range(reg.start, reg.start + reg.size))
-        if reg.name in (meta.verify_register, meta.cycle_register):
+        if reg.name in (VERIFY_CREG, SYNDROME_CREG):
             hard |= bits
-        elif reg.name == meta.readout_register:
+        elif reg.name == READOUT_CREG:
             parity |= bits
     hard_index = {cb: i for i, cb in enumerate(sorted(hard))}
     n = circ.num_qubits
@@ -614,7 +615,7 @@ def reference_decode_readout(bits: str, meta) -> tuple[bool, str]:
     """Accept iff the n readout bits have even parity; logical bit i is
     bits_i XOR bits_b, leftmost logical k-1."""
     values = [int(c) for c in reversed(bits)]  # values[i] = readout index i
-    zb = values[meta.layout.n - 1]
+    zb = values[meta.n - 1]
     logical = "".join(str(values[1 + i] ^ zb) for i in range(meta.k - 1, -1, -1))
     return sum(values) % 2 == 0, logical
 
@@ -623,8 +624,9 @@ def reference_postselect_counts(counts, meta, cregs=None):
     """(total, kept, discarded, counts): shots whose ancilla group equals
     `expected_ancilla_bits`, with that group dropped from the key."""
     from qedc.circuit import key_group_index
+    from qedc.pcs import ANCILLA_CREG
 
-    group = key_group_index(cregs, meta.ancilla_register) if cregs is not None else 0
+    group = key_group_index(cregs, ANCILLA_CREG) if cregs is not None else 0
     total = kept = 0
     out = {}
     for key, cnt in counts.items():
@@ -642,11 +644,12 @@ def reference_postselect_counts_iceberg(counts, meta, cregs):
     """(total, kept, discarded, counts): shots with verification bit 0, all
     syndrome bits 0 and even readout parity, keyed by the logical bits."""
     from qedc.circuit import key_group_index
+    from qedc.iceberg import READOUT_CREG, SYNDROME_CREG, VERIFY_CREG
 
-    g_meas = key_group_index(cregs, meta.readout_register)
-    g_verify = key_group_index(cregs, meta.verify_register)
-    has_cycles = meta.layout.cycle_count > 0
-    g_synd = key_group_index(cregs, meta.cycle_register) if has_cycles else None
+    g_meas = key_group_index(cregs, READOUT_CREG)
+    g_verify = key_group_index(cregs, VERIFY_CREG)
+    has_cycles = meta.cycles > 0
+    g_synd = key_group_index(cregs, SYNDROME_CREG) if has_cycles else None
     total = kept = 0
     out = {}
     for key, cnt in counts.items():

@@ -158,17 +158,17 @@ def test_criterion_3_iceberg_distance_two(criterion):
                              if not (i.name == "measure"
                                      and i.clbits[0] >= readout_start)]
         parity_op = PauliString(
-            n, 0, sum(1 << q for q in meta.layout.data_qubits), 0)
+            n, 0, sum(1 << q for q in meta.data_qubits), 0)
         base_records, base_state = stabilizer_run(body, seed=0)
         assert all(r.outcome == 0 and r.deterministic
                    for r in base_records if r.clbit in hard)
         assert base_state.expectation(parity_op) == 1
-        full = {readout_start + i for i in range(meta.layout.n)}
+        full = {readout_start + i for i in range(meta.n)}
         total = flagged = inert = missed = 0
         nbody = len(body.instructions)
         for b in range(len(enc.instructions) + 1):
             sb = min(skel_pos[b], nbody)
-            for dq in meta.layout.data_qubits:
+            for dq in meta.data_qubits:
                 for kind in "XYZ":
                     total += 1
                     err = single_qubit_pauli(n, dq, kind)

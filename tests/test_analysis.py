@@ -17,6 +17,7 @@ from qedc.analysis import (
     transpile_to_gateset,
 )
 from qedc.circuit import Circuit
+from qedc.pipeline import CompileError, compile_circuit
 from qedc.qasm import parse_qasm
 
 from oracles import circuit_unitary
@@ -134,13 +135,22 @@ def test_select_code_pcs_for_clifford_heavy():
     assert choice.clifford_fraction == 1.0
 
 
+def _measure_all(c):
+    """Declare c[k] and measure each qubit q into clbit q, the readout the
+    Iceberg code decodes into."""
+    c.add_creg("c", c.num_qubits)
+    for q in range(c.num_qubits):
+        c.append("measure", (q,), clbits=(q,))
+    return c
+
+
 def test_select_code_iceberg_for_rotation_heavy():
     c = Circuit()
     c.add_qreg("q", 6)
     for q in range(6):
         c.append("rzz", (q, (q + 1) % 6), (0.7,))
         c.append("rx", (q,), (0.4,))
-    assert select_code(c).code == "ICEBERG"
+    assert select_code(_measure_all(c)).code == "ICEBERG"
 
 
 def test_select_code_none_for_empty_and_odd_rotation():
@@ -167,13 +177,13 @@ def test_selection_threshold_is_clifford_min():
         d.append("cx", (0, 1))
     for _ in range(51):
         d.append("rx", (0,), (0.3,))
-    choice = select_code(d)
+    choice = select_code(_measure_all(d))
     assert choice.clifford_fraction == 50 / 101 < CLIFFORD_MIN
     assert choice.code == "ICEBERG"
 
 
 @pytest.mark.parametrize("cregs, measures, fits", [
-    ("", "", True),
+    ("", "", False),
     ("creg c[2];", "measure q[0] -> c[0];\nmeasure q[1] -> c[1];", True),
     ("creg c[2];", "measure q[1] -> c[1];\nbarrier q;\nmeasure q[0] -> c[0];", True),
     ("creg c[2];", "measure q[0] -> c[1];\nmeasure q[1] -> c[0];", False),
@@ -187,7 +197,36 @@ def test_selection_threshold_is_clifford_min():
 def test_iceberg_obstacle_measurement_map(cregs, measures, fits):
     # the Iceberg readout decodes logical qubit q into clbit q of one k-bit register
     circ = parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{cregs}\nrx(0.3) q[0];\nrzz(0.7) q[0],q[1];\n{measures}\n")
-    why = iceberg_obstacle(circ)
-    assert (why is None) == fits
-    assert "even" not in (why or "")  # compile_circuit reads "even" as odd-qubit-count
+    obstacle = iceberg_obstacle(circ)
+    assert (obstacle is None) == fits
+    assert fits or obstacle[1] == "compile"
     assert select_code(circ).code == ("ICEBERG" if fits else "NONE")
+
+
+@pytest.mark.parametrize("qasm, reason, message", [
+    ("qreg q[3];\ncreg c[3];\nrx(0.3) q[0];\nmeasure q -> c;", "odd-qubit-count", "must be even"),
+    ("qreg q[1];\ncreg c[1];\nrx(0.3) q[0];\nmeasure q -> c;", "odd-qubit-count", "must be even"),
+    ("qreg q[2];\ncreg c[2];\nrx(0.3) q[0];\nmeasure q[0] -> c[0];\nrx(0.3) q[0];\nmeasure q -> c;",
+     "compile", "mid-circuit measure at instruction 1"),
+    ("qreg q[2];\ncreg c[2];\nreset q[1];\nrx(0.3) q[0];\nmeasure q -> c;", "compile", "reset at instruction 0"),
+    ("qreg q[2];\ncreg c[2];\nrx(0.3) q[0];\nmeasure q[0] -> c[1];\nmeasure q[1] -> c[0];",
+     "compile", "into clbit q"),
+], ids=["odd", "too-few", "mid-circuit-measure", "reset", "swapped-map"])
+def test_iceberg_obstacle_reason_codes(qasm, reason, message):
+    # the reason code, not the message's wording, picks the CLI error
+    circ = parse_qasm(f"OPENQASM 2.0;\n{qasm}\n")
+    why, code = iceberg_obstacle(circ)
+    assert code == reason and message in why
+    with pytest.raises(CompileError) as info:
+        compile_circuit(circ, code="iceberg")
+    assert (info.value.reason, str(info.value)) == (reason, why)
+
+
+def test_register_less_input_is_not_iceberg():
+    # its keys would read k logical bits while the input's ideal distribution reads none
+    circ = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nrx(0.3) q[1];\nrzz(0.2) q[0],q[1];\n")
+    with pytest.raises(CompileError) as info:
+        compile_circuit(circ, code="iceberg")
+    assert info.value.reason == "compile"
+    assert select_code(circ).code != "ICEBERG"
+    assert compile_circuit(circ, code="auto")[1].code != "iceberg"

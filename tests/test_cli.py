@@ -557,3 +557,103 @@ def test_estimate_without_a_detection_code_exits_compile(bell, tmp_path, capsys)
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == "no-detection-code"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("sign", [0, "1"])
+def test_bad_check_sign_exits_parse(bell, tmp_path, capsys, sign):
+    meta = _bell_pcs_meta(bell, tmp_path)
+    data = json.loads(meta.read_text())
+    data["meta"]["checks"][0]["sign"] = sign
+    meta.write_text(json.dumps(data))
+    path, out = tmp_path / "counts.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"counts": {"0 00": 3}}))
+    rc = main(["postselect", "--counts", str(path), "--meta", str(meta), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "sign must be 1 or -1" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, bad", [("k", 3), ("cycles", -1)])
+def test_bad_iceberg_meta_exits_parse(rot, tmp_path, capsys, field, bad):
+    meta, out = tmp_path / "m.json", tmp_path / "r.json"
+    assert main(["compile", str(rot), "--code", "iceberg", "--checks", "1",
+                 "--out", str(tmp_path / "c.qasm"), "--meta-out", str(meta)]) == 0
+    data = json.loads(meta.read_text())
+    data["meta"][field] = bad
+    meta.write_text(json.dumps(data))
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({"counts": {"0000 00 0": 3}}))
+    rc = main(["postselect", "--counts", str(path), "--meta", str(meta), "--out", str(out)])
+    assert rc == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert f"{field} must be" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("decl", ["creg anc[2];", "qreg anc_q[2];", "qreg anc[1];"])
+def test_pcs_input_with_an_ancilla_register_name_exits_compile(tmp_path, capsys, decl):
+    src, out = tmp_path / "anc.qasm", tmp_path / "c.qasm"
+    src.write_text(BELL_QASM.replace("creg c[2];\n", f"creg c[2];\n{decl}\n"))
+    rc = main(["compile", str(src), "--code", "pcs", "--out", str(out), "--meta-out", str(tmp_path / "m.json")])
+    assert rc == EXIT_COMPILE == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "compile"
+    assert "is reserved for the PCS check ancillas" in err["message"]
+    assert not out.exists()
+
+
+def test_register_less_iceberg_input_exits_compile(tmp_path, capsys):
+    src, out = tmp_path / "bare.qasm", tmp_path / "c.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\nrx(0.3) q[1];\nrzz(0.2) q[0],q[1];\n")
+    rc = main(["compile", str(src), "--code", "iceberg", "--out", str(out), "--meta-out", str(tmp_path / "m.json")])
+    assert rc == EXIT_COMPILE == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "compile"
+    assert "into clbit q" in err["message"]
+    assert not out.exists()
+
+
+# one check of sign -1, so its expected ancilla bits read "10"
+SIGNED_QASM = BELL_QASM.replace("h q[0];", "s q[0];")
+
+
+def _older_format(meta: dict) -> dict:
+    """A code's meta as older versions wrote it: with the keys that are now
+    derived from the rest or fixed."""
+    if meta["code"] == "iceberg":
+        k = meta["k"]
+        return {**meta, "data_qubits": list(range(k + 2)), "ancillas": [k + 2, k + 3],
+                "registers": {"verify": "verify", "cycle": "synd", "readout": "meas"},
+                "accept_rule": "cycles_zero_and_even_parity"}
+    bits = "".join("1" if c["sign"] == -1 else "0" for c in reversed(meta["checks"]))
+    return {**meta, "ancilla_register": "anc", "expected_ancilla_bits": bits}
+
+
+@pytest.mark.parametrize("code, qasm", [("iceberg", ROT_QASM), ("pcs", SIGNED_QASM)])
+def test_meta_files_in_the_older_format_give_the_same_bytes(tmp_path, code, qasm):
+    src, compiled, meta, old = (tmp_path / name for name in ("in.qasm", "c.qasm", "m.json", "old.json"))
+    noise, counts = tmp_path / "noise.json", tmp_path / "counts.json"
+    src.write_text(qasm)
+    noise.write_text(json.dumps({"p1": 0.01, "p2": 0.05}))
+    assert main(["compile", str(src), "--code", code, "--checks", "2",
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    new = json.loads(meta.read_text())
+    old_data = {**new, "meta": _older_format(new["meta"])}
+    old.write_text(json.dumps(old_data))
+    assert CompilationMeta.from_dict(old_data) == CompilationMeta.from_dict(new)
+    if code == "pcs":
+        assert old_data["meta"]["expected_ancilla_bits"] == "10"
+    assert main(["run", str(compiled), "--noise", str(noise), "--shots", "400", "--seed", "3",
+                 "--out", str(counts)]) == 0
+    for command in (["postselect", "--counts", str(counts)], ["estimate", str(compiled), "--noise", str(noise)]):
+        outs = []
+        for path in (meta, old):
+            out = tmp_path / f"{command[0]}-{path.stem}.json"
+            assert main(command + ["--meta", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0])
+        assert "counts" not in report or 0 < report["kept"] < report["total"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -37,7 +38,7 @@ def logical_circuit(rng, k, depth):
 
 
 def test_encode_prepares_ghz_with_clean_verify():
-    frag, layout = iceberg_encode_init(2)
+    frag = iceberg_encode_init(2)
     c = Circuit()
     c.add_qreg("d", 4)
     c.add_qreg("anc", 2)
@@ -56,10 +57,7 @@ def test_encode_rejects_bad_k():
 
 
 def test_decode_rules():
-    meta = IcebergMeta.from_dict({
-        "code": "iceberg", "k": 2, "data_qubits": [0, 1, 2, 3],
-        "ancillas": [4, 5], "cycles": 0,
-    })
+    meta = IcebergMeta(2, 0)
     assert decode_readout("0000", meta) == (True, "00")
     assert decode_readout("0001", meta)[0] is False          # odd parity
     assert decode_readout("1111", meta) == (True, "00")      # X stabilizer image
@@ -77,7 +75,7 @@ def test_structure_counts_for_qaoa_shape():
     assert enc.num_qubits == 8 + 2
     names = {r.name: r.size for r in enc.cregs}
     assert names == {"verify": 1, "synd": 4, "meas": 8}
-    assert meta.layout.cycle_count == 2
+    assert meta == IcebergMeta(6, 2)
 
 
 def test_build_rejects_odd_or_mismatched():
@@ -150,10 +148,10 @@ def test_stabilizer_preservation_of_logical_gates():
     rng = random.Random(7)
     circ = logical_circuit(rng, 4, 10)
     enc, meta = build_iceberg_circuit(circ, cycles=0)
-    n_data = meta.layout.n
+    n_data = meta.n
     nq = enc.num_qubits
-    sx = PauliString(nq, sum(1 << q for q in meta.layout.data_qubits), 0, 0)
-    sz = PauliString(nq, 0, sum(1 << q for q in meta.layout.data_qubits), 0)
+    sx = PauliString(nq, sum(1 << q for q in meta.data_qubits), 0, 0)
+    sz = PauliString(nq, 0, sum(1 << q for q in meta.data_qubits), 0)
     for inst in enc.instructions:
         if inst.name in ("rzz", "rxx"):
             gen_kind = "Z" if inst.name == "rzz" else "X"
@@ -178,9 +176,9 @@ def test_distance_two_all_single_qubit_errors_detected_k2():
     n = enc.num_qubits
     undetected_nontrivial = 0
     for boundary in range(len(enc.instructions) + 1):
-        for q in range(meta.layout.n):
+        for q in range(meta.n):
             for kind in "XYZ":
-                err = single_qubit_pauli(n, meta.layout.data_qubits[q], kind)
+                err = single_qubit_pauli(n, meta.data_qubits[q], kind)
                 flips = propagate_flips(enc.instructions, boundary, err)
                 flagged = bool(flips & hard) or len(flips & parity) % 2 == 1
                 if not flagged:
@@ -215,8 +213,8 @@ def test_propagate_flips_matches_stabilizer_on_clifford_encodings():
     body = enc.copy_empty()
     body.instructions = [i for i in enc.instructions
                          if not (i.name == "measure" and i.clbits[0] >= readout_start)]
-    parity_bits = {readout_start + i for i in range(meta.layout.n)}
-    parity_op = PauliString(n, 0, sum(1 << q for q in meta.layout.data_qubits), 0)
+    parity_bits = {readout_start + i for i in range(meta.n)}
+    parity_op = PauliString(n, 0, sum(1 << q for q in meta.data_qubits), 0)
 
     base_records, base_state = stabilizer_run(body, seed=0)
     det_base = {r.clbit: r.outcome for r in base_records if r.deterministic}
@@ -224,7 +222,7 @@ def test_propagate_flips_matches_stabilizer_on_clifford_encodings():
 
     for boundary in range(0, len(enc.instructions) + 1, 2):
         body_boundary = min(boundary, len(body.instructions))
-        for dq in meta.layout.data_qubits:
+        for dq in meta.data_qubits:
             for kind in "XYZ":
                 err = single_qubit_pauli(n, dq, kind)
                 records, state = stabilizer_run(
@@ -247,3 +245,18 @@ def test_meta_roundtrip():
     circ = logical_circuit(rng, 2, 3)
     _, meta = build_iceberg_circuit(circ, cycles=1)
     assert IcebergMeta.from_dict(meta.to_dict()).to_dict() == meta.to_dict()
+
+
+def test_meta_is_k_and_cycles():
+    meta = IcebergMeta(4, 3)
+    assert [f.name for f in dataclasses.fields(IcebergMeta)] == ["k", "cycles"]
+    assert meta.to_dict() == {"code": "iceberg", "k": 4, "cycles": 3}
+    assert (meta.n, meta.data_qubits, meta.ancillas) == (6, (0, 1, 2, 3, 4, 5), (6, 7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        meta.k = 2
+
+
+@pytest.mark.parametrize("k, cycles", [(3, 1), (0, 1), (-2, 1), (2.0, 1), ("2", 1), (2, -1), (2, True)])
+def test_meta_from_dict_rejects_what_no_compile_writes(k, cycles):
+    with pytest.raises(ValueError, match="must be"):
+        IcebergMeta.from_dict({"code": "iceberg", "k": k, "cycles": cycles})

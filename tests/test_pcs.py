@@ -305,6 +305,19 @@ def test_meta_roundtrip():
     assert PcsMeta.from_dict(meta.to_dict()).to_dict() == meta.to_dict()
 
 
+def test_expected_bits_come_from_the_signs():
+    z = PauliString.from_label("Z")
+    meta = PcsMeta([CheckPair(z, z, -1, 1), CheckPair(z, z, 1, 2), CheckPair(z, z, -1, 3)], (0, 1), (0,))
+    assert meta.expected_ancilla_bits == "101"  # counts-key order: check 2 leftmost
+    assert meta.ancilla_register == "anc"
+    assert not {"ancilla_register", "expected_ancilla_bits"} & set(meta.to_dict())
+    # a file of an older version carries both; its bits must agree with the signs
+    old = {**meta.to_dict(), "ancilla_register": "anc", "expected_ancilla_bits": "101"}
+    assert PcsMeta.from_dict(old) == meta
+    with pytest.raises(ValueError, match="disagree with the checks' signs"):
+        PcsMeta.from_dict({**old, "expected_ancilla_bits": "100"})
+
+
 def test_meta_records_the_output_registers():
     payload = Circuit()
     payload.add_qreg("q", 2)
@@ -324,6 +337,7 @@ def test_meta_records_the_output_registers():
     ("expected_ancilla_bits", "2"), ("expected_ancilla_bits", "0"), ("expected_ancilla_bits", "012"),
     ("expected_ancilla_bits", "0a"), ("expected_ancilla_bits", 10), ("cregs", [["c", 0]]),
     ("cregs", [["c", "2"]]), ("cregs", [[3, 2]]), ("cregs", [["c", 2, 1]]),
+    ("sign", 0), ("sign", 2), ("sign", "-1"), ("sign", 1.0),
 ])
 def test_meta_from_dict_rejects_bad_bits_and_registers(field, bad):
     payload = Circuit()
@@ -332,6 +346,9 @@ def test_meta_from_dict_rejects_bad_bits_and_registers(field, bad):
     checks = synthesize_checks(payload.instructions, (0, 1), 2)
     _, meta = insert_pcs(payload.copy(), Region(0, 1, frozenset({0, 1}), 1, True), checks)
     d = meta.to_dict()
-    d[field] = bad
+    if field == "sign":
+        d["checks"][1][field] = bad
+    else:
+        d[field] = bad
     with pytest.raises(ValueError):
         PcsMeta.from_dict(d)

@@ -13,7 +13,7 @@ from qedc import simulator
 from qedc.analysis import select_code, transpile_to_gateset
 from qedc.circuit import Circuit
 from qedc.layout import CouplingGraph, heavy_hex_127
-from qedc.pipeline import compile_circuit
+from qedc.pipeline import CompileError, compile_circuit
 from qedc.postprocess import detectors
 from qedc.qasm import emit_qasm, parse_qasm
 from test_acceptance import _case_study_circuit_4q, _qaoa6
@@ -50,17 +50,41 @@ _COMPILES = {
                                   coupling=LINE_8), 18),
 }
 
-# sha256 of emit_qasm of the compiled circuit followed by its meta as sorted
-# JSON (of emit_qasm alone for a transpile): a change to the gate order of
-# any compile stage, to the qubit numbering of heavy_hex_127 or to the
-# SWAPs routing picks fails here
-_PINNED_COMPILES = {
-    "iceberg-qaoa": "53ecd6e4cc54a4d59150bfe7be62106b88b24b9fabaf78c409d5dd09139a048b",
-    "iceberg-qaoa-heavyhex": "f592953fe7031a33dbfefc9a1173cb47dac989e16613b75b5f81f9002296fbc3",
-    "pcs-case-study-heavyhex": "7cd5f4a4f7c443b2c6e340725c2f608d78766ab2960d5dd883631f9304890dc6",
-    "pcs-case-study-line8": "a62da198fd1e79366ea7fa78021a0cd02ba63787cefb5b36fa9c7b8d47f8473a",
+# sha256 of emit_qasm of the compiled circuit, or of the transpiled one: a
+# change to the gate order of any compile stage, to the qubit numbering of
+# heavy_hex_127 or to the SWAPs routing picks fails here
+_PINNED_QASM = {
+    "iceberg-qaoa": "0e2b0168bb2c09aa18567bb5258e793a6a54f84ba835aff79c7e382cb1c9593b",
+    "iceberg-qaoa-heavyhex": "92e2a4e4cfdb92774d756580ff59d79596ef8b810ca3d0bb63346e1f86b46250",
+    "pcs-case-study-heavyhex": "7c77fcd6689cc7eabf24e9279a62456195741baa20bfb6f54b1c8c7173940189",
+    "pcs-case-study-line8": "079f1cf9c15ca5481c2eef8f5a3e2a0a7326ed26ed5925224349ed42ee611f99",
     "transpile-pcs-default": "e0ec8ea38e4bb719e66f73fa9864d29096530c828f7980d5ae9da808e8e117a1",
     "transpile-iceberg-logical": "23f150329b9bbd05eb7c7fd8d44a934e6c09329cd84aaff7bfae97e0f454d128",
+}
+
+_ICEBERG_QAOA_META = {"code": "iceberg", "k": 6, "cycles": 2}
+_CASE_STUDY_META = {
+    "code": "pcs",
+    "checks": [{"left": "+XIIZ", "right": "+YZYZ", "sign": 1, "ancilla": 4},
+               {"left": "+IXZI", "right": "+XYZX", "sign": 1, "ancilla": 5}],
+    "payload": [0, 10], "payload_qubits": [0, 1, 2, 3], "payload_span": [6, 16],
+    "cregs": [["c", 4], ["anc", 2]],
+}
+
+
+def _meta(code, code_meta, layout, swap_count, depth):
+    return {"code": code, "meta": code_meta, "swap_count": swap_count, "depth": depth,
+            "layout": layout, "version": "0.1.0"}
+
+
+# CompilationMeta.to_dict() of each compile, as JSON reads it back
+_PINNED_META = {
+    "iceberg-qaoa": _meta("iceberg", _ICEBERG_QAOA_META, None, 0, 60),
+    "iceberg-qaoa-heavyhex": _meta("iceberg", _ICEBERG_QAOA_META,
+                                   {"map": [0, 14, 15, 3, 4, 5, 30, 1, 2, 29], "score": 171}, 272, 223),
+    "pcs-case-study-heavyhex": _meta("pcs", _CASE_STUDY_META, {"map": [0, 14, 15, 1, 2, 29], "score": 16},
+                                     25, 29),
+    "pcs-case-study-line8": _meta("pcs", _CASE_STUDY_META, {"map": [0, 4, 5, 1, 2, 3], "score": 16}, 18, 31),
 }
 
 
@@ -73,14 +97,14 @@ def _compiled(name):
 def test_compiles_are_pinned(name):
     compiled, meta = _compiled(name)
     assert meta.swap_count == _COMPILES[name][1]
-    text = emit_qasm(compiled) + json.dumps(meta.to_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COMPILES[name]
+    assert hashlib.sha256(emit_qasm(compiled).encode()).hexdigest() == _PINNED_QASM[name]
+    assert json.loads(json.dumps(meta.to_dict())) == _PINNED_META[name]
 
 
 @pytest.mark.parametrize("target", ["pcs-default", "iceberg-logical"])
 def test_transpiles_are_pinned(target):
     text = emit_qasm(transpile_to_gateset(_pauli_rotations_4q(), target))
-    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COMPILES["transpile-" + target]
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_QASM["transpile-" + target]
 
 
 _OVERHEAD = {"pcs": 2, "iceberg": 4}
@@ -98,6 +122,16 @@ _PINNED_CHOICES = {
 @pytest.mark.parametrize("name", list(_PINNED_CHOICES))
 def test_workload_code_choices_are_pinned(name):
     assert select_code(parse_qasm(WORKLOADS[name].qasm())).to_dict() == _PINNED_CHOICES[name]
+
+
+@pytest.mark.parametrize("decl", ["creg anc[1];", "qreg anc_q[1];", "qreg anc[1];"])
+@pytest.mark.parametrize("code", ["pcs", "auto"])
+def test_pcs_refuses_the_ancilla_register_names(decl, code):
+    # the check ancillas' registers are always anc_q and anc
+    circ = parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{decl}\nh q[0];\ncx q[0],q[1];\n")
+    with pytest.raises(CompileError, match=r"register name 'anc(_q)?' is reserved") as info:
+        compile_circuit(circ, code=code)
+    assert info.value.reason == "compile"
 
 
 def test_auto_iceberg_compile_transpiles_once(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qedc.analysis import Region
 from qedc.circuit import Circuit, Register, registers
-from qedc.iceberg import IcebergMeta, build_iceberg_circuit
+from qedc.iceberg import READOUT_CREG, IcebergMeta, build_iceberg_circuit
 from qedc.pcs import CheckPair, PcsMeta, insert_pcs
 from qedc.pauli import PauliString
 from qedc.layout import heavy_hex_127
@@ -31,10 +31,15 @@ from oracles import reference_postselect_counts, reference_postselect_counts_ice
 from test_acceptance import _case_study_circuit_4q, _qaoa6
 
 
+def signed_checks(expected):
+    """Checks whose signs give the expected ancilla bits `expected`, in
+    counts-key order: a 1 is a check of sign -1."""
+    z = PauliString.from_label("Z")
+    return [CheckPair(z, z, -1 if bit == "1" else 1, i) for i, bit in enumerate(reversed(expected))]
+
+
 def simple_meta(expected="00"):
-    checks = [CheckPair(PauliString.from_label("ZZ"), PauliString.from_label("ZZ"), 1, 2),
-              CheckPair(PauliString.from_label("XX"), PauliString.from_label("XX"), 1, 3)]
-    return PcsMeta("anc", checks, expected, (0, 1), (0, 1))
+    return PcsMeta(signed_checks(expected), (0, 1), (0, 1))
 
 
 def test_postselect_spec_example():
@@ -56,14 +61,9 @@ def test_postselect_rejects_wrong_width():
         postselect_counts({"000 11": 5}, simple_meta("00"))
 
 
-def iceberg_meta(k=2, cycles=1):
-    return IcebergMeta.from_dict({"code": "iceberg", "k": k, "data_qubits": list(range(k + 2)),
-                                  "ancillas": [k + 2, k + 3], "cycles": cycles})
-
-
 def test_postselect_iceberg_rules():
     cregs = [Register("verify", 1, 0), Register("synd", 2, 1), Register("meas", 4, 3)]
-    meta = iceberg_meta()
+    meta = IcebergMeta(2, 1)
     counts = {
         "0000 00 0": 50,   # accept -> logical 00
         "1111 00 0": 10,   # accept via X stabilizer -> logical 00
@@ -82,17 +82,17 @@ def test_detectors_state_each_codes_checks():
     pcs_cregs = [Register("c", 3, 0), Register("anc", 2, 3)]
     # expected bits in key order: check 1 reads 0, check 0 reads 1
     assert detectors(simple_meta("01"), pcs_cregs) == [((3,), 1), ((4,), 0)]
-    assert detectors(iceberg_meta(), iceberg_meta().cregs()) == [
+    assert detectors(IcebergMeta(2, 1), IcebergMeta(2, 1).cregs()) == [
         ((0,), 0), ((1,), 0), ((2,), 0), ((3, 4, 5, 6), 0)]
-    assert detectors(iceberg_meta(cycles=0), iceberg_meta(cycles=0).cregs()) == [
+    assert detectors(IcebergMeta(2, 0), IcebergMeta(2, 0).cregs()) == [
         ((0,), 0), ((1, 2, 3, 4), 0)]
 
 
 @pytest.mark.parametrize("meta, cregs", [
     (simple_meta(), [Register("c", 3, 0)]),
     (simple_meta(), [Register("c", 3, 0), Register("anc", 3, 3)]),
-    (iceberg_meta(), iceberg_meta(cycles=0).cregs()),
-    (iceberg_meta(), registers([("verify", 1), ("synd", 2), ("meas", 3)])),
+    (IcebergMeta(2, 1), IcebergMeta(2, 0).cregs()),
+    (IcebergMeta(2, 1), registers([("verify", 1), ("synd", 2), ("meas", 3)])),
 ], ids=["pcs-no-ancilla", "pcs-ancilla-width", "iceberg-no-synd", "iceberg-readout-width"])
 def test_detectors_reject_registers_that_do_not_match_the_code(meta, cregs):
     with pytest.raises(PostprocessError, match="no .*-bit classical register"):
@@ -122,7 +122,7 @@ def test_pcs_keys_that_do_not_match_the_registers_raise(key, with_cregs):
     "0000 0x 0", "0_00 00 0", "0000 00 -",  # characters
 ])
 def test_iceberg_keys_that_do_not_match_the_registers_raise(key):
-    meta = iceberg_meta()
+    meta = IcebergMeta(2, 1)
     with pytest.raises(PostprocessError, match="does not match register widths"):
         postselect_counts_iceberg({"0000 00 0": 4, key: 1}, meta, meta.cregs())
 
@@ -132,7 +132,7 @@ def test_empty_counts_give_the_all_zero_report():
     assert postselect_counts({}, simple_meta()).to_dict() == zero
     assert postselect_counts({}, simple_meta(), PCS_CREGS).to_dict() == zero
     for cycles in (0, 2):
-        meta = iceberg_meta(cycles=cycles)
+        meta = IcebergMeta(2, cycles)
         assert postselect_counts_iceberg({}, meta, meta.cregs()).to_dict() == zero
 
 
@@ -149,7 +149,7 @@ def pcs_counts(draw):
     groups = [st.one_of(st.just(expected), bit_strings(checks)) if reg.name == "anc"
               else bit_strings(reg.size) for reg in reversed(cregs)]
     counts = draw(st.dictionaries(st.tuples(*groups).map(" ".join), weights(), max_size=24))
-    return counts, PcsMeta("anc", [], expected, (0, 0), ()), cregs if with_cregs else None
+    return counts, PcsMeta(signed_checks(expected), (0, 0), ()), cregs if with_cregs else None
 
 
 def bit_strings(width):
@@ -165,8 +165,8 @@ def weights():
 def iceberg_counts(draw):
     """(counts, meta, cregs): Iceberg keys, about half of them with clear
     verification and syndrome bits."""
-    meta = iceberg_meta(k=draw(st.sampled_from([2, 4])), cycles=draw(st.sampled_from([0, 2, 3])))
-    groups = [bit_strings(reg.size) if reg.name == meta.readout_register
+    meta = IcebergMeta(draw(st.sampled_from([2, 4])), draw(st.sampled_from([0, 2, 3])))
+    groups = [bit_strings(reg.size) if reg.name == READOUT_CREG
               else st.one_of(st.just("0" * reg.size), bit_strings(reg.size))
               for reg in reversed(meta.cregs())]
     counts = draw(st.dictionaries(st.tuples(*groups).map(" ".join), weights(), max_size=24))
@@ -322,9 +322,11 @@ def test_overhead_rejects_pcs_metadata_of_another_circuit():
     _, wide = compile_circuit(_bell(4), code="pcs", checks=1)
     with pytest.raises(PostprocessError, match=r"qubits \[0, 1, 2, 3\] lie outside .* 3 qubits"):
         estimate_overhead(sand, wide, noise)
-    renamed = PcsMeta.from_dict({**meta.code_meta.to_dict(), "ancilla_register": "checks"})
-    with pytest.raises(PostprocessError, match="no 1-bit classical register 'checks'"):
-        estimate_overhead(sand, renamed, noise)
+    # the compiled circuit with its ancilla register renamed
+    renamed = Circuit(sand.qregs, [Register("checks" if r.name == "anc" else r.name, r.size, r.start)
+                                   for r in sand.cregs], sand.instructions)
+    with pytest.raises(PostprocessError, match="no 1-bit classical register 'anc'"):
+        estimate_overhead(renamed, meta, noise)
 
 
 @pytest.mark.parametrize("routed, want", [(False, 0.7732301811462718), (True, 0.3332580361969561)],
