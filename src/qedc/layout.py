@@ -3,6 +3,8 @@ fallback placement, detection-aware SWAP routing, and ASAP scheduling."""
 from __future__ import annotations
 
 import heapq
+import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +13,8 @@ from .circuit import Circuit, Instruction, Register
 
 PROTECTED_HOP_PENALTY = 1000
 LOOKAHEAD = 3  # two-qubit gates that decide which end of a routed gate walks
+
+logger = logging.getLogger(__name__)
 
 
 class LayoutError(Exception):
@@ -40,10 +44,12 @@ class CouplingGraph:
             self._adj[b].append(a)
         for nbrs in self._adj:
             nbrs.sort()
+        self._near = [frozenset(nbrs) for nbrs in self._adj]
+        self._hops: list[list[int]] | None = None
         self._dist: np.ndarray | None = None
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._edge_set
+        return 0 <= a < self.num_nodes and b in self._near[a]
 
     def neighbors(self, a: int) -> list[int]:
         return self._adj[a]
@@ -51,11 +57,13 @@ class CouplingGraph:
     def degree(self, a: int) -> int:
         return len(self._adj[a])
 
-    def distances(self) -> np.ndarray:
-        """All-pairs shortest-path hop counts (BFS) as an (n, n) int array;
-        -1 when disconnected."""
-        if self._dist is None:
-            self._dist = np.empty((self.num_nodes, self.num_nodes), dtype=np.int64)
+    def hop_counts(self) -> list[list[int]]:
+        """All-pairs shortest-path hop counts (BFS), one list of Python ints
+        per source node; -1 when disconnected.  Built on the first call and
+        kept on the graph; routing and scoring read single entries, which
+        lists give faster than numpy scalars."""
+        if self._hops is None:
+            self._hops = []
             for src in range(self.num_nodes):
                 d = [-1] * self.num_nodes
                 d[src] = 0
@@ -68,7 +76,13 @@ class CouplingGraph:
                         if d[v] < 0:
                             d[v] = d[u] + 1
                             queue.append(v)
-                self._dist[src] = d
+                self._hops.append(d)
+        return self._hops
+
+    def distances(self) -> np.ndarray:
+        """`hop_counts` as an (n, n) int array, for scoring many nodes at once."""
+        if self._dist is None:
+            self._dist = np.array(self.hop_counts(), dtype=np.int64).reshape(self.num_nodes, self.num_nodes)
         return self._dist
 
     def to_dict(self) -> dict:
@@ -114,10 +128,10 @@ class Layout:
 
 
 def score_layout(ig: dict[tuple[int, int], int], mapping: list[int], cg: CouplingGraph) -> int:
-    dist = cg.distances()
+    hops = cg.hop_counts()
     total = 0
     for (a, b), w in ig.items():
-        d = int(dist[mapping[a], mapping[b]])
+        d = hops[mapping[a]][mapping[b]]
         if d < 0:
             raise LayoutError("interaction spans disconnected coupling components")
         total += w * (d - 1)
@@ -228,9 +242,13 @@ def _protected_path(
     dst: int,
     protected_phys: set[int],
 ) -> list[int]:
-    """Cheapest src->dst path; hops landing on a protected qubit cost extra.
-    A node is pushed only when its cost strictly drops, so its parent is the
-    node that last lowered it."""
+    """Cheapest src->dst path; hops landing on a protected qubit other than
+    dst cost extra.  A node is pushed only when its cost strictly drops, so
+    its parent is the node that last lowered it.  Nodes of equal cost pop in
+    index order, so that parent is the lowest-index neighbour one step
+    cheaper: where `_table_path` crosses no protected seat, this search
+    returns that same path, and `route` runs it only where the table path
+    does cross one."""
     INF = float("inf")
     best = [INF] * cg.num_nodes
     best[src] = 0
@@ -257,14 +275,31 @@ def _protected_path(
     raise LayoutError(f"no path between physical qubits {src} and {dst}")
 
 
+def _table_path(cg: CouplingGraph, src: int, dst: int) -> list[int]:
+    """A shortest src->dst path read off `hop_counts`: from dst, each step
+    back goes to the lowest-index neighbour one hop closer to src."""
+    row, adj = cg.hop_counts()[src], cg._adj
+    hops = row[dst]
+    if hops < 0:
+        raise LayoutError(f"no path between physical qubits {src} and {dst}")
+    path = [src] * (hops + 1)
+    node = dst
+    for i in range(hops, 0, -1):
+        path[i] = node
+        for node in adj[node]:  # sorted, so the first one closer is the lowest
+            if row[node] == i - 1:
+                break
+    return path
+
+
 def _walk_cost(walk: list[int], phi: list[int], at: list[int | None],
-               upcoming: list[tuple[int, int]], dist: np.ndarray) -> int:
+               upcoming: list[tuple[int, int]], hops: list[list[int]]) -> int:
     """Summed distances of the `upcoming` logical pairs after the occupant of
     walk[0] swaps along `walk` to walk[-2]; each seat it passes shifts its
     occupant one step back."""
     moved = {at[v]: u for u, v in zip(walk, walk[1:-1])}
     moved[at[walk[0]]] = walk[-2]
-    return sum(int(dist[moved.get(x, phi[x]), moved.get(y, phi[y])]) for x, y in upcoming)
+    return sum([hops[moved.get(x, phi[x])][moved.get(y, phi[y])] for x, y in upcoming])
 
 
 def route(
@@ -277,50 +312,81 @@ def route(
 
     `protected` holds logical qubit indices (detection ancillas); paths are
     penalized for passing over them so SWAPs bypass detection qubits whenever
-    any alternative exists.  Each non-local gate takes one such path, and
-    either end of the gate may walk it towards the other.  The end that
-    walks is the one that leaves the next `LOOKAHEAD` two-qubit gates the
-    lower summed distance (the first operand on a tie); both walks make the
-    same SWAPs over the same seats.  The output circuit acts on physical
-    indices; the returned layouts relate logical to physical qubits before
-    and after.
+    any alternative exists.  Each non-local gate takes one such path: the
+    shortest path read off the hop table (`_table_path`: from the second
+    operand's seat, step back to the lowest-index neighbour one hop closer
+    to the first's), unless a seat strictly between its ends holds a
+    protected qubit; only then does the penalized search (`_protected_path`)
+    run.  Both give the same path wherever the table path crosses no
+    protected seat.  Either end of the gate may walk the path towards the
+    other.  The end that walks is the one that leaves the next `LOOKAHEAD`
+    two-qubit gates the lower summed distance (the first operand on a tie);
+    both walks make the same SWAPs over the same seats.  The output circuit
+    acts on physical indices; the returned layouts relate logical to
+    physical qubits before and after.  A layout that seats two qubits on one
+    physical qubit, or one outside the graph, raises `LayoutError`.
+
+    With the ``qedc.layout`` logger at DEBUG, each call logs one JSON
+    object: the non-local gates, the SWAPs, and the paths read off the table
+    and searched.
     """
     protected = set(protected or ())
-    n_log = circ.num_qubits
-    if len(layout.map) < n_log:
+    if len(layout.map) < circ.num_qubits:
         raise LayoutError("layout does not cover all circuit qubits")
     phi = list(layout.map)  # logical -> physical
+    if len(set(phi)) < len(phi):
+        raise LayoutError(f"layout map {phi} seats two qubits on one physical qubit")
+    if phi and (min(phi) < 0 or max(phi) >= cg.num_nodes):
+        raise LayoutError(f"layout map {phi} uses a physical qubit outside [0, {cg.num_nodes})")
     at: list[int | None] = [None] * cg.num_nodes  # physical -> logical
     for q, p in enumerate(phi):
         at[p] = q
+    hops = cg.hop_counts()
     pairs = [inst.qubits for inst in circ.instructions
              if len(inst.qubits) == 2 and inst.name != "barrier"]
-    out = Circuit([Register("q", cg.num_nodes, 0)], list(circ.cregs), [])
-    swaps = k = 0
+    out = []
+    swaps = k = routed = searched = 0
     for inst in circ.instructions:
-        if len(inst.qubits) == 2 and inst.name != "barrier":
-            a, b = inst.qubits
+        qs = inst.qubits
+        if len(qs) == 2 and inst.name != "barrier":
+            a, b = qs
             k += 1
             if not cg.has_edge(phi[a], phi[b]):
-                path = _protected_path(cg, phi[a], phi[b], {phi[q] for q in protected})
-                upcoming, dist = pairs[k:k + LOOKAHEAD], cg.distances()
-                if _walk_cost(path[::-1], phi, at, upcoming, dist) < \
-                        _walk_cost(path, phi, at, upcoming, dist):
+                routed += 1
+                path = _table_path(cg, phi[a], phi[b])
+                if any([at[v] in protected for v in path[1:-1]]):
+                    path = _protected_path(cg, phi[a], phi[b], {phi[q] for q in protected})
+                    searched += 1
+                upcoming = pairs[k:k + LOOKAHEAD]
+                if _walk_cost(path[::-1], phi, at, upcoming, hops) < \
+                        _walk_cost(path, phi, at, upcoming, hops):
                     path.reverse()
                 # walk the chosen end along the path until adjacent to the other
                 for u, v in zip(path, path[1:-1]):
-                    out.append("swap", (u, v))
-                    at[u], at[v] = at[v], at[u]
-                    for p in (u, v):
-                        if at[p] is not None:
-                            phi[at[p]] = p
+                    out.append(Instruction("swap", (u, v)))
+                    x, y = at[v], at[u]
+                    at[u], at[v] = x, y
+                    if x is not None:
+                        phi[x] = u
+                    if y is not None:
+                        phi[y] = v
                 if not cg.has_edge(phi[a], phi[b]):
                     raise LayoutError("routing failed to make the gate local")
                 swaps += len(path) - 2
-        out.instructions.append(
-            Instruction(inst.name, tuple(phi[q] for q in inst.qubits), inst.params, inst.clbits)
-        )
-    return RoutingResult(out, list(layout.map), phi, swaps)
+            out.append(Instruction(inst.name, (phi[a], phi[b]), inst.params, inst.clbits))
+        elif len(qs) == 1:
+            out.append(Instruction(inst.name, (phi[qs[0]],), inst.params, inst.clbits))
+        else:
+            out.append(Instruction(inst.name, tuple([phi[q] for q in qs]), inst.params, inst.clbits))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(json.dumps({
+            "nonlocal_gates": routed,
+            "swaps": swaps,
+            "table_paths": routed - searched,
+            "searched_paths": searched,
+        }))
+    return RoutingResult(Circuit([Register("q", cg.num_nodes, 0)], list(circ.cregs), out),
+                         list(layout.map), phi, swaps)
 
 
 # -- scheduling ---------------------------------------------------------------
@@ -333,20 +399,27 @@ class Schedule:
 
 def schedule(circ: Circuit) -> Schedule:
     """ASAP list schedule: each instruction at the earliest step after its
-    qubit/clbit predecessors."""
-    q_free: dict[int, int] = {}
-    c_free: dict[int, int] = {}
+    qubit/clbit predecessors.  One list holds each wire's next free step,
+    the qubits first and clbit c at num_qubits + c."""
+    nq = circ.num_qubits
+    free = [0] * (nq + circ.num_clbits)
     steps: list[int] = []
     for inst in circ.instructions:
-        start = 0
-        for q in inst.qubits:
-            start = max(start, q_free.get(q, 0))
-        for c in inst.clbits:
-            start = max(start, c_free.get(c, 0))
+        qs = inst.qubits
+        if not inst.clbits and len(qs) == 1:
+            q = qs[0]
+            start = free[q]
+            free[q] = start + 1
+        elif not inst.clbits and len(qs) == 2:
+            a, b = qs
+            start, other = free[a], free[b]
+            if other > start:
+                start = other
+            free[a] = free[b] = start + 1
+        else:
+            wires = [*qs, *[nq + c for c in inst.clbits]]
+            start = max([free[w] for w in wires], default=0)
+            for w in wires:
+                free[w] = start + 1
         steps.append(start)
-        for q in inst.qubits:
-            q_free[q] = start + 1
-        for c in inst.clbits:
-            c_free[c] = start + 1
-    depth = max((s + 1 for s in steps), default=0)
-    return Schedule(steps, depth)
+    return Schedule(steps, max(steps) + 1 if steps else 0)

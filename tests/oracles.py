@@ -665,3 +665,72 @@ def reference_postselect_counts_iceberg(counts, meta, cregs):
         kept += cnt
         out[logical] = out.get(logical, 0) + cnt
     return total, kept, total - kept, out
+
+
+def _reference_walk_cost(walk, phi, at, upcoming, dist) -> int:
+    """Summed distances of the `upcoming` logical pairs after the occupant of
+    walk[0] swaps along `walk` to walk[-2], read off the numpy matrix."""
+    moved = {at[v]: u for u, v in zip(walk, walk[1:-1])}
+    moved[at[walk[0]]] = walk[-2]
+    return sum(int(dist[moved.get(x, phi[x]), moved.get(y, phi[y])]) for x, y in upcoming)
+
+
+def reference_route(circ, layout, cg, protected=None):
+    """`qedc.layout.route` as it was before it read paths off the hop table:
+    every non-local gate runs the penalized search `_protected_path`, the
+    walk costs read `cg.distances()`, and the output is built with
+    `Circuit.append`.  Reference for `route`'s circuit, layouts and SWAP
+    count; it does not check the layout's seats."""
+    from qedc.circuit import Circuit, Instruction, Register
+    from qedc.layout import LOOKAHEAD, LayoutError, RoutingResult, _protected_path
+
+    protected = set(protected or ())
+    if len(layout.map) < circ.num_qubits:
+        raise LayoutError("layout does not cover all circuit qubits")
+    phi = list(layout.map)
+    at = [None] * cg.num_nodes
+    for q, p in enumerate(phi):
+        at[p] = q
+    pairs = [inst.qubits for inst in circ.instructions
+             if len(inst.qubits) == 2 and inst.name != "barrier"]
+    out = Circuit([Register("q", cg.num_nodes, 0)], list(circ.cregs), [])
+    swaps = k = 0
+    for inst in circ.instructions:
+        if len(inst.qubits) == 2 and inst.name != "barrier":
+            a, b = inst.qubits
+            k += 1
+            if not cg.has_edge(phi[a], phi[b]):
+                path = _protected_path(cg, phi[a], phi[b], {phi[q] for q in protected})
+                upcoming, dist = pairs[k:k + LOOKAHEAD], cg.distances()
+                if _reference_walk_cost(path[::-1], phi, at, upcoming, dist) < \
+                        _reference_walk_cost(path, phi, at, upcoming, dist):
+                    path.reverse()
+                for u, v in zip(path, path[1:-1]):
+                    out.append("swap", (u, v))
+                    at[u], at[v] = at[v], at[u]
+                    for p in (u, v):
+                        if at[p] is not None:
+                            phi[at[p]] = p
+                if not cg.has_edge(phi[a], phi[b]):
+                    raise LayoutError("routing failed to make the gate local")
+                swaps += len(path) - 2
+        out.instructions.append(
+            Instruction(inst.name, tuple(phi[q] for q in inst.qubits), inst.params, inst.clbits)
+        )
+    return RoutingResult(out, list(layout.map), phi, swaps)
+
+
+def reference_schedule(circ) -> list[int]:
+    """ASAP steps with one dict of next free steps per wire kind: each
+    instruction starts at the latest free step of its qubits and clbits.
+    Reference for `qedc.layout.schedule`."""
+    q_free, c_free, steps = {}, {}, []
+    for inst in circ.instructions:
+        start = max([q_free.get(q, 0) for q in inst.qubits]
+                    + [c_free.get(c, 0) for c in inst.clbits], default=0)
+        steps.append(start)
+        for q in inst.qubits:
+            q_free[q] = start + 1
+        for c in inst.clbits:
+            c_free[c] = start + 1
+    return steps

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import random
 
 import numpy as np
@@ -10,6 +11,8 @@ from qedc.layout import (
     CouplingGraph,
     Layout,
     LayoutError,
+    _protected_path,
+    _table_path,
     fallback_layout,
     heavy_hex_127,
     route,
@@ -18,6 +21,8 @@ from qedc.layout import (
     vf2_layouts,
 )
 from qedc.simulator import statevector
+
+from oracles import reference_route, reference_schedule
 
 
 def brute_monomorphisms(ig_edges, k, cg):
@@ -37,6 +42,12 @@ def test_coupling_graph_validation():
         CouplingGraph(3, [(0, 1), (1, 0)])
 
 
+def test_has_edge_is_false_off_the_graph():
+    cg = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
+    assert cg.has_edge(0, 1) and cg.has_edge(1, 0) and not cg.has_edge(0, 2)
+    assert not any(cg.has_edge(a, b) for a, b in [(-1, 2), (3, -1), (4, 3), (3, 4), (-4, 1)])
+
+
 def test_coupling_json_roundtrip():
     cg = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
     assert CouplingGraph.from_dict(cg.to_dict())._edge_set == cg._edge_set
@@ -49,6 +60,8 @@ def test_heavy_hex_shape():
     assert max(cg.degree(i) for i in range(127)) == 3
     d = cg.distances()
     assert all(x >= 0 for row in d for x in row)  # connected
+    # one BFS table per graph, read as int rows and as the numpy matrix
+    assert cg.hop_counts() is cg.hop_counts() and d.tolist() == cg.hop_counts()
 
 
 def test_shipped_coupling_file_matches_generator():
@@ -250,6 +263,127 @@ def test_route_remaps_measurements():
     assert meas.qubits[0] == res.final_layout[0]
 
 
+def _line(n):
+    return CouplingGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _grid(rows, cols):
+    return CouplingGraph(rows * cols, [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+                         + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
+def _random_connected(rng, n):
+    # a random tree plus extra edges: many equal-length paths, so many ties
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randrange(n)):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return CouplingGraph(n, sorted(edges))
+
+
+def _graphs(rng):
+    return [_line(7), _grid(3, 4), _grid(4, 4), heavy_hex_127(),
+            *(_random_connected(rng, rng.randrange(5, 14)) for _ in range(8))]
+
+
+@pytest.mark.parametrize("seats, why", [([0, 0, 1], "seats two qubits on one physical qubit"),
+                                        ([0, 4, 1], "uses a physical qubit outside [0, 4)"),
+                                        ([0, -1, 1], "uses a physical qubit outside [0, 4)")])
+def test_route_rejects_a_layout_that_repeats_or_leaves_the_seats(seats, why):
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.append("cx", (0, 2))
+    c.append("h", (1,))
+    with pytest.raises(LayoutError) as exc:
+        route(c, Layout(seats, 0), _line(4))
+    assert str(exc.value) == f"layout map {seats} {why}"
+
+
+def test_table_path_is_the_search_path_off_protected_seats():
+    rng = random.Random(2701)
+    held = searched = 0
+    for cg in _graphs(rng):
+        n = cg.num_nodes
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        if len(pairs) > 3000:
+            pairs = rng.sample(pairs, 3000)
+        hops = cg.hop_counts()
+        for src, dst in pairs:
+            table = _table_path(cg, src, dst)
+            assert table[0] == src and table[-1] == dst and len(table) == hops[src][dst] + 1
+            assert all(cg.has_edge(u, v) for u, v in zip(table, table[1:]))
+            assert table == _protected_path(cg, src, dst, set())
+            # protected sets that may hold either end of the gate
+            for protected in ({src, dst}, set(rng.sample(range(n), rng.randrange(1, max(2, n // 3))))):
+                if protected.isdisjoint(table[1:-1]):
+                    assert table == _protected_path(cg, src, dst, protected)
+                    held += 1
+                else:
+                    searched += 1
+    assert held > 5_000 and searched > 1_000  # both sides of the rule were exercised
+
+
+def _random_circuit(rng, n, gates):
+    c = Circuit()
+    c.add_qreg("q", n)
+    c.add_creg("c", n)
+    for _ in range(gates):
+        g = rng.choice(["h", "rz", "cx", "cz", "rzz", "swap", "measure", "barrier"])
+        if g in ("cx", "cz", "swap"):
+            c.append(g, tuple(rng.sample(range(n), 2)))
+        elif g == "rzz":
+            c.append(g, tuple(rng.sample(range(n), 2)), (rng.uniform(0, 3),))
+        elif g == "rz":
+            c.append(g, (rng.randrange(n),), (rng.uniform(0, 3),))
+        elif g == "measure":
+            c.append(g, (rng.randrange(n),), clbits=(rng.randrange(n),))
+        elif g == "barrier":
+            c.append(g, tuple(rng.sample(range(n), rng.randrange(1, n + 1))))
+        else:
+            c.append(g, (rng.randrange(n),))
+    return c
+
+
+def test_route_matches_the_reference_router():
+    rng = random.Random(2702)
+    swaps = detoured = 0
+    for cg in _graphs(rng):
+        for _ in range(30):
+            n = rng.randrange(2, min(cg.num_nodes, 8) + 1)
+            c = _random_circuit(rng, n, rng.randrange(1, 30))
+            lay = Layout(rng.sample(range(cg.num_nodes), n), 0)
+            protected = set(rng.sample(range(n), rng.randrange(0, n)))
+            want = reference_route(c, lay, cg, protected)
+            got = route(c, lay, cg, protected)
+            assert got.circuit == want.circuit
+            assert (got.initial_layout, got.final_layout, got.swap_count) == \
+                (want.initial_layout, want.final_layout, want.swap_count)
+            swaps += got.swap_count
+            detoured += got.circuit != route(c, lay, cg).circuit
+    assert swaps > 1_000 and detoured > 30  # protection moved some paths
+
+
+def test_route_logs_its_paths_at_debug(caplog):
+    # cx(0,2) crosses protected logical 1 at seat 1 and is searched; cx(0,3)
+    # then reads its path off the table
+    cg = CouplingGraph(7, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 5), (5, 4), (0, 6), (6, 3)])
+    c = Circuit()
+    c.add_qreg("q", 4)
+    c.append("cx", (0, 2))
+    c.append("cx", (3, 0))
+    c.append("cx", (0, 1))
+    with caplog.at_level(logging.DEBUG, logger="qedc.layout"):
+        res = route(c, Layout([0, 1, 4, 5], 0), cg, protected={1})
+    (record,) = [r for r in caplog.records if r.name == "qedc.layout"]
+    assert json.loads(record.getMessage()) == {"nonlocal_gates": 2, "swaps": 4,
+                                               "table_paths": 1, "searched_paths": 1}
+    assert res.swap_count == 4
+    assert _routed_equivalent(c, res, cg)
+    caplog.clear()
+    route(c, Layout([0, 1, 4, 5], 0), cg, protected={1})
+    assert not [r for r in caplog.records if r.name == "qedc.layout"]
+
+
 def test_schedule_parallel_and_chain():
     c = Circuit()
     c.add_qreg("q", 2)
@@ -286,3 +420,12 @@ def test_schedule_early_measurement():
     c.append("cx", (1, 2))
     s = schedule(c)
     assert s.steps[1] < s.depth - 1  # measurement well before the end
+
+
+def test_schedule_matches_the_reference():
+    rng = random.Random(2703)
+    for _ in range(200):
+        c = _random_circuit(rng, rng.randrange(2, 7), rng.randrange(0, 40))
+        s = schedule(c)
+        want = reference_schedule(c)
+        assert s.steps == want and s.depth == max((t + 1 for t in want), default=0)

@@ -37,6 +37,11 @@ def test_one_json_line_with_every_stage(workload, backend):
     assert list(report["ms"]) == STAGES
     assert list(report["compile_stages"]) == COMPILE_STAGES[workload]
     assert all(ms > 0 for ms in report["compile_stages"].values())
+    # route's DEBUG record, from the compile: only pcs_heavyhex routes
+    if workload == "pcs_heavyhex":
+        assert report["route"] == {"nonlocal_gates": 10, "swaps": 25, "table_paths": 6, "searched_paths": 4}
+    else:
+        assert report["route"] is None
     record = report["sample"]
     assert record["backend"] == backend and record["shots"] > 0
     assert {"faulty_shots", "simulated_shots", "statevector_passes", "noisy_instructions"} <= set(record)

@@ -23,7 +23,9 @@ Under `compile_stages` it times, the same way, each public call that
 `route`; and `schedule`.  Each is bound to the outputs of one untimed run of
 those calls, whose circuit must be the one `compile_circuit` gives; if it is
 not, or the compile raised, `compile_stages` is null and the reason is
-under `errors`.
+under `errors`.  Under `route` it prints the record `route` logs at DEBUG
+during one `compile_circuit` (non-local gates, SWAPs, and the paths read
+off the hop table and searched), null where the compile routes nothing.
 """
 from __future__ import annotations
 
@@ -160,9 +162,10 @@ class _Records(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def sample_record(call) -> dict:
-    """The JSON record one `sample` call logs at DEBUG."""
-    logger = logging.getLogger("qedc.simulator")
+def debug_record(name: str, call) -> dict | None:
+    """The last JSON record that the `name` logger logs at DEBUG during one
+    `call`, or None if it logs none."""
+    logger = logging.getLogger(name)
     handler, level = _Records(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
@@ -171,7 +174,7 @@ def sample_record(call) -> dict:
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    return json.loads(handler.messages[-1])
+    return json.loads(handler.messages[-1]) if handler.messages else None
 
 
 def main(argv=None) -> int:
@@ -189,8 +192,9 @@ def main(argv=None) -> int:
         "ms": {name: round(best_ms(calls[name], args.repeats, args.calls), 4) if name in calls else None
                for name in STAGES},
         "compile_stages": compile_stages,
+        "route": debug_record("qedc.layout", calls["compile"]) if "compile" in calls else None,
         "errors": errors,
-        "sample": sample_record(calls["sample"]) if "sample" in calls else None,
+        "sample": debug_record("qedc.simulator", calls["sample"]) if "sample" in calls else None,
     }))
     return 0
 
