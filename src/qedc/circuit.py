@@ -39,7 +39,7 @@ ONE_QUBIT_GATES = frozenset(
 TWO_QUBIT_GATES = frozenset(n for n, (q, _, _) in GATE_SPECS.items() if q == 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """A gate kind applied to qubits, with its real parameters (radians) and
     the clbits it writes."""
@@ -49,14 +49,20 @@ class Instruction:
     params: tuple[float, ...] = ()
     clbits: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.name not in GATE_SPECS:
-            raise ValueError(f"unknown gate kind: {self.name!r}")
-        _, nparams, _ = GATE_SPECS[self.name]
-        if len(self.params) != nparams:
-            raise ValueError(
-                f"gate {self.name!r} takes {nparams} parameter(s), got {len(self.params)}"
-            )
+    def __init__(self, name, qubits, params=(), clbits=()):  # dataclasses.replace calls it too
+        spec = GATE_SPECS.get(name)
+        if spec is None:
+            raise ValueError(f"unknown gate kind: {name!r}")
+        if len(params) != spec[1]:
+            raise ValueError(f"gate {name!r} takes {spec[1]} parameter(s), got {len(params)}")
+        _set_name(self, name)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_clbits(self, clbits)
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_name, _set_qubits, _set_params, _set_clbits = (getattr(Instruction, f).__set__ for f in Instruction.__slots__)
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,7 @@ class Circuit:
         return reg
 
     def append(self, name: str, qubits, params=(), clbits=()) -> None:
-        params = tuple(float(p) for p in params)
-        self.instructions.append(Instruction(name, tuple(qubits), params, tuple(clbits)))
+        self.instructions.append(Instruction(name, tuple(qubits), tuple(map(float, params)), tuple(clbits)))
 
     def copy_empty(self) -> "Circuit":
         """A circuit with the same registers and no instructions."""

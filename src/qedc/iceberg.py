@@ -72,10 +72,6 @@ class IcebergMeta:
         return cls(k, cycles)
 
 
-def _inst(name, qubits, params=(), clbits=()):
-    return Instruction(name, tuple(qubits), tuple(params), tuple(clbits))
-
-
 def iceberg_encode_init(k: int) -> list[Instruction]:
     """Fragment preparing logical |0..0>, i.e. (|0^n> + |1^n>)/sqrt(2), plus
     one chain verification measured into the accept bit.
@@ -90,14 +86,14 @@ def iceberg_encode_init(k: int) -> list[Instruction]:
     chain = meta.data_qubits
     t, b = chain[0], chain[-1]
     anc = meta.ancillas[0]
-    frag = [_inst("h", (t,))]
+    frag = [Instruction("h", (t,))]
     for a, bq in zip(chain, chain[1:]):
-        frag.append(_inst("cx", (a, bq)))
+        frag.append(Instruction("cx", (a, bq)))
     # verification: Z_t Z_b parity onto the ancilla, expected 0
-    frag.append(_inst("cx", (t, anc)))
-    frag.append(_inst("cx", (b, anc)))
-    frag.append(_inst("measure", (anc,), clbits=(0,)))
-    frag.append(_inst("reset", (anc,)))
+    frag.append(Instruction("cx", (t, anc)))
+    frag.append(Instruction("cx", (b, anc)))
+    frag.append(Instruction("measure", (anc,), clbits=(0,)))
+    frag.append(Instruction("reset", (anc,)))
     return frag
 
 
@@ -107,13 +103,13 @@ def map_logical_gate(inst: Instruction, meta: IcebergMeta) -> list[Instruction]:
     data = meta.data_qubits  # [t, logical 0..k-1, b]
     if name == "rz":
         (i,) = inst.qubits
-        return [_inst("rzz", (data[1 + i], data[-1]), inst.params)]
+        return [Instruction("rzz", (data[1 + i], data[-1]), inst.params)]
     if name == "rx":
         (i,) = inst.qubits
-        return [_inst("rxx", (data[0], data[1 + i]), inst.params)]
+        return [Instruction("rxx", (data[0], data[1 + i]), inst.params)]
     if name in ("rzz", "rxx"):
         i, j = inst.qubits
-        return [_inst(name, (data[1 + i], data[1 + j]), inst.params)]
+        return [Instruction(name, (data[1 + i], data[1 + j]), inst.params)]
     raise IcebergError(f"gate {name!r} is not in the logical gate set (transpile first)")
 
 
@@ -125,15 +121,15 @@ def syndrome_cycle(meta: IcebergMeta, clbits: tuple[int, int]) -> list[Instructi
     are 0 on the codespace; the ancillas are reset for reuse.
     """
     az, ax = meta.ancillas
-    frag = [_inst("h", (ax,))]
+    frag = [Instruction("h", (ax,))]
     for d in meta.data_qubits:
-        frag.append(_inst("cx", (d, az)))
-        frag.append(_inst("cx", (ax, d)))
-    frag.append(_inst("h", (ax,)))
-    frag.append(_inst("measure", (az,), clbits=(clbits[0],)))
-    frag.append(_inst("measure", (ax,), clbits=(clbits[1],)))
-    frag.append(_inst("reset", (az,)))
-    frag.append(_inst("reset", (ax,)))
+        frag.append(Instruction("cx", (d, az)))
+        frag.append(Instruction("cx", (ax, d)))
+    frag.append(Instruction("h", (ax,)))
+    frag.append(Instruction("measure", (az,), clbits=(clbits[0],)))
+    frag.append(Instruction("measure", (ax,), clbits=(clbits[1],)))
+    frag.append(Instruction("reset", (az,)))
+    frag.append(Instruction("reset", (ax,)))
     return frag
 
 
@@ -178,7 +174,7 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
             out.instructions.extend(syndrome_cycle(meta, bits))
 
     for i, d in enumerate(meta.data_qubits):
-        out.instructions.append(_inst("measure", (d,), clbits=(meas.start + i,)))
+        out.instructions.append(Instruction("measure", (d,), clbits=(meas.start + i,)))
 
     return out, meta
 

@@ -324,13 +324,16 @@ def route(
     both walks make the same SWAPs over the same seats.  The output circuit
     acts on physical indices; the returned layouts relate logical to
     physical qubits before and after.  A layout that seats two qubits on one
-    physical qubit, or one outside the graph, raises `LayoutError`.
+    physical qubit, or one outside the graph, and a protected index outside
+    the circuit raise `LayoutError`.
 
     With the ``qedc.layout`` logger at DEBUG, each call logs one JSON
     object: the non-local gates, the SWAPs, and the paths read off the table
     and searched.
     """
     protected = set(protected or ())
+    if stray := sorted(q for q in protected if not 0 <= q < circ.num_qubits):
+        raise LayoutError(f"protected qubits {stray} outside [0, {circ.num_qubits})")
     if len(layout.map) < circ.num_qubits:
         raise LayoutError("layout does not cover all circuit qubits")
     phi = list(layout.map)  # logical -> physical

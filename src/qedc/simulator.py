@@ -130,12 +130,7 @@ def _compact(circ: Circuit) -> Circuit:
         return circ
     index = {q: i for i, q in enumerate(used)}.__getitem__
     remapped = {qubits: tuple(map(index, qubits)) for qubits in {inst.qubits for inst in circ.instructions}}
-    # copies of valid instructions, made without the validating constructor;
-    # each source is read by attribute: reading its __dict__ would slow every
-    # later attribute read on an instruction the caller keeps
-    out = [object.__new__(Instruction) for _ in circ.instructions]
-    for copy, inst in zip(out, circ.instructions):
-        copy.__dict__.update(name=inst.name, qubits=remapped[inst.qubits], params=inst.params, clbits=inst.clbits)
+    out = [Instruction(inst.name, remapped[inst.qubits], inst.params, inst.clbits) for inst in circ.instructions]
     return Circuit([Register("q", len(used), 0)], list(circ.cregs), out)
 
 
@@ -561,7 +556,8 @@ def _signatures(insts, n: int, nc: int, noisy, rotations=(), sequences=None):
             draws.append(x[qubits[0]])
             continue
         if noisy[i]:  # a 1q op as the second of two, so its codes come first
-            rows += [0, 0] * (2 - len(qubits)) + [s for q in qubits for s in (z[q], x[q])]
+            b = qubits[-1]
+            rows += (z[qubits[0]], x[qubits[0]], z[b], x[b]) if len(qubits) == 2 else (0, 0, z[b], x[b])
             where.append(i)
         if i in bit:
             px, pz = PAULI_AXES[name]

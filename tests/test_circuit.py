@@ -1,5 +1,11 @@
+import dataclasses
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
+from qedc import simulator
 from qedc.circuit import (
     Circuit,
     Instruction,
@@ -8,7 +14,12 @@ from qedc.circuit import (
     key_group_index,
     validate,
 )
-from qedc.qasm import emit_qasm
+from qedc.layout import heavy_hex_127
+from qedc.pipeline import compile_circuit
+from qedc.qasm import emit_qasm, parse_qasm
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def bell():
@@ -33,12 +44,44 @@ def test_register_indexing_is_global():
 
 
 def test_gate_param_arity_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("gate 'rz' takes 1 parameter(s), got 0")):
         Instruction("rz", (0,))  # missing angle
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("gate 'h' takes 0 parameter(s), got 1")):
         Instruction("h", (0,), (0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown gate kind: 'nonsense'$"):
         Instruction("nonsense", (0,))
+    # dataclasses.replace builds through the same checks
+    rz = Instruction("rz", (0,), (0.5,))
+    assert dataclasses.replace(rz, qubits=(1,)) == Instruction("rz", (1,), (0.5,))
+    with pytest.raises(ValueError, match=re.escape("gate 'rz' takes 1 parameter(s), got 0")):
+        dataclasses.replace(rz, params=())
+    with pytest.raises(ValueError, match="^unknown gate kind: 'nonsense'$"):
+        dataclasses.replace(rz, name="nonsense")
+
+
+def test_instruction_is_a_frozen_record_without_a_dict():
+    a, b = Instruction("measure", (1,), (), (0,)), Instruction("measure", (1,), clbits=(0,))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Instruction("measure", (1,), clbits=(1,))
+    assert repr(a) == "Instruction(name='measure', qubits=(1,), params=(), clbits=(0,))"
+    for field in ("name", "qubits", "params", "clbits"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, getattr(b, field))
+    assert not hasattr(a, "__dict__")
+
+
+def test_compact_copies_the_routed_pcs_heavyhex_compile_field_by_field():
+    w = WORKLOADS["pcs_heavyhex"]
+    compiled, _ = compile_circuit(parse_qasm(w.qasm()), code=w.code, checks=w.checks,
+                                  coupling=heavy_hex_127())
+    got = simulator._compact(compiled)
+    used = sorted({q for inst in compiled.instructions for q in inst.qubits})
+    assert got.num_qubits == len(used) < compiled.num_qubits and got.cregs == compiled.cregs
+    assert len(got.instructions) == len(compiled.instructions)
+    for new, old in zip(got.instructions, compiled.instructions):
+        assert type(new) is Instruction
+        assert new.name == old.name and new.params == old.params and new.clbits == old.clbits
+        assert new.qubits == tuple(used.index(q) for q in old.qubits)
 
 
 def test_validate_clean_circuit():

@@ -299,6 +299,18 @@ def test_route_rejects_a_layout_that_repeats_or_leaves_the_seats(seats, why):
     assert str(exc.value) == f"layout map {seats} {why}"
 
 
+@pytest.mark.parametrize("protected, stray", [({7}, [7]), ({1, 7}, [7]), ({-1}, [-1]),
+                                               ({-2, 1, 7}, [-2, 7])],
+                         ids=["unused", "on-the-path", "negative", "each-named"])
+def test_route_rejects_protected_indices_outside_the_circuit(protected, stray):
+    c = Circuit()
+    c.add_qreg("q", 3)
+    c.append("cx", (0, 2))
+    with pytest.raises(LayoutError) as exc:
+        route(c, Layout([0, 1, 2], 0), _line(3), protected=protected)
+    assert str(exc.value) == f"protected qubits {stray} outside [0, 3)"
+
+
 def test_table_path_is_the_search_path_off_protected_seats():
     rng = random.Random(2701)
     held = searched = 0
