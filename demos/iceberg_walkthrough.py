@@ -3,7 +3,9 @@
 Encodes a 6-qubit QAOA circuit into the [[8,6,2]] code with verified state
 preparation and two mid-circuit syndrome cycles, runs it under depolarizing
 noise, postselects on the detection bits, and compares the empirical keep
-rate with the analytic prediction.
+rate with the analytic prediction.  The QAOA's opening h on every qubit
+costs no logical gates: the encoder prepares logical |+...+> directly, with
+one physical h on each of the 8 data qubits after the verified preparation.
 
 Run: python3 demos/iceberg_walkthrough.py
 """

@@ -6,7 +6,7 @@ formatting measurement-count keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import accumulate
 
 # name -> (num_qubits, num_params, num_clbits); None means variable arity
@@ -63,6 +63,21 @@ class Instruction:
 
 # the slots' own setters, which the frozen __setattr__ does not guard
 _set_name, _set_qubits, _set_params, _set_clbits = (getattr(Instruction, f).__set__ for f in Instruction.__slots__)
+
+
+# Python 3.11's generated guards call super() through the class that slots
+# replace, so a name that is not a field raises TypeError; refuse every name
+# with FrozenInstanceError instead, as Python 3.12 does
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Instruction.__setattr__ = _refuse_assignment
+Instruction.__delattr__ = _refuse_deletion
 
 
 @dataclass(frozen=True)

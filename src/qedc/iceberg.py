@@ -5,6 +5,11 @@ cycles, and destructive readout with parity decoding.
 Data qubits are ordered [t, 1..k, b]; the stabilizers are X on all n = k+2
 data qubits and Z on all n data qubits.  Logical operators: Zbar_i = Z_i Z_b
 and Xbar_i = X_t X_i.
+
+A circuit whose every qubit opens with h (as QAOA does) starts from logical
+|+..+> instead: one physical h on each data qubit after the verified
+preparation, in place of k logical h's at three rotations each.  Every other
+logical h still costs those three rotations.
 """
 from __future__ import annotations
 
@@ -138,6 +143,19 @@ def _cycle_positions(num_gates: int, cycles: int) -> list[int]:
     return [round(num_gates * (j + 1) / (cycles + 1)) for j in range(cycles)]
 
 
+def _opening_h(circ: Circuit) -> set[int]:
+    """Indices of the h that opens each qubit, if every qubit's first
+    non-barrier instruction is h; else the empty set."""
+    first: dict[int, int] = {}
+    for idx, inst in enumerate(circ.instructions):
+        if inst.name != "barrier":
+            for q in inst.qubits:
+                first.setdefault(q, idx)
+    if len(first) < circ.num_qubits or any(circ.instructions[i].name != "h" for i in first.values()):
+        return set()
+    return set(first.values())
+
+
 def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, IcebergMeta]:
     """Encode a k-qubit logical circuit (even k) into the Iceberg code.
 
@@ -146,6 +164,14 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     destructive Z-basis readout of all n data qubits.  Raises IcebergError
     with `analysis.iceberg_obstacle`'s message and reason code if the code
     cannot encode `circ`.
+
+    If every qubit's first non-barrier instruction is h, those k h's are
+    absorbed into the preparation: they are dropped from the logical gates,
+    and a physical h on each of the n data qubits follows the verification.
+    That is exact: H^n maps the stabilizers of the verified |0..0>_L, Z_aZ_b
+    and X^n, to X_aX_b and Z^n, which fix |+..+>_L.  Every other logical h
+    still costs the three rotations rz.rx.rz, since on the code space H^n
+    maps Xbar_i to Zbar_i Z_t Z_b rather than to Zbar_i.
     """
     obstacle = iceberg_obstacle(circ)
     if obstacle:
@@ -153,6 +179,10 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     if cycles < 0:
         raise IcebergError("cycle count must be >= 0")
     meta = IcebergMeta(circ.num_qubits, cycles)
+    opening = _opening_h(circ)
+    if opening:
+        circ = Circuit(circ.qregs, circ.cregs, [inst for idx, inst in enumerate(circ.instructions)
+                                                if idx not in opening])
     logical = transpile_to_gateset(circ, "iceberg-logical").instructions
 
     out = Circuit(cregs=meta.cregs())
@@ -160,6 +190,8 @@ def build_iceberg_circuit(circ: Circuit, cycles: int = 0) -> tuple[Circuit, Iceb
     out.add_qreg(ANCILLA_QREG, 2)
     # the encode fragment writes its verify bit to clbit 0, the verify register
     out.instructions.extend(iceberg_encode_init(meta.k))
+    if opening:  # |0..0>_L to |+..+>_L
+        out.instructions.extend(Instruction("h", (d,)) for d in meta.data_qubits)
     regs = {r.name: r for r in out.cregs}
     synd = regs.get(SYNDROME_CREG)
     meas = regs[READOUT_CREG]

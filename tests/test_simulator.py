@@ -821,7 +821,7 @@ _PINNED_COUNTS = {
     "first-last": "ed50a32a5f6d76dd03c7e8804dae796e5d574a99e6241fcfc17c0a8dd15fd2bd",
     "clifford-terminal": "1332746e7fcb65886d1f11bcffb0ec71380162a93d063eab70e81e1a2f6c1d3a",
     "clifford-midcircuit": "b161c71cf651454cc3fe940a36174aefca1a11d678c0bc0abcf2b5cf218eaf2a",
-    "iceberg-qaoa": "aa4063255a299a3e0048f208ee46ba9a5e5bec579b290f11e21ff3e472ecc9b1",
+    "iceberg-qaoa": "f744f29cfff879ca5d22907749afff630e8391baac30eefd7d96ae017c590953",
     "split": "d69d1eaf6192340f5aa5954ba04adde8aeaf5798edd6181c8ea592d5f168f359",
 }
 

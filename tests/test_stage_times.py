@@ -37,6 +37,19 @@ def test_one_json_line_with_every_stage(workload, backend):
     assert list(report["ms"]) == STAGES
     assert list(report["compile_stages"]) == COMPILE_STAGES[workload]
     assert all(ms > 0 for ms in report["compile_stages"].values())
+    # the compiled circuit's size, against compile_circuit run directly
+    w = stage_times.WORKLOADS[workload]
+    compiled, meta = stage_times.qedc.compile_circuit(
+        stage_times.qedc.parse_qasm(w.qasm()), code="auto", checks=w.checks,
+        coupling=stage_times.qedc.heavy_hex_127() if w.heavy_hex else None)
+    insts = compiled.instructions
+    assert report["compiled"] == {
+        "instructions": len(insts),
+        "two_qubit_gates": sum(1 for i in insts if len(i.qubits) == 2 and i.name != "barrier"),
+        "depth": meta.depth,
+        "swaps": meta.swap_count,
+        "noisy_instructions": sum(1 for i in insts if stage_times.NOISE.gate_error(i) > 0),
+    }
     # route's DEBUG record, from the compile: only pcs_heavyhex routes
     if workload == "pcs_heavyhex":
         assert report["route"] == {"nonlocal_gates": 10, "swaps": 25, "table_paths": 6, "searched_paths": 4}

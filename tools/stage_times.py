@@ -26,6 +26,10 @@ not, or the compile raised, `compile_stages` is null and the reason is
 under `errors`.  Under `route` it prints the record `route` logs at DEBUG
 during one `compile_circuit` (non-local gates, SWAPs, and the paths read
 off the hop table and searched), null where the compile routes nothing.
+Under `compiled` it prints the size of the compiled circuit: instructions,
+two-qubit gates (SWAPs included, barriers not, as the benchmark counts
+them), depth, SWAPs and the instructions the benchmark's noise makes noisy;
+null if the compile raised.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from passes import NOISE  # noqa: E402
+from passes import NOISE, two_qubit_gates  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 import qedc  # noqa: E402
@@ -143,6 +147,17 @@ def compile_stage_ms(workload, calls, errors, coupling, repeats: int, count: int
     return {name: round(best_ms(call, repeats, count), 4) for name, call in stages.items()}
 
 
+def compiled_size(circ, meta) -> dict:
+    """The size of a compiled circuit, as the benchmark counts it."""
+    return {
+        "instructions": len(circ.instructions),
+        "two_qubit_gates": two_qubit_gates(circ),
+        "depth": meta.depth,
+        "swaps": meta.swap_count,
+        "noisy_instructions": sum(1 for inst in circ.instructions if NOISE.gate_error(inst) > 0),
+    }
+
+
 def best_ms(call, repeats: int, calls: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -192,6 +207,7 @@ def main(argv=None) -> int:
         "ms": {name: round(best_ms(calls[name], args.repeats, args.calls), 4) if name in calls else None
                for name in STAGES},
         "compile_stages": compile_stages,
+        "compiled": compiled_size(*calls["compile"]()) if "compile" in calls else None,
         "route": debug_record("qedc.layout", calls["compile"]) if "compile" in calls else None,
         "errors": errors,
         "sample": debug_record("qedc.simulator", calls["sample"]) if "sample" in calls else None,
